@@ -44,8 +44,17 @@ cargo build --release --offline -p hetero-bench
 echo "==> audit --smoke (flight-recorder ledger + stall-purity audit)"
 ./target/release/audit --smoke
 
-echo "==> chaos --smoke (fault-injection degradation sweep)"
-./target/release/chaos --smoke
+echo "==> pinned artifacts (figure6 + full chaos sweep regenerate byte-identically)"
+# Both bins write under ./results/, so run them in a scratch directory and
+# compare against the committed files: any drift in the reproduced paper
+# numbers or in the faulted-run ledgers fails the gate.
+pin_tmp="$(mktemp -d)"
+trap 'rm -rf "$pin_tmp"' EXIT
+repo_root="$(pwd)"
+(cd "$pin_tmp" && "$repo_root/target/release/figure6" 500 60000000 20190325 >/dev/null)
+(cd "$pin_tmp" && "$repo_root/target/release/chaos" >/dev/null)
+cmp "$pin_tmp/results/figure6.json" results/figure6.json
+cmp "$pin_tmp/results/BENCH_chaos.json" results/BENCH_chaos.json
 
 echo "==> telemetry --smoke (span profiler + metrics sink across all systems)"
 ./target/release/telemetry --smoke
@@ -61,7 +70,7 @@ echo "==> engine --serve-smoke (live scrape endpoint + Perfetto round-trip)"
 
 echo "==> engine --perfetto (trace artifact schema check)"
 perfetto_tmp="$(mktemp -t TRACE_perfetto.XXXXXX.json)"
-trap 'rm -f "$perfetto_tmp"' EXIT
+trap 'rm -rf "$pin_tmp" "$perfetto_tmp"' EXIT
 ./target/release/engine --smoke --system proposed --jobs 1000 --perfetto "$perfetto_tmp"
 test -s "$perfetto_tmp"
 
