@@ -19,7 +19,7 @@
 //!    fault counters, energies compared to the bit;
 //! 5. **stall purity** — fault handling must not break the Scheduler
 //!    contract that `Stall`-returning calls leave state untouched;
-//! 6. **zero-rate identity** — at fault rate 0 the faulted loop must equal
+//! 6. **zero-rate identity** — at fault rate 0 a faulted run must equal
 //!    the untraced reference loop bit for bit, with all-zero fault
 //!    counters.
 //!
@@ -49,7 +49,9 @@
 //!
 //! Usage: `chaos [--smoke]`
 //!
-//! * `--smoke` — one seed, two rates, reduced jobs (`scripts/check.sh`).
+//! * `--smoke` — one seed, two rates, reduced jobs; writes no artifact.
+//!   (`scripts/check.sh` runs the full sweep and requires its artifact to
+//!   regenerate byte-identically.)
 //!
 //! The full sweep writes a degradation report to
 //! `results/BENCH_chaos.json`. Exits non-zero on any check failure.

@@ -29,8 +29,8 @@
 //! each with a fixed ratio bar regardless of the CLI threshold:
 //! `sim_trace_overhead` (the `NullSink` build of the traced simulator
 //! loop vs the verbatim untraced reference loop,
-//! `Simulator::run_reference`) and `sim_fault_overhead` (the
-//! fault-injection loop with an empty `FaultPlan` vs the same
+//! `Simulator::run_reference`) and `sim_fault_overhead`
+//! (`run_with_faults` with an empty `FaultPlan` vs the same
 //! reference) — both must stay within 2% — and `sim_metrics_overhead`
 //! (the traced loop feeding a live `hetero_telemetry::MetricsSink`,
 //! which folds every event into time-series windows and histograms,
@@ -140,9 +140,9 @@ const DISTILL_MIN_SPEEDUP: f64 = 8.0;
 /// state blows the budget immediately, while the bounded sink's true
 /// footprint (in-flight job slots + open windows + the snapshot ring) is
 /// a few MB. The stage reuses the `Stage` schema with MB-valued samples
-/// (the artifact's `*_ms` fields therefore read as MB, and `speedup` is
-/// `budget / growth`, gated at 1.0). Fixed — the CLI threshold does not
-/// move it.
+/// (the artifact marks it `"unit": "MB"` and names its value fields
+/// `*_mb`; `speedup` is `budget / growth`, gated at 1.0). Fixed — the CLI
+/// threshold does not move it.
 const STREAM_RSS_BUDGET_MB: f64 = 128.0;
 
 /// `engine_overload` is a no-regression bar on the governed streaming
@@ -205,33 +205,53 @@ impl Stage {
         GATED_STAGES.contains(&self.name)
     }
 
+    /// Unit of the stage's sample values: every stage is timed in
+    /// milliseconds except the `engine_stream` memory gate, whose samples
+    /// are resident-set megabytes.
+    fn unit(&self) -> &'static str {
+        if self.name == "engine_stream" {
+            "MB"
+        } else {
+            "ms"
+        }
+    }
+
     fn to_json(&self, min_speedup: f64) -> Json {
+        // Value fields carry the unit as their suffix (`reference_ms`,
+        // `fused_min_mb`, ...); samples store either unit scaled by 1e6.
+        let suffix = self.unit().to_ascii_lowercase();
+        let value =
+            |field: &str, scaled: f64| (format!("{field}_{suffix}"), Json::Num(scaled / 1e6));
         Json::object([
-            ("stage", Json::str(self.name)),
-            ("gated", Json::Bool(self.gated())),
+            ("stage".to_string(), Json::str(self.name)),
+            ("unit".to_string(), Json::str(self.unit())),
+            ("gated".to_string(), Json::Bool(self.gated())),
             (
-                "gate_threshold",
+                "gate_threshold".to_string(),
                 if self.gated() {
                     Json::Num(stage_threshold(self.name, min_speedup))
                 } else {
                     Json::Null
                 },
             ),
-            ("reference_ms", Json::Num(self.reference.mean_ms())),
-            ("fused_ms", Json::Num(self.fused.mean_ms())),
-            ("reference_min_ms", Json::Num(self.reference.min_ns / 1e6)),
-            ("fused_min_ms", Json::Num(self.fused.min_ns / 1e6)),
-            ("reference_p50_ms", Json::Num(self.reference.p50_ns / 1e6)),
-            ("fused_p50_ms", Json::Num(self.fused.p50_ns / 1e6)),
-            ("reference_p95_ms", Json::Num(self.reference.p95_ns / 1e6)),
-            ("fused_p95_ms", Json::Num(self.fused.p95_ns / 1e6)),
+            value("reference", self.reference.mean_ns),
+            value("fused", self.fused.mean_ns),
+            value("reference_min", self.reference.min_ns),
+            value("fused_min", self.fused.min_ns),
+            value("reference_p50", self.reference.p50_ns),
+            value("fused_p50", self.fused.p50_ns),
+            value("reference_p95", self.reference.p95_ns),
+            value("fused_p95", self.fused.p95_ns),
             (
-                "reference_iters",
+                "reference_iters".to_string(),
                 Json::UInt(u64::from(self.reference.iters)),
             ),
-            ("fused_iters", Json::UInt(u64::from(self.fused.iters))),
-            ("speedup", Json::Num(self.speedup())),
-            ("mean_speedup", Json::Num(self.mean_speedup())),
+            (
+                "fused_iters".to_string(),
+                Json::UInt(u64::from(self.fused.iters)),
+            ),
+            ("speedup".to_string(), Json::Num(self.speedup())),
+            ("mean_speedup".to_string(), Json::Num(self.mean_speedup())),
         ])
     }
 }
@@ -688,8 +708,9 @@ fn measure_engine_stream(iters: u32) -> Stage {
         elapsed.as_secs_f64(),
         outcome.report.snapshots_emitted,
     );
-    // MB stored where nanoseconds normally live: `*_ms` artifact fields
-    // then read as MB and `speedup()` becomes budget/growth.
+    // Megabytes scaled like nanoseconds, so the shared `/ 1e6` artifact
+    // conversion yields MB (`Stage::unit`) and `speedup()` becomes
+    // budget/growth.
     let sample = |label: &str, mb: f64| Sample {
         label: label.to_string(),
         iters: 1,
@@ -1064,15 +1085,16 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "{:<24} {:>14} {:>14} {:>9}",
-        "stage", "reference ms", "fused ms", "speedup"
+        "{:<24} {:>14} {:>14} {:>4} {:>9}",
+        "stage", "reference", "fused", "unit", "speedup"
     );
     for stage in &stages {
         println!(
-            "{:<24} {:>14.2} {:>14.2} {:>8.2}x{}",
+            "{:<24} {:>14.2} {:>14.2} {:>4} {:>8.2}x{}",
             stage.name,
             stage.reference.min_ns / 1e6,
             stage.fused.min_ns / 1e6,
+            stage.unit(),
             stage.speedup(),
             if stage.gated() { "  [gated]" } else { "" }
         );

@@ -23,11 +23,11 @@
 //! ([`export`]) feeding the `engine` bin's JSON artifact and
 //! `engine compare` diff.
 //!
-//! **Fidelity:** the streaming path reuses the batch event loop verbatim
-//! ([`Simulator::run_stream`](multicore_sim::Simulator::run_stream) is
-//! the same body `run_with_sink` delegates to), so a streamed run over a
-//! pre-materialised plan returns `RunMetrics` bit-identical to the batch
-//! driver — property-tested in `crates/bench/tests/engine_properties.rs`.
+//! **Fidelity:** every `Simulator` entry point drives one event loop
+//! ([`Simulator::run_stream`](multicore_sim::Simulator::run_stream) feeds
+//! it lazily), so a streamed run over a pre-materialised plan returns
+//! `RunMetrics` bit-identical to the batch driver — property-tested in
+//! `crates/bench/tests/engine_properties.rs`.
 //!
 //! See DESIGN.md §14 for the architecture.
 

@@ -265,8 +265,8 @@ struct Breaker {
     consecutive_failures: u32,
     trips: u64,
     /// A completion is only a confirmed success once the next event
-    /// proves no [`TraceEvent::Fallback`] trails it (the faulted loop
-    /// emits the fallback *after* its completion, same cycle and seq).
+    /// proves no [`TraceEvent::Fallback`] trails it (the simulator emits
+    /// the fallback *after* its completion, same cycle and seq).
     pending_success: Option<u64>,
 }
 

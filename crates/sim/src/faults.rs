@@ -256,8 +256,8 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// A plan that injects nothing. [`FaultPlan::build`] on this config
-    /// yields an empty plan, and the faulted simulator loop is
-    /// bit-identical to the untraced reference under it.
+    /// yields an empty plan, and a faulted run under it is bit-identical
+    /// to the untraced reference.
     pub fn none() -> FaultConfig {
         FaultConfig {
             seed: 0,
@@ -308,7 +308,7 @@ impl Default for FaultConfig {
 }
 
 /// One precomputed availability transition, consumed in order by the
-/// faulted simulator loop.
+/// simulator's event loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// Simulation time of the transition.
@@ -472,8 +472,8 @@ impl FaultPlan {
         FaultPlan::build(&FaultConfig::none(), 0)
     }
 
-    /// `true` when the plan injects nothing at all — the faulted loop's
-    /// fast path.
+    /// `true` when the plan injects nothing at all: the simulator then
+    /// runs the fault-free build of its event loop.
     pub fn is_empty(&self) -> bool {
         self.transitions.is_empty() && !self.point_faults_possible && !self.corruption_possible
     }

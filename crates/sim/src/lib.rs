@@ -54,6 +54,7 @@ mod core_index;
 pub mod faults;
 mod job;
 mod metrics;
+mod reference;
 mod scheduler;
 mod simulator;
 mod trace;
