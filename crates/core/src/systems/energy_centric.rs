@@ -10,7 +10,8 @@ use crate::ProfilingTable;
 use cache_sim::BASE_CONFIG;
 use energy_model::EnergyModel;
 use multicore_sim::{
-    CoreId, CoreIndex, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier, TierCell,
+    CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier,
+    TierCell,
 };
 
 /// The paper's *energy-centric* system (Sec. V): profiles on the profiling
@@ -175,6 +176,20 @@ impl Scheduler for EnergyCentricSystem<'_> {
                 config,
             },
         )
+    }
+
+    /// A profiled benchmark stalls exactly while its predicted best cores
+    /// are all busy, and its prediction is fixed once profiled, so those
+    /// cores are the promise. Unprofiled benchmarks wait for a profiling
+    /// slot instead, and under a fault plan a predictor blackout runs on
+    /// any idle core: neither promises anything.
+    fn waits_for(&self, job: &Job) -> Option<&CoreSet> {
+        if self.faults.is_some() {
+            return None;
+        }
+        let entry = self.shared.table.get(job.benchmark)?;
+        let arch = self.shared.arch;
+        Some(arch.core_set(arch.nearest_available_size(entry.predicted_best_size)))
     }
 
     fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {

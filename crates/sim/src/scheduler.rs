@@ -1,6 +1,6 @@
 //! The scheduler interface the simulator drives.
 
-use crate::core_index::CoreIndex;
+use crate::core_index::{CoreIndex, CoreSet};
 use crate::job::{Job, JobExecution};
 use std::fmt;
 
@@ -82,7 +82,13 @@ impl Decision {
 /// the [`CoreIndex`] mask queries (`first_idle`, `first_idle_in`,
 /// `idle_cores`) so they stay sublinear in core count.
 ///
+/// A policy that stalls a job *for* particular cores can say so through
+/// [`waits_for`]: the simulator then stops offering the job while none of
+/// those cores is idle, accounting each skipped offer as the `Stall` the
+/// policy promised (see the method for the exact promise).
+///
 /// [`schedule`]: Scheduler::schedule
+/// [`waits_for`]: Scheduler::waits_for
 pub trait Scheduler {
     /// Decide what to do with `job` given the current core occupancy.
     ///
@@ -94,6 +100,28 @@ pub trait Scheduler {
     /// `schedule` with a hypothetical core index when deciding whether a
     /// preemption is worthwhile, and a declined probe must be withdrawable.
     fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision;
+
+    /// The cores `job` waits for, asked right after
+    /// [`schedule`](Scheduler::schedule) stalled it. `Some(set)` is a
+    /// **promise**: until `job` is next placed, `schedule(job, cores, now)`
+    /// returns [`Decision::Stall`], with no state change, whenever no core
+    /// of `set` is idle. The policy may still stall when some core of
+    /// `set` is idle; the promise only runs one way. `None`, the default,
+    /// promises nothing.
+    ///
+    /// The simulator interns each promised set as a *wait class* stored
+    /// with the queued job. At the start of a scheduling pass and after
+    /// each placement it computes which classes have an idle core, then
+    /// skips the longest run of blocked jobs in one scan: each counts as a
+    /// stall offer and emits its `Stall` event in offer order, and the
+    /// FIFO queue rotates them to the back in one step. The run is
+    /// bit-identical to offering every job, which is what hiding the
+    /// promise (answering `None`) does; `StallPurityChecked` checks that
+    /// the promise holds.
+    fn waits_for(&self, job: &Job) -> Option<&CoreSet> {
+        let _ = job;
+        None
+    }
 
     /// Leakage power an *idle* core burns, in nJ/cycle. Depends on the
     /// core's currently-loaded cache configuration, which the policy owns.
