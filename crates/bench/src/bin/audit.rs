@@ -9,7 +9,9 @@
 //!    compared to the bit, counters exactly);
 //! 2. checks the stall-purity contract via [`StallPurityChecked`] —
 //!    every `Stall`-returning `schedule` call must leave the policy's
-//!    state fingerprint unchanged;
+//!    state fingerprint unchanged, and no call may place a job while every
+//!    core its policy promised it waits for (`Scheduler::waits_for`) is
+//!    busy;
 //! 3. runs a mutation self-test: individually perturbs single accounting
 //!    sites in a recorded trace (dropped idle span, inflated placement
 //!    energy, dropped stall, forged eviction refund, dropped completion)
@@ -22,7 +24,7 @@
 //!   `results/TRACE_<system>_<discipline>.json`.
 //!
 //! Exits non-zero if any ledger diverges, any stall-purity violation is
-//! detected, or any mutation goes unnoticed.
+//! detected, any mutation goes unnoticed, or no promise was ever checked.
 
 use energy_model::EnergyModel;
 use hetero_bench::trace_json::trace_document;
@@ -54,6 +56,7 @@ struct TracedRun {
     metrics: RunMetrics,
     events: Vec<TraceEvent>,
     stall_checks: u64,
+    promise_checks: u64,
     purity_violations: Vec<String>,
 }
 
@@ -72,6 +75,7 @@ fn trace_one<S: Scheduler>(
         metrics,
         events: sink.into_events(),
         stall_checks: checked.stall_checks(),
+        promise_checks: checked.promise_checks(),
         purity_violations: checked.violations().to_vec(),
     }
 }
@@ -253,6 +257,7 @@ fn main() -> ExitCode {
     // spread across system x discipline x seed.
     let mut events_per_run = Histogram::new();
     let mut stall_checks_per_run = Histogram::new();
+    let mut promise_checks = 0u64;
     let mut mutations_applied = 0usize;
 
     for &seed in seeds {
@@ -269,6 +274,7 @@ fn main() -> ExitCode {
                 runs += 1;
                 events_per_run.record(run.events.len() as u64);
                 stall_checks_per_run.record(run.stall_checks);
+                promise_checks += run.promise_checks;
 
                 let mut problems: Vec<String> = Vec::new();
                 if run.metrics.jobs_completed != jobs as u64 {
@@ -305,9 +311,10 @@ fn main() -> ExitCode {
                 let verdict = if problems.is_empty() { "ok" } else { "FAIL" };
                 println!(
                     "  seed {seed:>2} {discipline_name:<20} {system_name:<14} \
-                     {:>6} events  {:>5} stall checks  {verdict}",
+                     {:>6} events  {:>5} stall checks  {:>5} promise checks  {verdict}",
                     run.events.len(),
                     run.stall_checks,
+                    run.promise_checks,
                 );
                 if !problems.is_empty() {
                     failures += 1;
@@ -321,7 +328,8 @@ fn main() -> ExitCode {
 
     println!(
         "{runs} runs audited: {} events replayed (per run p50 {} / p95 {} / max {}), \
-         {} stall-purity checks, {mutations_applied} mutations injected",
+         {} stall-purity checks, {promise_checks} promise checks, \
+         {mutations_applied} mutations injected",
         events_per_run.sum(),
         events_per_run.p50(),
         events_per_run.p95(),
@@ -336,6 +344,13 @@ fn main() -> ExitCode {
         eprintln!("AUDIT FAILED: {failures} run(s) diverged");
         return ExitCode::FAILURE;
     }
-    println!("AUDIT PASSED: every ledger re-derived bit-for-bit; all stall paths pure");
+    if promise_checks == 0 {
+        eprintln!("no waits_for promise was ever checked");
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "AUDIT PASSED: every ledger re-derived bit-for-bit; all stall paths pure; \
+         every promise kept"
+    );
     ExitCode::SUCCESS
 }

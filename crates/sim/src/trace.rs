@@ -22,14 +22,16 @@
 //!   documented contract that a call returning
 //!   [`Decision::Stall`](crate::Decision::Stall) leaves the policy's
 //!   observable state untouched (the preemption probe depends on it),
-//!   using the policy's [`state_fingerprint`](Scheduler::state_fingerprint).
+//!   using the policy's [`state_fingerprint`](Scheduler::state_fingerprint),
+//!   and that the policy keeps its [`waits_for`](Scheduler::waits_for)
+//!   promises.
 //!
 //! Bit identity is achievable because the auditor replays the *same*
 //! floating-point operations in the *same* order the simulator performed
 //! them: each event carries the exact operands (idle power, execution
 //! energy, refund numerator/denominator) of its accounting site.
 
-use crate::core_index::CoreIndex;
+use crate::core_index::{CoreIndex, CoreSet};
 use crate::faults::{DegradedComponent, FallbackLevel, FaultKind, FaultStats, FaultedRun};
 use crate::job::Job;
 use crate::metrics::{ClassStats, RunMetrics};
@@ -411,6 +413,13 @@ impl Fingerprint {
 /// probes (which rely on the contract to make declined probes
 /// withdrawable).
 ///
+/// It also checks the [`waits_for`](Scheduler::waits_for) promise. The
+/// wrapper itself promises nothing, so the simulator offers every job to
+/// the policy; after each `Stall` it records the set the policy promised
+/// for that job, and flags any later call that places the job while no
+/// core of that set is idle. The record is dropped once the job is
+/// placed.
+///
 /// Violations are collected, not panicked, so an audit run can report
 /// every offending call site; use [`violations`](Self::violations) (or
 /// [`assert_pure`](Self::assert_pure)) after the run.
@@ -419,6 +428,9 @@ pub struct StallPurityChecked<S> {
     inner: S,
     violations: Vec<String>,
     stall_checks: u64,
+    /// The wait set promised for each stalled job, until it is placed.
+    promises: HashMap<u64, CoreSet>,
+    promise_checks: u64,
 }
 
 impl<S: Scheduler> StallPurityChecked<S> {
@@ -428,6 +440,8 @@ impl<S: Scheduler> StallPurityChecked<S> {
             inner,
             violations: Vec::new(),
             stall_checks: 0,
+            promises: HashMap::new(),
+            promise_checks: 0,
         }
     }
 
@@ -446,6 +460,12 @@ impl<S: Scheduler> StallPurityChecked<S> {
         self.stall_checks
     }
 
+    /// Number of calls made while a promise was in force and every core
+    /// of its wait set was busy, so that only `Stall` kept it.
+    pub fn promise_checks(&self) -> u64 {
+        self.promise_checks
+    }
+
     /// Every detected contract violation, in occurrence order.
     pub fn violations(&self) -> &[String] {
         &self.violations
@@ -456,13 +476,14 @@ impl<S: Scheduler> StallPurityChecked<S> {
     /// # Panics
     ///
     /// Panics if any `Stall`-returning call changed the policy's
-    /// fingerprint.
+    /// fingerprint, or any call broke a `waits_for` promise.
     pub fn assert_pure(&self) {
         assert!(
             self.violations.is_empty(),
-            "stall-purity contract violated ({} of {} stall calls):\n{}",
+            "stall-purity contract violated ({} of {} stall calls, {} promise checks):\n{}",
             self.violations.len(),
             self.stall_checks,
+            self.promise_checks,
             self.violations.join("\n")
         );
     }
@@ -470,16 +491,36 @@ impl<S: Scheduler> StallPurityChecked<S> {
 
 impl<S: Scheduler> Scheduler for StallPurityChecked<S> {
     fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        let promised = self
+            .promises
+            .get(&job.seq)
+            .is_some_and(|set| cores.first_idle_in(set).is_none());
+        self.promise_checks += u64::from(promised);
         let before = self.inner.state_fingerprint();
         let decision = self.inner.schedule(job, cores, now);
-        if matches!(decision, Decision::Stall) {
-            self.stall_checks += 1;
-            let after = self.inner.state_fingerprint();
-            if after != before {
-                self.violations.push(format!(
-                    "schedule({job}) at cycle {now} returned Stall but mutated policy state \
-                     (fingerprint {before:#018x} -> {after:#018x})"
-                ));
+        match decision {
+            Decision::Stall => {
+                self.stall_checks += 1;
+                let after = self.inner.state_fingerprint();
+                if after != before {
+                    self.violations.push(format!(
+                        "schedule({job}) at cycle {now} returned Stall but mutated policy state \
+                         (fingerprint {before:#018x} -> {after:#018x})"
+                    ));
+                }
+                // A promise binds until placement: `None` keeps the last.
+                if let Some(set) = self.inner.waits_for(job) {
+                    self.promises.insert(job.seq, set.clone());
+                }
+            }
+            Decision::Run { core, .. } => {
+                if promised {
+                    self.violations.push(format!(
+                        "schedule({job}) at cycle {now} ran it on {core} while every core it \
+                         promised to wait for was busy"
+                    ));
+                }
+                self.promises.remove(&job.seq);
             }
         }
         decision
@@ -1680,5 +1721,80 @@ mod tests {
         let mut skewed = metrics.clone();
         skewed.energy.dynamic_nj = 1e-300; // tiny but a different bit pattern
         assert_eq!(ledger_divergences(&metrics, &skewed).len(), 1);
+    }
+
+    /// Promises core 0 for every stalled job. Honest, it stalls while
+    /// core 0 is busy; broken, a job already stalled once (it is re-offered
+    /// after its arrival cycle) runs on any idle core.
+    struct WaitsForCore0 {
+        set: CoreSet,
+        broken: bool,
+    }
+
+    impl Scheduler for WaitsForCore0 {
+        fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+            let core = if cores.is_idle(CoreId(0)) {
+                Some(CoreId(0))
+            } else if self.broken && now > job.arrival {
+                cores.first_idle()
+            } else {
+                None
+            };
+            match core {
+                Some(core) => Decision::run(
+                    core,
+                    crate::JobExecution {
+                        cycles: 100,
+                        energy: EnergyBreakdown::new(),
+                    },
+                ),
+                None => Decision::Stall,
+            }
+        }
+
+        fn waits_for(&self, _job: &Job) -> Option<&CoreSet> {
+            Some(&self.set)
+        }
+
+        fn idle_power_nj_per_cycle(&self, _core: CoreId) -> f64 {
+            1.0
+        }
+    }
+
+    fn check_promises(broken: bool) -> StallPurityChecked<WaitsForCore0> {
+        use workloads::{Arrival, ArrivalPlan};
+        // Job 0 takes core 0 at cycle 0; job 1 stalls for it; job 2's
+        // arrival at cycle 10 re-offers job 1 while core 0 is still busy.
+        let plan = ArrivalPlan::from_arrivals(
+            [0, 0, 10]
+                .into_iter()
+                .map(|t| Arrival::new(t, BenchmarkId(0)))
+                .collect(),
+        );
+        let mut checked = StallPurityChecked::new(WaitsForCore0 {
+            set: CoreSet::from_cores(2, [CoreId(0)]),
+            broken,
+        });
+        let metrics = crate::Simulator::new(2).run(&plan, &mut checked);
+        assert_eq!(metrics.jobs_completed, 3);
+        checked
+    }
+
+    #[test]
+    fn kept_promises_pass_the_checker() {
+        let checked = check_promises(false);
+        assert!(checked.promise_checks() > 0);
+        checked.assert_pure();
+    }
+
+    #[test]
+    fn a_broken_promise_is_a_violation() {
+        let checked = check_promises(true);
+        let violations = checked.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("promised to wait for"),
+            "{violations:?}"
+        );
     }
 }
