@@ -37,7 +37,12 @@
 //! gated at 0.55x of the untraced loop). A seventh gated stage,
 //! `sim_manycore`, pins the indexed event loop's scaling win: at 256
 //! cores under a saturating burst, `Simulator::run` must be at least 5x
-//! faster than the retained linear-scan `Simulator::run_reference`.
+//! faster than the retained linear-scan `Simulator::run_reference`. An
+//! eighth, `sim_stall_backlog`, pins the wait-set skip: on the
+//! energy-centric system's stalled backlog on the paper's quad, the loop
+//! that skips jobs whose best cores are all busy must run at least 2x
+//! (the CLI threshold) faster than the same loop offering every job; its
+//! artifact entry also reports both sides' absolute throughput in jobs/s.
 //! Speedups compare the minimum over
 //! the measured iterations on each side, which filters the additive
 //! scheduling noise of shared hosts. Finally, `engine_stream` is a
@@ -68,7 +73,7 @@ use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_bench::json::Json;
 use hetero_bench::perf::{bench_paired, Sample};
 use hetero_bench::Testbed;
-use hetero_core::{BestCorePredictor, PredictorConfig, SuiteOracle};
+use hetero_core::{BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle};
 use hetero_telemetry::MetricsSink;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, FaultPlan, Job, JobExecution, NullSink, QueueDiscipline,
@@ -84,7 +89,7 @@ use workloads::{ArrivalPlan, SplitMix64, Suite};
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
 /// Stages whose speedup the gate checks (each must clear its threshold).
-const GATED_STAGES: [&str; 12] = [
+const GATED_STAGES: [&str; 13] = [
     "oracle_build_paper",
     "bagging_train",
     "ensemble_predict",
@@ -94,10 +99,14 @@ const GATED_STAGES: [&str; 12] = [
     "sim_fault_overhead",
     "sim_metrics_overhead",
     "sim_manycore",
+    "sim_stall_backlog",
     "engine_stream",
     "engine_overload",
     "engine_observe",
 ];
+
+/// Jobs per run of `sim_stall_backlog`: the paper's Sec. V arrival count.
+const STALL_BACKLOG_JOBS: usize = 5000;
 
 /// `sim_trace_overhead` and `sim_fault_overhead` are no-regression bars,
 /// not speedup bars: the NullSink-instrumented loop and the
@@ -181,6 +190,15 @@ fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
     }
 }
 
+/// Jobs one timed iteration of a throughput stage simulates; its
+/// artifact entry then also reports both sides in jobs/s.
+fn stage_jobs(name: &str) -> Option<usize> {
+    match name {
+        "sim_stall_backlog" => Some(STALL_BACKLOG_JOBS),
+        _ => None,
+    }
+}
+
 /// One stage's before/after measurement.
 struct Stage {
     name: &'static str,
@@ -222,7 +240,7 @@ impl Stage {
         let suffix = self.unit().to_ascii_lowercase();
         let value =
             |field: &str, scaled: f64| (format!("{field}_{suffix}"), Json::Num(scaled / 1e6));
-        Json::object([
+        let mut fields = vec![
             ("stage".to_string(), Json::str(self.name)),
             ("unit".to_string(), Json::str(self.unit())),
             ("gated".to_string(), Json::Bool(self.gated())),
@@ -252,7 +270,17 @@ impl Stage {
             ),
             ("speedup".to_string(), Json::Num(self.speedup())),
             ("mean_speedup".to_string(), Json::Num(self.mean_speedup())),
-        ])
+        ];
+        if let Some(jobs) = stage_jobs(self.name) {
+            let per_s = |sample: &Sample| Json::Num(jobs as f64 / (sample.min_ns / 1e9));
+            fields.extend([
+                ("jobs".to_string(), Json::UInt(jobs as u64)),
+                ("throughput_unit".to_string(), Json::str("jobs/s")),
+                ("reference_jobs_per_s".to_string(), per_s(&self.reference)),
+                ("fused_jobs_per_s".to_string(), per_s(&self.fused)),
+            ]);
+        }
+        Json::object(fields)
     }
 }
 
@@ -656,6 +684,67 @@ fn measure_manycore(iters: u32) -> Stage {
     }
 }
 
+/// Forwards everything but the `waits_for` promise, so the event loop
+/// offers every queued job to the wrapped policy on every pass.
+struct HidePromise<S>(S);
+
+impl<S: Scheduler> Scheduler for HidePromise<S> {
+    fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        self.0.schedule(job, cores, now)
+    }
+
+    fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+        self.0.idle_power_nj_per_cycle(core)
+    }
+
+    fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.0.on_complete(job, core, now);
+    }
+
+    fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.0.on_preempt(job, core, now);
+    }
+}
+
+/// The stall-backlog stage: the energy-centric system "only scheduled
+/// benchmarks to the benchmark's best core even if idle cores were
+/// available", so on a contended plan most of its queue waits for a busy
+/// best core. With its `waits_for` promise hidden, `Simulator::run`
+/// offers every queued job to the policy on every pass; with it visible,
+/// the loop skips each run of jobs whose best cores are all busy in one
+/// scan. The two are bit-identical (property-tested in
+/// `crates/bench/tests/wait_set_identity.rs`); the skip must make the run
+/// at least 2x faster. The reference side is the indexed loop, not
+/// `run_reference`: the linear-scan oracle rebuilds a `CoreIndex` per
+/// offer and is ~5x slower here even without a skip, which would hide a
+/// lost skip behind the gate. The small suite at 200M cycles stalls 2664
+/// jobs, the scale of the paper suite's Figure 7 run.
+fn measure_stall_backlog(iters: u32) -> Stage {
+    let testbed = Testbed::small();
+    let plan = testbed.plan(STALL_BACKLOG_JOBS, 200_000_000, 20190325);
+    let sim = Simulator::new(testbed.arch.num_cores());
+    let system = || {
+        EnergyCentricSystem::new(
+            &testbed.arch,
+            &testbed.oracle,
+            testbed.model,
+            testbed.predictor.clone(),
+        )
+    };
+    let (reference, fused) = bench_paired(
+        "sim_stall_backlog_offer_all",
+        || sim.run(&plan, &mut HidePromise(system())).stall_offers,
+        "sim_stall_backlog_skip",
+        || sim.run(&plan, &mut system()).stall_offers,
+        iters,
+    );
+    Stage {
+        name: "sim_stall_backlog",
+        reference,
+        fused,
+    }
+}
+
 /// Resident set size from `/proc/self/status`, in MB. Returns 0.0 when
 /// the file is unavailable (non-Linux), which makes the memory gate pass
 /// vacuously rather than fail spuriously.
@@ -965,6 +1054,7 @@ fn measure_stage(name: &str, iters: u32) -> Stage {
         "sim_fault_overhead" => measure_fault_overhead(iters),
         "sim_metrics_overhead" => measure_metrics_overhead(iters),
         "sim_manycore" => measure_manycore(iters),
+        "sim_stall_backlog" => measure_stall_backlog(iters),
         "engine_stream" => measure_engine_stream(iters),
         "engine_overload" => measure_engine_overload(iters),
         "engine_observe" => measure_engine_observe(iters),
@@ -1028,6 +1118,8 @@ fn main() -> ExitCode {
              sim_metrics_overhead must hold >= {METRICS_OVERHEAD_MIN_RATIO:.2}x;\n\
              sim_manycore must be >= {MANYCORE_MIN_SPEEDUP:.1}x the linear-scan \
              loop at 256 cores;\n\
+             sim_stall_backlog must be >= {min_speedup:.1}x the loop offering \
+             energy-centric's whole backlog;\n\
              engine_stream must keep a 10M-job streaming run within \
              {STREAM_RSS_BUDGET_MB:.0} MB of rss growth\n"
         );
@@ -1046,6 +1138,7 @@ fn main() -> ExitCode {
         "sim_fault_overhead",
         "sim_metrics_overhead",
         "sim_manycore",
+        "sim_stall_backlog",
         "engine_stream",
         "engine_overload",
         "engine_observe",
