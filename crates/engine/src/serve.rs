@@ -310,4 +310,116 @@ mod tests {
         assert_eq!(parse_request_line(""), None);
         assert_eq!(parse_request_line("GET /lonely"), None);
     }
+
+    #[test]
+    fn request_line_parsing_survives_every_prefix_and_seeded_garbage() {
+        let valid = b"GET /snapshot?n=3 HTTP/1.1\r\nHost: scraper\r\nAccept: */*\r\n\r\n";
+        // A prefix parses exactly once it holds the method, the target and
+        // the version's `HTTP/1.` stem.
+        let parses_from = b"GET /snapshot?n=3 HTTP/1.".len();
+        for cut in 0..=valid.len() {
+            let head = String::from_utf8_lossy(&valid[..cut]);
+            match parse_request_line(&head) {
+                Some(parsed) => {
+                    assert!(cut >= parses_from, "prefix {head:?} parsed");
+                    assert_eq!(parsed, ("GET", "/snapshot"));
+                }
+                None => assert!(cut < parses_from, "prefix {head:?} rejected"),
+            }
+        }
+
+        // Garbage: random bytes mixed with request-line tokens so the
+        // parser's later branches are reached too.
+        const TOKENS: [&[u8]; 8] = [
+            b"GET",
+            b" ",
+            b"/",
+            b"?",
+            b"HTTP/1.",
+            b"\r\n",
+            b"\xff\xfe",
+            b"\t",
+        ];
+        let mut rng = workloads::SplitMix64::new(0x5eed);
+        for _ in 0..5_000 {
+            let mut bytes = Vec::new();
+            for _ in 0..rng.next_u64() % 24 {
+                let pick = rng.next_u64();
+                if pick.is_multiple_of(3) {
+                    bytes.push((pick >> 8) as u8);
+                } else {
+                    bytes.extend_from_slice(TOKENS[(pick >> 8) as usize % TOKENS.len()]);
+                }
+            }
+            let head = String::from_utf8_lossy(&bytes);
+            if let Some((method, path)) = parse_request_line(&head) {
+                assert!(!method.is_empty() && !method.contains(char::is_whitespace));
+                assert!(!path.contains(char::is_whitespace) && !path.contains('?'));
+                assert!(head
+                    .lines()
+                    .next()
+                    .is_some_and(|line| line.contains(method)));
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_heads_are_rejected_and_a_valid_scrape_still_follows() {
+        use std::net::Shutdown;
+
+        let mut server = ScrapeServer::bind(0).expect("bind loopback");
+        let addr = server.addr();
+        // Send each head and wait for the answer (or the drop) before the
+        // next, so the four connections reach the server one at a time.
+        let client = std::thread::spawn(move || {
+            let send = |head: &[u8], close_write: bool| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                // The server may close an oversized head's connection
+                // mid-write; that is a drop, not a test failure.
+                let _ = stream.write_all(head);
+                if close_write {
+                    let _ = stream.shutdown(Shutdown::Write);
+                }
+                let mut out = Vec::new();
+                let _ = stream.read_to_end(&mut out);
+                String::from_utf8_lossy(&out).into_owned()
+            };
+            let truncated = send(b"GET /metrics HTTP/1.1\r\nHost: t", true);
+            let non_utf8 = send(b"GET /\xff\xfe HTTP/1.1\r\nHost: t\r\n\r\n", false);
+            let mut oversized = b"GET /metrics HTTP/1.1\r\n".to_vec();
+            oversized.resize(MAX_REQUEST_BYTES + 512, b'a');
+            let oversized = send(&oversized, false);
+            let valid = send(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n", false);
+            [truncated, non_utf8, oversized, valid]
+        });
+        let mut handled = 0;
+        for _ in 0..400 {
+            handled += server.poll(&mut respond);
+            if handled >= 4 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(handled, 4);
+        let [truncated, non_utf8, oversized, valid] = client.join().expect("client thread");
+        for (name, reply) in [
+            ("truncated", truncated),
+            ("non-UTF-8", non_utf8),
+            ("oversized", oversized),
+        ] {
+            assert!(
+                reply.is_empty() || reply.starts_with("HTTP/1.1 400"),
+                "{name} head answered {reply:?}"
+            );
+        }
+        assert!(valid.starts_with("HTTP/1.1 200 OK\r\n"), "{valid}");
+        assert_eq!(
+            server.stats(),
+            ServeStats {
+                served: 1,
+                not_found: 0,
+                rejected: 3,
+            }
+        );
+    }
 }
