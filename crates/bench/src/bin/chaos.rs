@@ -33,7 +33,8 @@
 //!
 //! It then runs an **overload drill**: a bursty storm at ~2.5x the
 //! sustainable service rate through the admission governor and brownout
-//! controller on all four systems, gated on (a) bounded queue depth,
+//! controller on all four systems, gated on (a) bounded queue depth
+//! with every admitted job completing,
 //! (b) a disabled governor being bit-identical to a plain stream —
 //! event ledger included — and (c) the serving tier returning to full
 //! service after the storm. The report lands in the artifact's
@@ -65,8 +66,8 @@ use hetero_core::{
     ProposedSystem, SuiteOracle, SystemStats,
 };
 use hetero_engine::{
-    run_streaming_governed, run_streaming_observed, BrownoutConfig, EngineConfig, GovernorHandle,
-    ObserveConfig, OverloadConfig, ShedPolicy, SloPolicy,
+    BrownoutConfig, EngineConfig, GovernorHandle, ObserveConfig, OverloadConfig, RunSpec,
+    ShedPolicy, SloPolicy,
 };
 use hetero_telemetry::{AlertState, BurnRateRule, Histogram};
 use multicore_sim::{
@@ -466,9 +467,46 @@ fn overload_system<'a>(
     }
 }
 
+/// Mean and maximum best-config service cycles across the suite: the
+/// storm drills calibrate their arrival gaps and windows from these.
+fn service_cycles(testbed: &Testbed) -> (u64, u64) {
+    let best = || {
+        testbed
+            .oracle
+            .benchmarks()
+            .map(|b| testbed.oracle.best_config(b).1.cycles)
+    };
+    let mean = (best().sum::<u64>() as f64 / testbed.suite.len() as f64).max(1.0) as u64;
+    (mean, best().max().unwrap_or(mean))
+}
+
+/// `storm_jobs` arrivals every `storm_gap` cycles, then `trickle_jobs`
+/// more every `trickle_gap`; benchmarks cycle through the suite and
+/// priorities through three classes.
+fn storm_then_trickle(
+    storm_jobs: u64,
+    storm_gap: u64,
+    trickle_jobs: u64,
+    trickle_gap: u64,
+    suite_len: usize,
+) -> Vec<Arrival> {
+    let storm_end = storm_jobs * storm_gap;
+    (0..storm_jobs)
+        .map(|i| (i * storm_gap, i))
+        .chain((0..trickle_jobs).map(|i| (storm_end + (i + 1) * trickle_gap, storm_jobs + i)))
+        .map(|(time, i)| Arrival {
+            time,
+            benchmark: BenchmarkId(i as usize % suite_len),
+            priority: (i % 3) as u8,
+        })
+        .collect()
+}
+
 /// Overload chaos drill: a bursty storm at ~2.5x the sustainable service
 /// rate followed by a trickle, run through the admission governor and
-/// brownout controller on all four systems. Three gates per system:
+/// brownout controller on all four systems. Three gates per system, on
+/// a run that must actually shed, step the tier ladder and complete
+/// every admitted job:
 ///
 /// (a) **bounded queue depth** — in-flight never exceeds the configured
 ///     capacity plus the documented one-peek staleness;
@@ -481,23 +519,9 @@ fn overload_system<'a>(
 /// Returns the `"overload"` report rows and any violated gates.
 fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
     let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-
     // Sustainable service rate from the oracle: mean best-config cycles
     // across the suite, spread over every core.
-    let mean_cycles = (testbed
-        .oracle
-        .benchmarks()
-        .map(|b| testbed.oracle.best_config(b).1.cycles)
-        .sum::<u64>() as f64
-        / suite_len as f64)
-        .max(1.0) as u64;
-    let max_cycles = testbed
-        .oracle
-        .benchmarks()
-        .map(|b| testbed.oracle.best_config(b).1.cycles)
-        .max()
-        .unwrap_or(mean_cycles);
+    let (mean_cycles, max_cycles) = service_cycles(testbed);
 
     // Storm at 2.5x the sustainable rate, then a trickle at ~25% load so
     // the backlog drains and the brownout controller can climb back.
@@ -509,15 +533,13 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         (600u64, 200u64)
     };
     let storm_end = storm_jobs * storm_gap;
-    let arrivals: Vec<Arrival> = (0..storm_jobs)
-        .map(|i| (i * storm_gap, i))
-        .chain((0..trickle_jobs).map(|i| (storm_end + (i + 1) * trickle_gap, storm_jobs + i)))
-        .map(|(time, i)| Arrival {
-            time,
-            benchmark: BenchmarkId(i as usize % suite_len),
-            priority: (i % 3) as u8,
-        })
-        .collect();
+    let arrivals = storm_then_trickle(
+        storm_jobs,
+        storm_gap,
+        trickle_jobs,
+        trickle_gap,
+        testbed.suite.len(),
+    );
 
     // Drop-tail keeps the queue-depth signal honest: the backlog is
     // allowed to fill to capacity (so the brownout's depth trigger
@@ -529,26 +551,30 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
     // two-window hysteresis to walk the whole tier ladder.
     let control_window = mean_cycles;
     let queue_capacity = num_cores as u64 * 8;
-    let overload = OverloadConfig {
-        queue_capacity: Some(queue_capacity),
-        policy: ShedPolicy::DropTail,
-        rate_limit: None,
-        brownout: Some(BrownoutConfig {
-            control_window_cycles: control_window,
-            depth_high: queue_capacity / 2,
-            depth_low: num_cores as u64,
-            latency_budget_cycles: 3 * max_cycles,
-            breach_fraction: 0.5,
-            step_up_after: 2,
-            step_down_after: 2,
+    let mut spec = RunSpec {
+        engine: EngineConfig {
+            window_cycles: control_window,
+            snapshot_windows: 4,
+            max_snapshots: 64,
+            slo: SloPolicy::default(),
+        },
+        overload: Some(OverloadConfig {
+            queue_capacity: Some(queue_capacity),
+            policy: ShedPolicy::DropTail,
+            rate_limit: None,
+            brownout: Some(BrownoutConfig {
+                control_window_cycles: control_window,
+                depth_high: queue_capacity / 2,
+                depth_low: num_cores as u64,
+                latency_budget_cycles: 3 * max_cycles,
+                breach_fraction: 0.5,
+                step_up_after: 2,
+                step_down_after: 2,
+            }),
+            breaker: None,
         }),
-        breaker: None,
-    };
-    let engine_config = EngineConfig {
-        window_cycles: control_window,
-        snapshot_windows: 4,
-        max_snapshots: 64,
-        slo: SloPolicy::default(),
+        observe: None,
+        tier: None,
     };
     let student = testbed.predictor.distill(
         &testbed.oracle,
@@ -574,15 +600,10 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         let cell = tier_cell();
         let mut system =
             overload_system(testbed, system_index, Some(cell.clone()), student.as_ref());
-        let outcome = run_streaming_governed(
-            &sim,
-            arrivals.iter().copied(),
-            &mut *system,
-            &engine_config,
-            &overload,
-            Some(cell),
-        );
-        let report = &outcome.overload;
+        spec.tier = Some(cell);
+        let outcome = hetero_engine::run(&sim, arrivals.iter().copied(), &mut *system, &spec)
+            .expect("no plane to bind");
+        let report = outcome.overload.as_ref().expect("a governed run reports");
 
         // Gate (a): bounded queue depth (capacity + one-peek staleness).
         if report.max_in_flight > queue_capacity + 1 {
@@ -602,6 +623,12 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         if report.tier_transitions == 0 {
             problems.push(format!(
                 "{system_name}: the brownout controller never stepped — drill not overloaded"
+            ));
+        }
+        if outcome.metrics.jobs_completed != report.admitted {
+            problems.push(format!(
+                "{system_name}: admitted {} but completed {}",
+                report.admitted, outcome.metrics.jobs_completed
             ));
         }
         // Gate (c): full service restored by the horizon.
@@ -720,20 +747,7 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
 /// Returns the `"burn"` report section and any violated gates.
 fn burn_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
     let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-    let mean_cycles = (testbed
-        .oracle
-        .benchmarks()
-        .map(|b| testbed.oracle.best_config(b).1.cycles)
-        .sum::<u64>() as f64
-        / suite_len as f64)
-        .max(1.0) as u64;
-    let max_cycles = testbed
-        .oracle
-        .benchmarks()
-        .map(|b| testbed.oracle.best_config(b).1.cycles)
-        .max()
-        .unwrap_or(mean_cycles);
+    let (mean_cycles, max_cycles) = service_cycles(testbed);
 
     // Storm at 2.5x sustainable, then a light trickle (one arrival per
     // base window) long enough for the backlog to drain, the slow burn
@@ -745,27 +759,18 @@ fn burn_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         (600u64, 60u64)
     };
     let storm_end = storm_jobs * storm_gap;
-    let arrivals: Vec<Arrival> = (0..storm_jobs)
-        .map(|i| (i * storm_gap, i))
-        .chain((0..trickle_jobs).map(|i| (storm_end + (i + 1) * mean_cycles, storm_jobs + i)))
-        .map(|(time, i)| Arrival {
-            time,
-            benchmark: BenchmarkId(i as usize % suite_len),
-            priority: (i % 3) as u8,
-        })
-        .collect();
+    let arrivals = storm_then_trickle(
+        storm_jobs,
+        storm_gap,
+        trickle_jobs,
+        mean_cycles,
+        testbed.suite.len(),
+    );
 
     // A bounded drop-tail queue keeps storm latency finite (and the
     // drill fast) without any tier control of its own: every tier move
     // here is the alert floor's doing.
     let queue_capacity = num_cores as u64 * 8;
-    let overload = OverloadConfig {
-        queue_capacity: Some(queue_capacity),
-        policy: ShedPolicy::DropTail,
-        rate_limit: None,
-        brownout: None,
-        breaker: None,
-    };
     // Any wait beyond roughly one mean service is "bad": storm queueing
     // (~8 means deep) breaches it, pure trickle service never does.
     let rule = BurnRateRule {
@@ -779,33 +784,36 @@ fn burn_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         sustain_evals: 4,
         clear_evals: 3,
     };
-    let observe = ObserveConfig {
-        rules: vec![rule.clone()],
-        assemble_spans: false,
-        alert_tier_floor: Some(ServingTier::Distilled),
-        serve_port: None,
-    };
-    let engine_config = EngineConfig {
-        window_cycles: mean_cycles,
-        snapshot_windows: 4,
-        max_snapshots: 64,
-        slo: SloPolicy::default(),
-    };
-
-    let sim = Simulator::new(num_cores);
     let cell = tier_cell();
-    let mut system = overload_system(testbed, 3, Some(cell.clone()), None);
-    let outcome = run_streaming_observed(
-        &sim,
+    let spec = RunSpec {
+        engine: EngineConfig {
+            window_cycles: mean_cycles,
+            snapshot_windows: 4,
+            max_snapshots: 64,
+            slo: SloPolicy::default(),
+        },
+        overload: Some(OverloadConfig {
+            queue_capacity: Some(queue_capacity),
+            ..OverloadConfig::disabled()
+        }),
+        observe: Some(ObserveConfig {
+            rules: vec![rule.clone()],
+            assemble_spans: false,
+            alert_tier_floor: Some(ServingTier::Distilled),
+            serve_port: None,
+        }),
+        tier: Some(cell.clone()),
+    };
+    let mut system = overload_system(testbed, 3, Some(cell), None);
+    let outcome = hetero_engine::run(
+        &Simulator::new(num_cores),
         arrivals.iter().copied(),
         &mut *system,
-        &engine_config,
-        &overload,
-        &observe,
-        Some(cell),
-    );
+        &spec,
+    )
+    .expect("no scrape port to bind");
     let alerts = &outcome.alerts;
-    let report = &outcome.overload;
+    let report = outcome.overload.as_ref().expect("a governed run reports");
 
     let fired_at = alerts
         .transitions

@@ -13,7 +13,7 @@
 //! ```text
 //! engine [--system base|optimal|energy|proposed|all] [--process poisson|bursty|diurnal|ramp|mix]
 //!        [--jobs N] [--rate R] [--seed S] [--export PATH.json] [--csv] [--md]
-//!        [--slo-p99 CYCLES] [--slo-energy NJ] [--smoke] [--overload-smoke]
+//!        [--slo-p99 CYCLES] [--slo-energy NJ] [--smoke]
 //!        [--serve PORT] [--linger SECS] [--perfetto PATH.json] [--serve-smoke]
 //! engine compare OLD.json NEW.json
 //! ```
@@ -30,18 +30,14 @@
 //! * `--csv` / `--md` — dump the snapshot time series / run summaries.
 //! * `--smoke` — reduced suite and job count, loose budgets, no
 //!   artifacts (used by `scripts/check.sh`).
-//! * `--overload-smoke` — ignore the flags above and run a short
-//!   governed storm on the proposed system instead: admission gate,
-//!   bounded queue, brownout ladder. Prints the overload report and
-//!   exits non-zero unless the run shed, stayed bounded, and recovered
-//!   to full serving (used by `scripts/check.sh`).
 //! * `--serve PORT` — run ONE system (the selected one; `all` falls
 //!   back to `proposed`) with the live observability plane attached: an
 //!   HTTP endpoint on `127.0.0.1:PORT` answers `/metrics` (Prometheus
 //!   text), `/health` (alert + progress JSON), and `/snapshot` (the
 //!   snapshot ring's tail) *during* the run, polled at snapshot
 //!   boundaries. `--linger SECS` keeps answering on the final state
-//!   after the run completes.
+//!   after the run completes. A port that cannot be bound is reported
+//!   and the process exits non-zero before the run starts.
 //! * `--perfetto PATH.json` — assemble causal job/core spans over the
 //!   same single-system run and write a Chrome trace-event JSON
 //!   artifact loadable at `ui.perfetto.dev` (schema-validated before it
@@ -59,11 +55,10 @@ use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
 use hetero_bench::Testbed;
 use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
 use hetero_engine::{
-    export, run_streaming, run_streaming_governed, BrownoutConfig, EngineConfig, EngineReport,
-    ObserveConfig, ObservedSink, OverloadConfig, ShedPolicy, SloPolicy, StreamOutcome,
+    export, EngineConfig, EngineReport, ObserveConfig, ObservedSink, Outcome, RunSpec, SloPolicy,
 };
 use hetero_telemetry::BurnRateRule;
-use multicore_sim::{tier_cell, Scheduler, ServingTier, Simulator};
+use multicore_sim::{Scheduler, Simulator};
 use std::process::ExitCode;
 use workloads::{Arrival, Compose, OpenLoop};
 
@@ -82,7 +77,6 @@ struct Options {
     slo_p99: Option<u64>,
     slo_energy: Option<f64>,
     smoke: bool,
-    overload_smoke: bool,
     serve: Option<u16>,
     linger: f64,
     perfetto: Option<String>,
@@ -103,7 +97,6 @@ impl Options {
             slo_p99: None,
             slo_energy: None,
             smoke: false,
-            overload_smoke: false,
             serve: None,
             linger: 0.0,
             perfetto: None,
@@ -152,7 +145,6 @@ impl Options {
                     )
                 }
                 "--smoke" => options.smoke = true,
-                "--overload-smoke" => options.overload_smoke = true,
                 "--serve" => {
                     options.serve = Some(
                         value("--serve")?
@@ -252,67 +244,25 @@ fn arrivals(
 }
 
 /// Serve `system_index` (paper presentation order) from the stream.
-fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> StreamOutcome {
-    fn go<S: Scheduler>(
-        mut system: S,
-        num_cores: usize,
-        options: &Options,
-        num_benchmarks: usize,
-    ) -> StreamOutcome {
-        let config = EngineConfig {
+fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> Outcome {
+    let spec = RunSpec {
+        engine: EngineConfig {
             slo: options.policy(),
             ..EngineConfig::default()
-        };
-        let stream = arrivals(
-            &options.process,
-            options.rate,
-            num_benchmarks,
-            options.seed,
-            options.jobs,
-        )
-        .expect("validated before the run started");
-        run_streaming(&Simulator::new(num_cores), stream, &mut system, &config)
-    }
-
-    let num_cores = testbed.arch.num_cores();
-    let num_benchmarks = testbed.suite.len();
-    let model = testbed.model;
-    match system_index {
-        0 => go(
-            BaseSystem::new(&testbed.oracle, model, num_cores),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        1 => go(
-            OptimalSystem::new(&testbed.arch, &testbed.oracle, model),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        _ => go(
-            ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-    }
+        },
+        ..RunSpec::default()
+    };
+    let stream = arrivals(
+        &options.process,
+        options.rate,
+        testbed.suite.len(),
+        options.seed,
+        options.jobs,
+    )
+    .expect("validated before the run started");
+    let simulator = Simulator::new(testbed.arch.num_cores());
+    let mut system = boxed_system(testbed, system_index);
+    hetero_engine::run(&simulator, stream, &mut *system, &spec).expect("a plain run binds nothing")
 }
 
 fn report_to_json(name: &str, report: &EngineReport) -> Json {
@@ -449,163 +399,7 @@ fn compare(old_path: &str, new_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `engine --overload-smoke`: a short governed storm on the proposed
-/// system. The arrival rate is calibrated from the oracle (~2.5x the
-/// fleet's sustainable service rate) so the bounded admission queue
-/// fills, the governor sheds, and the brownout ladder steps — then a
-/// trickle tail lets the controller climb back to full serving. This is
-/// the cheap CI cousin of the full overload drill in the `chaos` bin
-/// (which also checks disabled-governor bit-identity and exports
-/// storm metrics).
-fn overload_smoke() -> ExitCode {
-    let testbed = Testbed::small();
-    let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-
-    // Calibrate the storm from the oracle's best-config cycle costs.
-    let costs: Vec<u64> = (0..suite_len)
-        .map(|b| {
-            testbed
-                .oracle
-                .best_config(workloads::BenchmarkId(b))
-                .1
-                .cycles
-        })
-        .collect();
-    let mean_cycles = costs.iter().sum::<u64>() / costs.len() as u64;
-    let max_cycles = costs.iter().copied().max().unwrap_or(mean_cycles);
-    let storm_gap = (mean_cycles / (num_cores as u64 * 5 / 2)).max(1);
-
-    let storm_jobs = 120usize;
-    let trickle_jobs = 60usize;
-    let mut at = 0u64;
-    let mut stream: Vec<Arrival> = Vec::with_capacity(storm_jobs + trickle_jobs);
-    for i in 0..storm_jobs + trickle_jobs {
-        stream.push(Arrival {
-            time: at,
-            benchmark: workloads::BenchmarkId(i % suite_len),
-            priority: (i % 3) as u8,
-        });
-        at += if i + 1 < storm_jobs {
-            storm_gap
-        } else {
-            max_cycles
-        };
-    }
-
-    let queue_capacity = (num_cores as u64) * 8;
-    let overload = OverloadConfig {
-        queue_capacity: Some(queue_capacity),
-        policy: ShedPolicy::DropTail,
-        rate_limit: None,
-        brownout: Some(BrownoutConfig {
-            control_window_cycles: mean_cycles,
-            depth_high: queue_capacity / 2,
-            depth_low: num_cores as u64,
-            latency_budget_cycles: 3 * max_cycles,
-            breach_fraction: 0.5,
-            step_up_after: 2,
-            step_down_after: 2,
-        }),
-        breaker: None,
-    };
-    let config = EngineConfig {
-        window_cycles: mean_cycles,
-        snapshot_windows: 4,
-        max_snapshots: 64,
-        slo: SloPolicy::default(),
-    };
-
-    let cell = tier_cell();
-    let mut system = ProposedSystem::with_model(
-        &testbed.arch,
-        &testbed.oracle,
-        testbed.model,
-        testbed.predictor.clone(),
-    )
-    .with_serving_tier(cell.clone(), None);
-    let outcome = run_streaming_governed(
-        &Simulator::new(num_cores),
-        stream,
-        &mut system,
-        &config,
-        &overload,
-        Some(cell),
-    );
-    let report = &outcome.overload;
-
-    println!(
-        "overload smoke: {} offered at ~2.5x sustainable (storm gap {} cycles), queue capacity {}",
-        report.offered, storm_gap, queue_capacity
-    );
-    println!(
-        "  admitted {}  shed {} ({:.1}%)  [queue_full {} deadline {} priority {} rate_limit {}]",
-        report.admitted,
-        report.shed(),
-        report.shed_fraction() * 100.0,
-        report.shed_by_reason[0],
-        report.shed_by_reason[1],
-        report.shed_by_reason[2],
-        report.shed_by_reason[3],
-    );
-    println!(
-        "  depth max {}  tier transitions {}  dwell [full {} distilled {} knn {} static {}]  final {}",
-        report.max_in_flight,
-        report.tier_transitions,
-        report.tier_dwell_cycles[0],
-        report.tier_dwell_cycles[1],
-        report.tier_dwell_cycles[2],
-        report.tier_dwell_cycles[3],
-        report.final_tier.name(),
-    );
-
-    let mut failures = 0u32;
-    // The queue bound admits up to `capacity` plus the one arrival the
-    // gate has already peeked when the decision lands.
-    if report.max_in_flight > queue_capacity + 1 {
-        eprintln!(
-            "  FAIL: in-flight depth {} exceeded queue capacity {}",
-            report.max_in_flight, queue_capacity
-        );
-        failures += 1;
-    }
-    if report.shed() == 0 {
-        eprintln!("  FAIL: the storm never shed — not actually overloaded");
-        failures += 1;
-    }
-    if report.tier_transitions == 0 {
-        eprintln!("  FAIL: the brownout ladder never stepped");
-        failures += 1;
-    }
-    if report.final_tier != ServingTier::Full {
-        eprintln!(
-            "  FAIL: finished in tier {} instead of recovering to full serving",
-            report.final_tier.name()
-        );
-        failures += 1;
-    }
-    if outcome.metrics.jobs_completed != report.admitted {
-        eprintln!(
-            "  FAIL: admitted {} but completed {}",
-            report.admitted, outcome.metrics.jobs_completed
-        );
-        failures += 1;
-    }
-    if failures > 0 {
-        eprintln!("ENGINE OVERLOAD SMOKE FAILED: {failures} problem(s)");
-        return ExitCode::FAILURE;
-    }
-    match report.recovered_at {
-        Some(cycle) => println!(
-            "ENGINE OVERLOAD SMOKE OK: shed under storm, stayed bounded, recovered at cycle {cycle}"
-        ),
-        None => println!("ENGINE OVERLOAD SMOKE OK: shed under storm, stayed bounded, recovered"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// One scheduling system as a trait object, for the single-system
-/// observed path (the fan-out path stays monomorphised).
+/// One scheduling system as a trait object.
 fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Scheduler + 't> {
     let num_cores = testbed.arch.num_cores();
     match system_index {
@@ -664,7 +458,13 @@ fn observed_run(options: &Options) -> ExitCode {
         alert_tier_floor: None,
         serve_port: options.serve,
     };
-    let mut plane = ObservedSink::new(num_cores, &config, &observe, None);
+    let mut plane = match ObservedSink::try_new(num_cores, &config, &observe, None) {
+        Ok(plane) => plane,
+        Err(err) => {
+            eprintln!("ENGINE OBSERVED FAILED: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(addr) = plane.serve_addr() {
         println!("scrape endpoint live on http://{addr} (/metrics /health /snapshot)");
     }
@@ -942,9 +742,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if options.overload_smoke {
-        return overload_smoke();
-    }
     if options.serve_smoke {
         return serve_smoke();
     }

@@ -74,6 +74,7 @@ use hetero_bench::json::Json;
 use hetero_bench::perf::{bench_paired, Sample};
 use hetero_bench::Testbed;
 use hetero_core::{BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle};
+use hetero_engine::{Outcome, RunSpec};
 use hetero_telemetry::MetricsSink;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, FaultPlan, Job, JobExecution, NullSink, QueueDiscipline,
@@ -155,9 +156,9 @@ const DISTILL_MIN_SPEEDUP: f64 = 8.0;
 const STREAM_RSS_BUDGET_MB: f64 = 128.0;
 
 /// `engine_overload` is a no-regression bar on the governed streaming
-/// path: `run_streaming_governed` with an *enabled* governor whose
+/// path: `hetero_engine::run` with an *enabled* governor whose
 /// limits are wide enough that nothing sheds and no tier steps, against
-/// plain `run_streaming` on the same open-loop stream. The governor
+/// a plain `run` on the same open-loop stream. The governor
 /// still pays its real quiescent costs (admission bookkeeping,
 /// in-flight tracking, control-window folds on every completion), so
 /// parity is not free — but a service that cannot afford its own
@@ -166,10 +167,10 @@ const STREAM_RSS_BUDGET_MB: f64 = 128.0;
 const ENGINE_OVERLOAD_MIN_RATIO: f64 = 0.95;
 
 /// `engine_observe` is the same kind of no-regression bar for the
-/// *armed live* observability plane: `run_streaming_observed` with a
+/// *armed live* observability plane: `hetero_engine::run` with a
 /// burn-rate rule evaluated at each closed window and a bound scrape
 /// server polled at snapshot boundaries (no clients connected) against
-/// plain `run_streaming` on the same open-loop stream. The rule's
+/// a plain `run` on the same open-loop stream. The rule's
 /// latency budget sits at `u64::MAX` so the alert machinery runs but
 /// never fires. Span assembly is excluded here (export-path, O(trace)
 /// memory — see `engine_observe_spans`). Bar: >= 0.95x the unobserved
@@ -779,12 +780,8 @@ fn measure_engine_stream(iters: u32) -> Stage {
     let sim = Simulator::new(4);
     let before_mb = rss_mb();
     let (outcome, elapsed) = hetero_bench::perf::time_once(|| {
-        hetero_engine::run_streaming(
-            &sim,
-            stream,
-            &mut FirstIdle,
-            &hetero_engine::EngineConfig::default(),
-        )
+        hetero_engine::run(&sim, stream, &mut FirstIdle, &RunSpec::default())
+            .expect("a plain run binds nothing")
     });
     let growth_mb = (rss_mb() - before_mb).max(0.25);
     assert_eq!(
@@ -815,226 +812,175 @@ fn measure_engine_stream(iters: u32) -> Stage {
     }
 }
 
-/// The governed-streaming overhead stage: the full engine stack twice
-/// over the same deterministic open-loop stream served by the paper's
-/// proposed system (predictor-driven placement — the engine the
-/// overload governor actually deploys on) — ungoverned `run_streaming`
-/// as the reference, `run_streaming_governed` with a quiescent
-/// governor as the fused side. The governor is *enabled* (bounded queue, drop-tail policy,
-/// live brownout controller), but every limit sits far above what the
-/// run reaches, so nothing sheds and no tier steps; the measurement
-/// captures the pure bookkeeping cost riding on every arrival and
-/// completion, in the proportion a deployed service would pay it
-/// (against real scheduling work, not an empty-scheduler microloop).
-/// Each governed run asserts it stayed quiescent — a config drift that
-/// starts shedding would silently turn this into an apples-to-oranges
-/// timing.
-fn measure_engine_overload(iters: u32) -> Stage {
+/// Jobs each timed run of an engine overhead stage streams.
+const ENGINE_STAGE_JOBS: usize = 20_000;
+
+/// One engine overhead stage: the full engine stack twice over the same
+/// deterministic open-loop stream served by the paper's proposed system
+/// (predictor-driven placement, in the proportion a deployed service
+/// pays its layers against real scheduling work, not an empty-scheduler
+/// microloop). The reference side is a plain `run` (a bare
+/// `EngineSink`); the fused side runs `fused`, and `check` asserts each
+/// fused outcome stayed in the regime the stage measures — a config
+/// drift that starts shedding or firing would silently turn it into an
+/// apples-to-oranges timing.
+fn measure_engine_layer(
+    name: &'static str,
+    fused_label: &str,
+    fused: &RunSpec,
+    check: impl Fn(&Outcome),
+    iters: u32,
+) -> Stage {
     let testbed = Testbed::small();
-    let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-    let jobs: usize = 20_000;
-    let sim = Simulator::new(num_cores);
-    let config = hetero_engine::EngineConfig::default();
-    let overload = hetero_engine::OverloadConfig {
-        queue_capacity: Some(u64::MAX),
-        policy: hetero_engine::ShedPolicy::DropTail,
-        rate_limit: None,
-        brownout: Some(hetero_engine::BrownoutConfig {
-            // ~100 control evaluations over the run's ~1G-cycle horizon:
-            // a realistic control cadence (a window per ~200 jobs), not
-            // one per handful of events.
-            control_window_cycles: 10_000_000,
-            depth_high: u64::MAX,
-            depth_low: u64::MAX,
-            latency_budget_cycles: u64::MAX,
-            breach_fraction: 2.0,
-            step_up_after: 2,
-            step_down_after: 2,
-        }),
-        breaker: None,
-    };
-    let stream = || workloads::OpenLoop::poisson(20.0, suite_len, 7).take(jobs);
-    let system = || {
-        hetero_core::ProposedSystem::with_model(
+    let sim = Simulator::new(testbed.arch.num_cores());
+    let plain = RunSpec::default();
+    let run = |spec: &RunSpec| {
+        let stream = workloads::OpenLoop::poisson(20.0, testbed.suite.len(), 7);
+        let mut system = hetero_core::ProposedSystem::with_model(
             &testbed.arch,
             &testbed.oracle,
             testbed.model,
             testbed.predictor.clone(),
-        )
+        );
+        hetero_engine::run(&sim, stream.take(ENGINE_STAGE_JOBS), &mut system, spec)
+            .expect("the scrape port binds")
     };
     let (reference, fused) = bench_paired(
         "engine_stream_plain",
+        || run(&plain).metrics.jobs_completed,
+        fused_label,
         || {
-            hetero_engine::run_streaming(&sim, stream(), &mut system(), &config)
-                .metrics
-                .jobs_completed
-        },
-        "engine_stream_governed",
-        || {
-            let outcome = hetero_engine::run_streaming_governed(
-                &sim,
-                stream(),
-                &mut system(),
-                &config,
-                &overload,
-                None,
-            );
-            assert_eq!(
-                outcome.overload.shed(),
-                0,
-                "quiescent governor must not shed"
-            );
-            assert_eq!(
-                outcome.overload.tier_transitions, 0,
-                "quiescent governor must not step tiers"
-            );
+            let outcome = run(fused);
+            check(&outcome);
             outcome.metrics.jobs_completed
         },
         iters,
     );
     Stage {
-        name: "engine_overload",
+        name,
         reference,
         fused,
     }
 }
 
-/// The armed observability-plane overhead stage: the full engine stack
-/// over the same deterministic open-loop stream on the proposed system
-/// — plain `run_streaming` as the reference, `run_streaming_observed`
-/// with the *live* plane armed as the fused side: a burn-rate rule
-/// folding every completion and evaluated at each window boundary, and
-/// a bound scrape server polled at every snapshot boundary. The rule's
-/// latency budget is infinite so the alert machinery runs but never
-/// fires, and no client ever connects — pure quiescent cost riding on
-/// real scheduling work. Span assembly is deliberately NOT part of this
+/// The governed-streaming overhead stage: a quiescent governor on the
+/// fused side. The governor is *enabled* (bounded queue, drop-tail
+/// policy, live brownout controller), but every limit sits far above
+/// what the run reaches, so nothing sheds and no tier steps; the
+/// measurement captures the pure bookkeeping cost riding on every
+/// arrival and completion.
+fn measure_engine_overload(iters: u32) -> Stage {
+    let governed = RunSpec {
+        overload: Some(hetero_engine::OverloadConfig {
+            queue_capacity: Some(u64::MAX),
+            policy: hetero_engine::ShedPolicy::DropTail,
+            rate_limit: None,
+            brownout: Some(hetero_engine::BrownoutConfig {
+                // ~100 control evaluations over the run's ~1G-cycle
+                // horizon: a realistic control cadence (a window per
+                // ~200 jobs), not one per handful of events.
+                control_window_cycles: 10_000_000,
+                depth_high: u64::MAX,
+                depth_low: u64::MAX,
+                latency_budget_cycles: u64::MAX,
+                breach_fraction: 2.0,
+                step_up_after: 2,
+                step_down_after: 2,
+            }),
+            breaker: None,
+        }),
+        ..RunSpec::default()
+    };
+    let quiescent = |outcome: &Outcome| {
+        let overload = outcome.overload.as_ref().expect("a governed run reports");
+        assert_eq!(overload.shed(), 0, "quiescent governor must not shed");
+        assert_eq!(
+            overload.tier_transitions, 0,
+            "quiescent governor must not step tiers"
+        );
+    };
+    measure_engine_layer(
+        "engine_overload",
+        "engine_stream_governed",
+        &governed,
+        quiescent,
+        iters,
+    )
+}
+
+/// The armed observability-plane overhead stage: the *live* plane on the
+/// fused side, under a disabled governor — a burn-rate rule folding
+/// every completion and evaluated at each window boundary, and a bound
+/// scrape server polled at every snapshot boundary. The rule's latency
+/// budget is infinite so the alert machinery runs but never fires, and
+/// no client ever connects — pure quiescent cost riding on real
+/// scheduling work. Span assembly is deliberately NOT part of this
 /// stage: the assembler retains O(trace) memory and is an export-path
 /// tool (a bounded-memory service cannot run it on an unbounded
 /// stream), so its cost is recorded separately and ungated by
-/// `engine_observe_spans`. Each observed run asserts the plane stayed
-/// quiescent.
+/// `engine_observe_spans`.
 fn measure_engine_observe(iters: u32) -> Stage {
-    let testbed = Testbed::small();
-    let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-    let jobs: usize = 20_000;
-    let sim = Simulator::new(num_cores);
-    let config = hetero_engine::EngineConfig::default();
-    let overload = hetero_engine::OverloadConfig::disabled();
-    let observe = hetero_engine::ObserveConfig {
-        rules: vec![hetero_telemetry::BurnRateRule::paging(
-            "p99-latency",
-            u64::MAX,
-        )],
-        assemble_spans: false,
-        alert_tier_floor: None,
-        serve_port: Some(0),
+    let observed = RunSpec {
+        observe: Some(hetero_engine::ObserveConfig {
+            rules: vec![hetero_telemetry::BurnRateRule::paging(
+                "p99-latency",
+                u64::MAX,
+            )],
+            assemble_spans: false,
+            alert_tier_floor: None,
+            serve_port: Some(0),
+        }),
+        ..RunSpec::default()
     };
-    let stream = || workloads::OpenLoop::poisson(20.0, suite_len, 7).take(jobs);
-    let system = || {
-        hetero_core::ProposedSystem::with_model(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )
+    let quiescent = |outcome: &Outcome| {
+        assert!(
+            outcome.alerts.transitions.is_empty(),
+            "quiescent plane must not fire alerts"
+        );
     };
-    let (reference, fused) = bench_paired(
-        "engine_stream_plain",
-        || {
-            hetero_engine::run_streaming(&sim, stream(), &mut system(), &config)
-                .metrics
-                .jobs_completed
-        },
+    measure_engine_layer(
+        "engine_observe",
         "engine_stream_observed",
-        || {
-            let outcome = hetero_engine::run_streaming_observed(
-                &sim,
-                stream(),
-                &mut system(),
-                &config,
-                &overload,
-                &observe,
-                None,
-            );
-            assert!(
-                outcome.alerts.transitions.is_empty(),
-                "quiescent plane must not fire alerts"
-            );
-            assert!(outcome.server.is_some(), "scrape server stayed bound");
-            outcome.metrics.jobs_completed
-        },
+        &observed,
+        quiescent,
         iters,
-    );
-    Stage {
-        name: "engine_observe",
-        reference,
-        fused,
-    }
+    )
 }
 
 /// The export-path span-assembly stage, ungated: the same observed run
-/// with only `assemble_spans` on, against plain `run_streaming`. The
-/// assembler folds every trace event into lifecycle/occupancy spans it
-/// retains for the Perfetto export, so on this event-dense stream (the
-/// run emits roughly seven events per job once idle spans and stalls
-/// are counted) it pays real per-event work the same way the
-/// `MetricsSink` does in `sim_metrics_overhead` — the measurement is
-/// recorded in the artifact to keep that cost visible, but trace
-/// export is an offline tool, not part of the armed live plane, so no
-/// bar applies. Each run asserts the span books conserve the stream.
+/// with only `assemble_spans` on. The assembler folds every trace event
+/// into lifecycle/occupancy spans it retains for the Perfetto export, so
+/// on this event-dense stream (the run emits roughly seven events per
+/// job once idle spans and stalls are counted) it pays real per-event
+/// work the same way the `MetricsSink` does in `sim_metrics_overhead` —
+/// the measurement is recorded in the artifact to keep that cost
+/// visible, but trace export is an offline tool, not part of the armed
+/// live plane, so no bar applies. Each run asserts the span books
+/// conserve the stream.
 fn measure_engine_observe_spans(iters: u32) -> Stage {
-    let testbed = Testbed::small();
-    let num_cores = testbed.arch.num_cores();
-    let suite_len = testbed.suite.len();
-    let jobs: usize = 20_000;
-    let sim = Simulator::new(num_cores);
-    let config = hetero_engine::EngineConfig::default();
-    let overload = hetero_engine::OverloadConfig::disabled();
-    let observe = hetero_engine::ObserveConfig {
-        assemble_spans: true,
-        ..hetero_engine::ObserveConfig::disabled()
+    let spanned = RunSpec {
+        observe: Some(hetero_engine::ObserveConfig {
+            assemble_spans: true,
+            ..hetero_engine::ObserveConfig::disabled()
+        }),
+        ..RunSpec::default()
     };
-    let stream = || workloads::OpenLoop::poisson(20.0, suite_len, 7).take(jobs);
-    let system = || {
-        hetero_core::ProposedSystem::with_model(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )
+    let conserved = |outcome: &Outcome| {
+        let spans = outcome.spans.as_ref().expect("spans were assembled");
+        assert_eq!(
+            spans.arrivals(),
+            ENGINE_STAGE_JOBS as u64,
+            "span books must conserve"
+        );
+        assert_eq!(spans.open_jobs(), 0, "span books must close");
     };
-    let (reference, fused) = bench_paired(
-        "engine_stream_plain",
-        || {
-            hetero_engine::run_streaming(&sim, stream(), &mut system(), &config)
-                .metrics
-                .jobs_completed
-        },
+    measure_engine_layer(
+        "engine_observe_spans",
         "engine_stream_spans",
-        || {
-            let outcome = hetero_engine::run_streaming_observed(
-                &sim,
-                stream(),
-                &mut system(),
-                &config,
-                &overload,
-                &observe,
-                None,
-            );
-            let spans = outcome.spans.as_ref().expect("spans were assembled");
-            assert_eq!(spans.arrivals(), jobs as u64, "span books must conserve");
-            assert_eq!(spans.open_jobs(), 0, "span books must close");
-            outcome.metrics.jobs_completed
-        },
+        &spanned,
+        conserved,
         iters,
-    );
-    Stage {
-        name: "engine_observe_spans",
-        reference,
-        fused,
-    }
+    )
 }
 
 /// (Re-)measure one stage by name, at the given iteration count.

@@ -5,7 +5,7 @@
 //!
 //! Three contracts, property-tested over every system and discipline:
 //!
-//! 1. `run_streaming` over a pre-materialised [`ArrivalPlan`] returns
+//! 1. `hetero_engine::run` over a pre-materialised [`ArrivalPlan`] returns
 //!    `RunMetrics` bit-identical to the batch `Simulator::run`.
 //! 2. `run_stream` emits the *same event ledger* as the batch
 //!    `run_with_sink`, and that ledger replays clean through
@@ -16,7 +16,7 @@
 
 use hetero_bench::Testbed;
 use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
-use hetero_engine::{run_streaming, EngineConfig, EngineReport, OverloadConfig, SloPolicy};
+use hetero_engine::{EngineConfig, EngineReport, Outcome, RunSpec, SloPolicy};
 use multicore_sim::{
     LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
 };
@@ -46,6 +46,19 @@ fn engine_config() -> EngineConfig {
     }
 }
 
+/// A plain engine run of `arrivals` under [`engine_config`].
+fn run_plain(
+    sim: &Simulator,
+    arrivals: impl IntoIterator<Item = workloads::Arrival>,
+    scheduler: &mut dyn Scheduler,
+) -> Outcome {
+    let spec = RunSpec {
+        engine: engine_config(),
+        ..RunSpec::default()
+    };
+    hetero_engine::run(sim, arrivals, scheduler, &spec).expect("a plain run binds nothing")
+}
+
 struct BothPaths {
     batch: RunMetrics,
     streamed: RunMetrics,
@@ -60,7 +73,7 @@ fn run_both(system_index: usize, discipline: QueueDiscipline, plan: &ArrivalPlan
     ) -> BothPaths {
         let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
         let batch = sim.run(plan, &mut build());
-        let outcome = run_streaming(&sim, plan.iter().copied(), &mut build(), &engine_config());
+        let outcome = run_plain(&sim, plan.iter().copied(), &mut build());
         BothPaths {
             batch,
             streamed: outcome.metrics,
@@ -198,58 +211,6 @@ proptest! {
         prop_assert!(outcome.is_ok(), "streamed ledger audit failed: {:?}", outcome.err());
     }
 
-    /// A disabled overload governor is bit-invisible on every system and
-    /// discipline: `run_streaming_governed` with `OverloadConfig::disabled()`
-    /// returns the exact batch `RunMetrics` (no admission decision, no
-    /// tier change, no shed — the wrapped sink is pure pass-through).
-    #[test]
-    fn disabled_governor_is_bit_invisible_on_every_system(
-        system_index in 0usize..4,
-        discipline_index in 0usize..3,
-        jobs in 40usize..100,
-        seed in 0u64..1_000,
-    ) {
-        let t = testbed();
-        let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
-        let discipline = DISCIPLINES[discipline_index];
-
-        fn governed<S: Scheduler>(
-            build: impl Fn() -> S,
-            discipline: QueueDiscipline,
-            plan: &ArrivalPlan,
-        ) -> (RunMetrics, RunMetrics, hetero_engine::OverloadReport) {
-            let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
-            let batch = sim.run(plan, &mut build());
-            let outcome = hetero_engine::run_streaming_governed(
-                &sim,
-                plan.iter().copied(),
-                &mut build(),
-                &engine_config(),
-                &OverloadConfig::disabled(),
-                None,
-            );
-            (batch, outcome.metrics, outcome.overload)
-        }
-
-        let (batch, governed_metrics, overload) = match system_index {
-            0 => governed(|| BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()), discipline, &plan),
-            1 => governed(|| OptimalSystem::new(&t.arch, &t.oracle, t.model), discipline, &plan),
-            2 => governed(
-                || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-                discipline, &plan,
-            ),
-            _ => governed(
-                || ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-                discipline, &plan,
-            ),
-        };
-        assert_bit_identical(&batch, &governed_metrics);
-        prop_assert_eq!(overload.shed(), 0);
-        prop_assert_eq!(overload.offered, jobs as u64);
-        prop_assert_eq!(overload.admitted, jobs as u64);
-        prop_assert_eq!(overload.tier_transitions, 0);
-    }
-
     /// Window reclamation at exact boundaries: when every arrival and
     /// completion timestamp lands exactly on a telemetry-window boundary
     /// (the off-by-one sweet spot for `drain_points`), the snapshot ring
@@ -286,12 +247,7 @@ proptest! {
             .map(|i| Arrival::new(i as u64 * stride_windows * window, BenchmarkId(i % 8)))
             .collect();
         let sim = Simulator::new(2);
-        let outcome = run_streaming(
-            &sim,
-            arrivals.clone(),
-            &mut ExactCycles(service_windows * window),
-            &engine_config(),
-        );
+        let outcome = run_plain(&sim, arrivals, &mut ExactCycles(service_windows * window));
         let report = &outcome.report;
         prop_assert_eq!(report.totals.arrivals, jobs as u64);
         prop_assert_eq!(report.totals.completions, jobs as u64);
@@ -334,11 +290,10 @@ proptest! {
         let sim = Simulator::new(t.arch.num_cores());
 
         let batch = sim.run(&plan, &mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()));
-        let outcome = run_streaming(
+        let outcome = run_plain(
             &sim,
             source(),
             &mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            &engine_config(),
         );
         assert_bit_identical(&batch, &outcome.metrics);
         prop_assert_eq!(outcome.report.totals.arrivals, jobs as u64);

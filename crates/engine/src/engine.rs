@@ -1,11 +1,10 @@
-//! The engine sink and streaming runner.
+//! The engine sink: bounded-memory snapshot folding of a run.
 
 use crate::slo::{SloPolicy, SloReport};
 use crate::snapshot::Snapshot;
 use hetero_telemetry::{Histogram, MetricsSink, RunTotals};
-use multicore_sim::{RunMetrics, Scheduler, Simulator, TraceEvent, TraceSink};
+use multicore_sim::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
-use workloads::Arrival;
 
 /// Configuration of a streaming run.
 #[derive(Debug, Clone)]
@@ -144,12 +143,6 @@ impl EngineSink {
         latency: &Histogram,
     ) {
         let totals = self.metrics.totals();
-        let cumulative_energy = totals.dynamic_nj + totals.static_nj + totals.idle_energy_nj;
-        let cumulative_energy_per_job = if totals.completions == 0 {
-            0.0
-        } else {
-            cumulative_energy / totals.completions as f64
-        };
         let snapshot = Snapshot::from_points(
             self.snapshots_emitted,
             start,
@@ -159,7 +152,7 @@ impl EngineSink {
             crate::snapshot::Cumulative {
                 completions: totals.completions,
                 p99_latency_cycles: self.metrics.latency_cycles().p99(),
-                energy_per_job_nj: cumulative_energy_per_job,
+                energy_per_job_nj: energy_per_job_nj(totals),
             },
         );
         if self.snapshots.len() == self.max_snapshots {
@@ -185,31 +178,25 @@ impl EngineSink {
             let end = tail.horizon.max(start);
             self.push_snapshot(start, end, &tail.points, &latency);
         }
-        let totals = *self.metrics.totals();
-        let horizon = tail.horizon;
-        let energy_nj = totals.dynamic_nj + totals.static_nj + totals.idle_energy_nj;
-        let energy_per_job = if totals.completions == 0 {
-            0.0
-        } else {
-            energy_nj / totals.completions as f64
-        };
-        let throughput = if horizon == 0 {
-            0.0
-        } else {
-            totals.completions as f64 / horizon as f64 * 1e6
-        };
-        let p99 = self.metrics.latency_cycles().p99();
-        EngineReport {
+        let mut report = EngineReport {
             num_cores: tail.num_cores,
-            horizon,
-            totals,
+            horizon: tail.horizon,
+            totals: *self.metrics.totals(),
             latency_cycles: self.metrics.latency_cycles().clone(),
             job_energy_nj: self.metrics.job_energy_nj().clone(),
             stall_cycles: self.metrics.stall_cycles().clone(),
             snapshots: self.snapshots.into_iter().collect(),
             snapshots_emitted: self.snapshots_emitted,
-            slo: SloReport::evaluate(slo, totals.completions, p99, energy_per_job, throughput),
-        }
+            slo: SloReport::default(),
+        };
+        report.slo = SloReport::evaluate(
+            slo,
+            report.totals.completions,
+            report.latency_cycles.p99(),
+            report.energy_per_job_nj(),
+            report.throughput_jobs_per_mcycle(),
+        );
+        report
     }
 }
 
@@ -237,6 +224,17 @@ impl TraceSink for EngineSink {
             }
         }
         self.metrics.record(event);
+    }
+}
+
+/// Energy charged per completed job in `totals`, in nJ (0 before the
+/// first completion).
+fn energy_per_job_nj(totals: &RunTotals) -> f64 {
+    let energy_nj = totals.dynamic_nj + totals.static_nj + totals.idle_energy_nj;
+    if totals.completions == 0 {
+        0.0
+    } else {
+        energy_nj / totals.completions as f64
     }
 }
 
@@ -273,11 +271,7 @@ impl EngineReport {
 
     /// Run-wide energy per completed job, in nJ.
     pub fn energy_per_job_nj(&self) -> f64 {
-        if self.totals.completions == 0 {
-            0.0
-        } else {
-            self.energy_nj() / self.totals.completions as f64
-        }
+        energy_per_job_nj(&self.totals)
     }
 
     /// Run-wide completion throughput, in jobs per mega-cycle.
@@ -290,45 +284,13 @@ impl EngineReport {
     }
 }
 
-/// The result of [`run_streaming`]: the simulator's exact metrics plus
-/// the engine's report.
-#[derive(Debug, Clone)]
-pub struct StreamOutcome {
-    /// Bit-exact run metrics, as the batch driver would return.
-    pub metrics: RunMetrics,
-    /// Snapshots, histograms, totals, and the SLO verdict.
-    pub report: EngineReport,
-}
-
-/// Drive `scheduler` over a streaming arrival source to completion.
-///
-/// `arrivals` is any time-ordered iterator — an
-/// [`OpenLoop`](workloads::OpenLoop) process bounded with `.take(n)`, a
-/// [`Compose`](workloads::Compose) merge, or a materialised plan's
-/// `iter().copied()`. Memory stays bounded regardless of `arrivals`
-/// length; the returned [`RunMetrics`] are bit-identical to a batch run
-/// of the same schedule.
-pub fn run_streaming<I>(
-    simulator: &Simulator,
-    arrivals: I,
-    scheduler: &mut dyn Scheduler,
-    config: &EngineConfig,
-) -> StreamOutcome
-where
-    I: IntoIterator<Item = Arrival>,
-{
-    let mut sink = EngineSink::new(simulator.num_cores(), config);
-    let metrics = simulator.run_stream(arrivals, scheduler, &mut sink);
-    let report = sink.finish(&config.slo);
-    StreamOutcome { metrics, report }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Outcome, RunSpec};
     use energy_model::EnergyBreakdown;
-    use multicore_sim::{CoreIndex, Decision, Job, JobExecution};
-    use workloads::OpenLoop;
+    use multicore_sim::{CoreIndex, Decision, Job, JobExecution, Scheduler, Simulator};
+    use workloads::{Arrival, OpenLoop};
 
     /// Fixed-cost policy: first idle core, cycles keyed to the benchmark.
     struct FirstIdle;
@@ -365,6 +327,19 @@ mod tests {
         }
     }
 
+    /// A plain engine run of `FirstIdle` under `engine`.
+    fn run_plain(
+        simulator: &Simulator,
+        arrivals: impl IntoIterator<Item = Arrival>,
+        engine: &EngineConfig,
+    ) -> Outcome {
+        let spec = RunSpec {
+            engine: engine.clone(),
+            ..RunSpec::default()
+        };
+        crate::run(simulator, arrivals, &mut FirstIdle, &spec).expect("a plain run cannot fail")
+    }
+
     #[test]
     fn streaming_matches_the_batch_run_bit_for_bit() {
         let source = || OpenLoop::poisson(20.0, 20, 42).take(3_000);
@@ -372,7 +347,7 @@ mod tests {
         let simulator = Simulator::new(4);
 
         let batch = simulator.run(&plan, &mut FirstIdle);
-        let outcome = run_streaming(&simulator, source(), &mut FirstIdle, &config());
+        let outcome = run_plain(&simulator, source(), &config());
 
         assert_eq!(outcome.metrics, batch);
         assert_eq!(outcome.report.totals.completions, 3_000);
@@ -381,7 +356,7 @@ mod tests {
     #[test]
     fn snapshots_conserve_the_run_totals() {
         let source = OpenLoop::poisson(20.0, 20, 7).take(2_000);
-        let outcome = run_streaming(&Simulator::new(4), source, &mut FirstIdle, &{
+        let outcome = run_plain(&Simulator::new(4), source, &{
             let mut config = config();
             config.max_snapshots = usize::MAX;
             config
@@ -413,7 +388,7 @@ mod tests {
         let source = OpenLoop::poisson(20.0, 20, 3).take(4_000);
         let mut cfg = config();
         cfg.max_snapshots = 4;
-        let outcome = run_streaming(&Simulator::new(4), source, &mut FirstIdle, &cfg);
+        let outcome = run_plain(&Simulator::new(4), source, &cfg);
         assert_eq!(outcome.report.snapshots.len(), 4);
         assert!(outcome.report.snapshots_emitted > 4);
         // The ring keeps the most recent spans.
@@ -431,20 +406,18 @@ mod tests {
             max_energy_per_job_nj: Some(f64::MAX),
             min_throughput_jobs_per_mcycle: Some(0.0),
         };
-        let pass = run_streaming(
+        let pass = run_plain(
             &Simulator::new(4),
             OpenLoop::poisson(10.0, 20, 1).take(500),
-            &mut FirstIdle,
             &cfg,
         );
         assert!(pass.report.slo.passed());
         assert_eq!(pass.report.slo.checks.len(), 3);
 
         cfg.slo.min_throughput_jobs_per_mcycle = Some(1e12);
-        let fail = run_streaming(
+        let fail = run_plain(
             &Simulator::new(4),
             OpenLoop::poisson(10.0, 20, 1).take(500),
-            &mut FirstIdle,
             &cfg,
         );
         assert!(!fail.report.slo.passed());
@@ -579,12 +552,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_an_empty_report() {
-        let outcome = run_streaming(
-            &Simulator::new(2),
-            std::iter::empty(),
-            &mut FirstIdle,
-            &config(),
-        );
+        let outcome = run_plain(&Simulator::new(2), std::iter::empty(), &config());
         assert_eq!(outcome.metrics.jobs_completed, 0);
         assert_eq!(outcome.report.snapshots_emitted, 0);
         assert!(outcome.report.slo.passed());

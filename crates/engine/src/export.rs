@@ -105,8 +105,9 @@ pub fn summary_markdown(name: &str, report: &EngineReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_streaming, EngineConfig};
+    use crate::engine::EngineConfig;
     use crate::slo::SloPolicy;
+    use crate::RunSpec;
     use energy_model::EnergyBreakdown;
     use multicore_sim::{CoreIndex, Decision, Job, JobExecution, Scheduler, Simulator};
     use workloads::OpenLoop;
@@ -147,12 +148,17 @@ mod tests {
                 min_throughput_jobs_per_mcycle: None,
             },
         };
-        run_streaming(
+        let spec = RunSpec {
+            engine: config,
+            ..RunSpec::default()
+        };
+        crate::run(
             &Simulator::new(4),
             OpenLoop::poisson(20.0, 20, 11).take(1_500),
             &mut FirstIdle,
-            &config,
+            &spec,
         )
+        .expect("a plain run cannot fail")
         .report
     }
 

@@ -15,30 +15,32 @@
 //! jobs flow through. A single process pushes 10M+ jobs through a system
 //! this way (proven by the gated `engine_stream` perf stage).
 //!
-//! On top of the bounded-memory run sits a harness in the style of
-//! open-loop load generators: a [`Snapshot`] ring with windowed p99
-//! latency, throughput, energy-per-job and utilisation per span;
-//! [`SloPolicy`] budgets (p99 latency, energy per job, throughput floor)
-//! that pass or fail the run; and CSV/markdown exporters
-//! ([`export`]) feeding the `engine` bin's JSON artifact and
-//! `engine compare` diff.
+//! One entry point drives every run: [`run`] takes a [`RunSpec`] —
+//! the [`EngineConfig`] plus optional [`overload`] and [`observe`]
+//! sections — and returns one [`Outcome`] or a typed [`EngineError`].
+//! Each concern is a module, not another entry point:
+//!
+//! * `engine` — the [`EngineSink`]: a [`Snapshot`] ring with windowed
+//!   p99 latency, throughput, energy-per-job and utilisation per span,
+//!   and [`SloPolicy`] budgets that pass or fail the run;
+//! * [`overload`] — admission control, brownout and a predictor circuit
+//!   breaker (DESIGN.md §15);
+//! * [`observe`] and [`serve`] — the live observability plane: causal
+//!   spans for Perfetto export, burn-rate alerts that can floor the
+//!   serving tier, and a std-only HTTP scrape endpoint (DESIGN.md §16);
+//! * [`export`] — CSV/markdown renderings of a report.
 //!
 //! **Fidelity:** every `Simulator` entry point drives one event loop
 //! ([`Simulator::run_stream`](multicore_sim::Simulator::run_stream) feeds
 //! it lazily), so a streamed run over a pre-materialised plan returns
-//! `RunMetrics` bit-identical to the batch driver — property-tested in
-//! `crates/bench/tests/engine_properties.rs`.
+//! `RunMetrics` bit-identical to the batch driver, and a disabled
+//! governor or plane changes nothing — property-tested in
+//! `crates/bench/tests`.
 //!
 //! See DESIGN.md §14 for the architecture.
 
-//! On top of the governed run sits a *live observability plane*
-//! ([`observe`]): per-job causal spans assembled for Perfetto export,
-//! an SLO burn-rate alert engine that can engage a serving-tier floor,
-//! and a std-only HTTP scrape endpoint ([`serve`]) answering
-//! `/metrics`, `/health` and `/snapshot` during the run. See DESIGN.md
-//! §16.
-
 mod engine;
+mod runner;
 mod slo;
 mod snapshot;
 
@@ -47,16 +49,13 @@ pub mod observe;
 pub mod overload;
 pub mod serve;
 
-pub use engine::{run_streaming, EngineConfig, EngineReport, EngineSink, StreamOutcome};
-pub use observe::{
-    run_streaming_observed, AlertReport, AlertRuleOutcome, ObserveConfig, ObservedOutcome,
-    ObservedSink,
-};
+pub use engine::{EngineConfig, EngineReport, EngineSink};
+pub use observe::{AlertReport, AlertRuleOutcome, ObserveConfig, ObservedSink};
 pub use overload::{
-    run_streaming_governed, AdmissionGate, BreakerConfig, BreakerState, BrownoutConfig,
-    GovernedOutcome, GovernorHandle, OverloadConfig, OverloadReport, OverloadSink, ShedPolicy,
-    TokenBucketConfig,
+    AdmissionGate, BreakerConfig, BreakerState, BrownoutConfig, GovernorHandle, OverloadConfig,
+    OverloadReport, OverloadSink, ShedPolicy, TokenBucketConfig,
 };
+pub use runner::{run, EngineError, Outcome, RunSpec};
 pub use serve::{Response, ScrapeServer, ServeStats};
 pub use slo::{SloCheck, SloPolicy, SloReport};
 pub use snapshot::Snapshot;

@@ -2,11 +2,12 @@
 //! assembly, and the HTTP scrape endpoint, wired around a governed
 //! streaming run.
 //!
-//! [`run_streaming_observed`] is [`run_streaming_governed`] plus an
-//! [`ObservedSink`] between the overload governor and the
-//! [`EngineSink`]: every forwarded event still lands in the engine sink
-//! first (identical folding, so a fully disabled plane is bit-invisible
-//! — property-tested in `crates/bench`), and then, when enabled,
+//! A [`run`](crate::run) whose [`RunSpec`](crate::RunSpec) has an
+//! `observe` section puts an [`ObservedSink`] between the overload
+//! governor and the [`EngineSink`]: every forwarded event still lands in
+//! the engine sink first (identical folding, so a fully disabled plane
+//! is bit-invisible — property-tested in `crates/bench`), and then, when
+//! enabled,
 //!
 //! * a [`BurnEngine`] folds completions into multi-window SLO burn
 //!   rates, with `pending → firing → resolved` transitions recorded as
@@ -22,17 +23,19 @@
 //!   (alert and tier state), and `/snapshot` (the snapshot ring's tail)
 //!   without blocking the simulation loop.
 //!
+//! Building the plane checks its configuration and binds the scrape
+//! port up front: [`ObservedSink::try_new`] reports a tier floor without
+//! a governor or an unbindable port as an [`EngineError`].
+//!
 //! See DESIGN.md §16 for the architecture and the burn-rate math.
 
 use crate::engine::{EngineConfig, EngineReport, EngineSink};
-use crate::overload::{GovernorHandle, OverloadConfig, OverloadReport};
+use crate::overload::{GovernorHandle, OverloadReport};
+use crate::runner::EngineError;
 use crate::serve::{Response, ScrapeServer, ServeStats};
 use hetero_telemetry::{AlertState, AlertTransition, BurnEngine, BurnRateRule, SpanAssembler};
-use multicore_sim::{
-    tier_cell, RunMetrics, Scheduler, ServingTier, Simulator, TierCell, TraceEvent, TraceSink,
-};
+use multicore_sim::{ServingTier, TraceEvent, TraceSink};
 use std::fmt::Write as _;
-use workloads::Arrival;
 
 /// What the observability plane should run. Everything defaults off;
 /// [`ObserveConfig::disabled`] is the bit-invisible configuration.
@@ -98,27 +101,6 @@ impl AlertReport {
     }
 }
 
-/// The result of [`run_streaming_observed`].
-#[derive(Debug)]
-pub struct ObservedOutcome {
-    /// Bit-exact run metrics over the admitted stream.
-    pub metrics: RunMetrics,
-    /// Snapshots, histograms, totals, and the SLO verdict.
-    pub report: EngineReport,
-    /// What the governor admitted, shed, and degraded.
-    pub overload: OverloadReport,
-    /// Burn-rate alert outcomes.
-    pub alerts: AlertReport,
-    /// Assembled spans, when [`ObserveConfig::assemble_spans`] was on
-    /// (already [`finish`](SpanAssembler::finish)ed at the horizon).
-    pub spans: Option<SpanAssembler>,
-    /// What the scrape endpoint answered during the run.
-    pub serve_stats: ServeStats,
-    /// The still-bound scrape server, for post-run lingering (`engine
-    /// --serve` keeps answering after the run completes).
-    pub server: Option<ScrapeServer>,
-}
-
 /// A [`TraceSink`] wrapping an [`EngineSink`] with the observability
 /// plane. Feed it through an
 /// [`OverloadSink`](crate::overload::OverloadSink) so shed events reach
@@ -139,8 +121,8 @@ pub struct ObservedSink {
 }
 
 impl ObservedSink {
-    /// Build the plane around a fresh [`EngineSink`]. `governor` is
-    /// required only when [`ObserveConfig::alert_tier_floor`] is set.
+    /// [`try_new`](Self::try_new) for callers that treat a bad
+    /// configuration as a bug.
     ///
     /// # Panics
     ///
@@ -152,16 +134,37 @@ impl ObservedSink {
         observe: &ObserveConfig,
         governor: Option<GovernorHandle>,
     ) -> Self {
+        Self::try_new(num_cores, config, observe, governor).unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// Build the plane around a fresh [`EngineSink`]. `governor` is
+    /// required only when [`ObserveConfig::alert_tier_floor`] is set.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::FloorWithoutGovernor`] when a tier floor is
+    /// configured without a governor; [`EngineError::Bind`] when the
+    /// scrape port cannot be bound.
+    pub fn try_new(
+        num_cores: usize,
+        config: &EngineConfig,
+        observe: &ObserveConfig,
+        governor: Option<GovernorHandle>,
+    ) -> Result<Self, EngineError> {
+        let governor = match (observe.alert_tier_floor, governor) {
+            (Some(floor), Some(handle)) => Some((handle, floor)),
+            (Some(_), None) => return Err(EngineError::FloorWithoutGovernor),
+            (None, _) => None,
+        };
+        let server = observe
+            .serve_port
+            .map(|port| {
+                ScrapeServer::bind(port).map_err(|source| EngineError::Bind { port, source })
+            })
+            .transpose()?;
         let burn = (!observe.rules.is_empty())
             .then(|| BurnEngine::new(config.window_cycles, observe.rules.clone()));
-        let governor = observe.alert_tier_floor.map(|floor| {
-            let handle = governor.expect("alert tier floor needs the run's governor handle");
-            (handle, floor)
-        });
-        let server = observe.serve_port.map(|port| {
-            ScrapeServer::bind(port).unwrap_or_else(|err| panic!("bind 127.0.0.1:{port}: {err}"))
-        });
-        ObservedSink {
+        Ok(ObservedSink {
             engine: EngineSink::new(num_cores, config),
             burn,
             assembler: observe.assemble_spans.then(SpanAssembler::new),
@@ -171,7 +174,7 @@ impl ObservedSink {
             seen_transitions: 0,
             poll_cycles: config.snapshot_cycles(),
             next_poll: config.snapshot_cycles(),
-        }
+        })
     }
 
     /// The scrape address, when serving.
@@ -434,63 +437,15 @@ fn json_escape(text: &str) -> String {
         .collect()
 }
 
-/// [`run_streaming_governed`](crate::run_streaming_governed) with the
-/// observability plane attached. With [`ObserveConfig::disabled`] the
-/// run is bit-identical to the governed (and, with
-/// [`OverloadConfig::disabled`], the plain streaming) run.
-///
-/// `tier` is the serving-tier cell shared with the scheduling system;
-/// when `None` and either a brownout or an alert floor is configured, a
-/// private cell keeps dwell accounting alive.
-pub fn run_streaming_observed<I>(
-    simulator: &Simulator,
-    arrivals: I,
-    scheduler: &mut dyn Scheduler,
-    config: &EngineConfig,
-    overload: &OverloadConfig,
-    observe: &ObserveConfig,
-    tier: Option<TierCell>,
-) -> ObservedOutcome
-where
-    I: IntoIterator<Item = Arrival>,
-{
-    let cell = tier.or_else(|| {
-        (overload.brownout.is_some() || observe.alert_tier_floor.is_some()).then(tier_cell)
-    });
-    let governor = GovernorHandle::new(overload, simulator.num_cores(), cell);
-    let mut plane = ObservedSink::new(
-        simulator.num_cores(),
-        config,
-        observe,
-        Some(governor.clone()),
-    );
-    let metrics = {
-        let mut wrapped = governor.sink(&mut plane);
-        let metrics =
-            simulator.run_stream(governor.gate(arrivals.into_iter()), scheduler, &mut wrapped);
-        wrapped.finish();
-        metrics
-    };
-    let plane = plane.finish(config);
-    ObservedOutcome {
-        metrics,
-        report: plane.report,
-        overload: governor.report(),
-        alerts: plane.alerts,
-        spans: plane.spans,
-        serve_stats: plane.serve_stats,
-        server: plane.server,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::slo::SloPolicy;
+    use crate::{Outcome, OverloadConfig, RunSpec};
     use energy_model::EnergyBreakdown;
-    use multicore_sim::{CoreIndex, Decision, Job, JobExecution};
+    use multicore_sim::{CoreIndex, Decision, Job, JobExecution, Scheduler, Simulator};
     use std::io::{Read as _, Write as _};
-    use workloads::OpenLoop;
+    use workloads::{Arrival, OpenLoop};
 
     struct FirstIdle;
 
@@ -526,21 +481,33 @@ mod tests {
         }
     }
 
+    /// An observed run of `FirstIdle` under a disabled governor.
+    fn observed(
+        simulator: &Simulator,
+        arrivals: impl IntoIterator<Item = Arrival>,
+        observe: ObserveConfig,
+    ) -> Result<Outcome, EngineError> {
+        let spec = RunSpec {
+            engine: engine_config(),
+            overload: Some(OverloadConfig::disabled()),
+            observe: Some(observe),
+            tier: None,
+        };
+        crate::run(simulator, arrivals, &mut FirstIdle, &spec)
+    }
+
     #[test]
     fn observed_run_assembles_spans_that_conserve_jobs() {
         let observe = ObserveConfig {
             assemble_spans: true,
             ..ObserveConfig::disabled()
         };
-        let outcome = run_streaming_observed(
+        let outcome = observed(
             &Simulator::new(4),
             OpenLoop::poisson(20.0, 20, 5).take(500),
-            &mut FirstIdle,
-            &engine_config(),
-            &OverloadConfig::disabled(),
-            &observe,
-            None,
-        );
+            observe,
+        )
+        .expect("no port to bind");
         let spans = outcome.spans.expect("spans assembled");
         assert_eq!(spans.arrivals(), 500);
         assert_eq!(spans.completed(), 500);
@@ -565,21 +532,19 @@ mod tests {
             alert_tier_floor: Some(ServingTier::Distilled),
             ..ObserveConfig::disabled()
         };
-        let outcome = run_streaming_observed(
+        let outcome = observed(
             &Simulator::new(2),
             OpenLoop::poisson(50.0, 20, 9).take(4_000),
-            &mut FirstIdle,
-            &engine_config(),
-            &OverloadConfig::disabled(),
-            &observe,
-            None,
-        );
+            observe,
+        )
+        .expect("no port to bind");
         assert!(outcome.alerts.fired >= 1, "{:?}", outcome.alerts);
         assert_eq!(outcome.alerts.firing(), vec!["p99-latency"]);
-        assert_eq!(outcome.overload.alert_floor, ServingTier::Distilled);
-        assert!(outcome.overload.alert_floor_engagements >= 1);
-        assert_eq!(outcome.overload.final_tier, ServingTier::Distilled);
-        assert!(outcome.overload.tier_transitions >= 1);
+        let overload = outcome.overload.expect("governed");
+        assert_eq!(overload.alert_floor, ServingTier::Distilled);
+        assert!(overload.alert_floor_engagements >= 1);
+        assert_eq!(overload.final_tier, ServingTier::Distilled);
+        assert!(overload.tier_transitions >= 1);
     }
 
     #[test]
@@ -589,20 +554,18 @@ mod tests {
             alert_tier_floor: Some(ServingTier::Distilled),
             ..ObserveConfig::disabled()
         };
-        let outcome = run_streaming_observed(
+        let outcome = observed(
             &Simulator::new(4),
             OpenLoop::poisson(20.0, 20, 3).take(2_000),
-            &mut FirstIdle,
-            &engine_config(),
-            &OverloadConfig::disabled(),
-            &observe,
-            None,
-        );
+            observe,
+        )
+        .expect("no port to bind");
         assert_eq!(outcome.alerts.fired, 0);
         assert!(outcome.alerts.transitions.is_empty());
-        assert_eq!(outcome.overload.alert_floor, ServingTier::Full);
-        assert_eq!(outcome.overload.alert_floor_engagements, 0);
-        assert_eq!(outcome.overload.final_tier, ServingTier::Full);
+        let overload = outcome.overload.expect("governed");
+        assert_eq!(overload.alert_floor, ServingTier::Full);
+        assert_eq!(overload.alert_floor_engagements, 0);
+        assert_eq!(overload.final_tier, ServingTier::Full);
     }
 
     #[test]
@@ -689,5 +652,34 @@ mod tests {
         let snapshot = snapshot_body(&plane.engine);
         assert!(snapshot.contains("\"latest\": null"), "{snapshot}");
         assert!(snapshot.starts_with('{') && snapshot.ends_with('}'));
+    }
+
+    #[test]
+    fn a_taken_scrape_port_is_a_bind_error() {
+        let held = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let port = held.local_addr().expect("bound").port();
+        let observe = ObserveConfig {
+            serve_port: Some(port),
+            ..ObserveConfig::disabled()
+        };
+        let result = observed(
+            &Simulator::new(2),
+            OpenLoop::poisson(20.0, 20, 1).take(10),
+            observe,
+        );
+        match result {
+            Err(EngineError::Bind { port: failed, .. }) => assert_eq!(failed, port),
+            other => panic!("expected a bind error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_floor_without_a_governor_is_a_config_error() {
+        let observe = ObserveConfig {
+            alert_tier_floor: Some(ServingTier::Distilled),
+            ..ObserveConfig::disabled()
+        };
+        let result = ObservedSink::try_new(2, &engine_config(), &observe, None);
+        assert!(matches!(result, Err(EngineError::FloorWithoutGovernor)));
     }
 }

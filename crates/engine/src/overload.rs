@@ -35,11 +35,7 @@
 //!
 //! See DESIGN.md §15 for the full architecture.
 
-use crate::engine::{run_streaming, EngineConfig, EngineReport, EngineSink, StreamOutcome};
-use multicore_sim::{
-    tier_cell, RunMetrics, Scheduler, ServingTier, ShedReason, Simulator, TierCell, TraceEvent,
-    TraceSink,
-};
+use multicore_sim::{ServingTier, ShedReason, TierCell, TraceEvent, TraceSink};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use workloads::Arrival;
@@ -916,92 +912,14 @@ impl OverloadReport {
     }
 }
 
-/// The result of [`run_streaming_governed`].
-#[derive(Debug, Clone)]
-pub struct GovernedOutcome {
-    /// Bit-exact run metrics over the *admitted* stream.
-    pub metrics: RunMetrics,
-    /// Snapshots, histograms, totals, and the SLO verdict.
-    pub report: EngineReport,
-    /// What the governor admitted, shed, and degraded.
-    pub overload: OverloadReport,
-}
-
-/// [`run_streaming`] under an overload governor: arrivals pass through
-/// an [`AdmissionGate`], the event stream through an [`OverloadSink`],
-/// and the outcome carries an [`OverloadReport`] next to the usual
-/// engine report.
-///
-/// With [`OverloadConfig::disabled`] the run is bit-identical to
-/// [`run_streaming`] (identical `RunMetrics`, identical event stream —
-/// property-tested, and gated by the chaos drill including ledgers).
-///
-/// `tier` is the serving-tier cell shared with the scheduling system;
-/// when `None` and a brownout is configured, a private cell is used so
-/// dwell accounting still works (nothing reads it).
-pub fn run_streaming_governed<I>(
-    simulator: &Simulator,
-    arrivals: I,
-    scheduler: &mut dyn Scheduler,
-    config: &EngineConfig,
-    overload: &OverloadConfig,
-    tier: Option<TierCell>,
-) -> GovernedOutcome
-where
-    I: IntoIterator<Item = Arrival>,
-{
-    let cell = tier.or_else(|| overload.brownout.map(|_| tier_cell()));
-    let governor = GovernorHandle::new(overload, simulator.num_cores(), cell);
-    let mut sink = EngineSink::new(simulator.num_cores(), config);
-    let metrics = {
-        let mut wrapped = governor.sink(&mut sink);
-        let metrics =
-            simulator.run_stream(governor.gate(arrivals.into_iter()), scheduler, &mut wrapped);
-        wrapped.finish();
-        metrics
-    };
-    let report = sink.finish(&config.slo);
-    GovernedOutcome {
-        metrics,
-        report,
-        overload: governor.report(),
-    }
-}
-
-/// Convenience: a governed run and a plain [`run_streaming`] of the same
-/// stream, for overhead and bit-identity comparisons.
-pub fn run_streaming_both<I, J>(
-    simulator: &Simulator,
-    plain: I,
-    governed: J,
-    scheduler_plain: &mut dyn Scheduler,
-    scheduler_governed: &mut dyn Scheduler,
-    config: &EngineConfig,
-    overload: &OverloadConfig,
-) -> (StreamOutcome, GovernedOutcome)
-where
-    I: IntoIterator<Item = Arrival>,
-    J: IntoIterator<Item = Arrival>,
-{
-    let base = run_streaming(simulator, plain, scheduler_plain, config);
-    let governed = run_streaming_governed(
-        simulator,
-        governed,
-        scheduler_governed,
-        config,
-        overload,
-        None,
-    );
-    (base, governed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, Outcome, RunSpec};
     use energy_model::EnergyBreakdown;
     use multicore_sim::{
-        CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution, LedgerAuditor, NullSink,
-        RecordingSink,
+        tier_cell, CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution, LedgerAuditor,
+        NullSink, RecordingSink, Scheduler, Simulator,
     };
     use workloads::{BenchmarkId, OpenLoop};
 
@@ -1040,37 +958,24 @@ mod tests {
         }
     }
 
-    fn assert_bits(a: &RunMetrics, b: &RunMetrics) {
-        assert_eq!(a, b);
-        assert_eq!(a.energy.dynamic_nj.to_bits(), b.energy.dynamic_nj.to_bits());
-        assert_eq!(a.energy.static_nj.to_bits(), b.energy.static_nj.to_bits());
-        assert_eq!(a.energy.idle_nj.to_bits(), b.energy.idle_nj.to_bits());
-    }
-
-    #[test]
-    fn disabled_governor_is_bit_invisible() {
-        let source = || OpenLoop::poisson(30.0, 20, 42).take(2_000);
-        let simulator = Simulator::new(4);
-        let plain = run_streaming(&simulator, source(), &mut FirstIdle, &engine_config());
-        let governed = run_streaming_governed(
-            &simulator,
-            source(),
-            &mut FirstIdle,
-            &engine_config(),
-            &OverloadConfig::disabled(),
-            None,
-        );
-        assert_bits(&plain.metrics, &governed.metrics);
-        assert_eq!(governed.overload.offered, 2_000);
-        assert_eq!(governed.overload.admitted, 2_000);
-        assert_eq!(governed.overload.shed(), 0);
-        assert_eq!(governed.overload.final_tier, ServingTier::Full);
-        assert_eq!(governed.overload.recovered_at, Some(0));
-        assert_eq!(
-            plain.report.totals.completions,
-            governed.report.totals.completions
-        );
-        assert_eq!(governed.report.totals.sheds, 0);
+    /// A governed run of `FirstIdle`: the outcome and its overload report.
+    fn governed(
+        simulator: &Simulator,
+        arrivals: impl IntoIterator<Item = Arrival>,
+        engine: &EngineConfig,
+        overload: &OverloadConfig,
+        tier: Option<TierCell>,
+    ) -> (Outcome, OverloadReport) {
+        let spec = RunSpec {
+            engine: engine.clone(),
+            overload: Some(overload.clone()),
+            observe: None,
+            tier,
+        };
+        let mut outcome =
+            crate::run(simulator, arrivals, &mut FirstIdle, &spec).expect("no plane to bind");
+        let report = outcome.overload.take().expect("a governed run reports");
+        (outcome, report)
     }
 
     #[test]
@@ -1082,15 +987,13 @@ mod tests {
             queue_capacity: Some(16),
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let (outcome, report) = governed(
             &Simulator::new(2),
             source(),
-            &mut FirstIdle,
             &engine_config(),
             &overload,
             None,
         );
-        let report = &outcome.overload;
         assert_eq!(report.offered, 3_000);
         assert!(report.shed() > 0, "a 7x storm must shed");
         assert_eq!(report.admitted + report.shed(), report.offered);
@@ -1147,16 +1050,9 @@ mod tests {
             }),
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
-            &Simulator::new(4),
-            burst,
-            &mut FirstIdle,
-            &engine_config(),
-            &overload,
-            None,
-        );
-        assert_eq!(outcome.overload.admitted, 10);
-        assert_eq!(outcome.overload.shed_for(ShedReason::RateLimit), 90);
+        let (_, report) = governed(&Simulator::new(4), burst, &engine_config(), &overload, None);
+        assert_eq!(report.admitted, 10);
+        assert_eq!(report.shed_for(ShedReason::RateLimit), 90);
     }
 
     #[test]
@@ -1168,15 +1064,13 @@ mod tests {
             },
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let (outcome, report) = governed(
             &Simulator::new(2),
             source,
-            &mut FirstIdle,
             &engine_config(),
             &overload,
             None,
         );
-        let report = &outcome.overload;
         assert!(report.shed_for(ShedReason::Deadline) > 0);
         assert_eq!(report.admitted + report.shed(), report.offered);
         // Every admitted job completes: shedding preserved goodput.
@@ -1199,15 +1093,13 @@ mod tests {
             },
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let (_, report) = governed(
             &Simulator::new(2),
             arrivals,
-            &mut FirstIdle,
             &engine_config(),
             &overload,
             None,
         );
-        let report = &outcome.overload;
         assert!(report.shed_for(ShedReason::Priority) > 0);
         assert_eq!(report.shed(), report.shed_for(ShedReason::Priority));
         // Only priority-0 arrivals are ever shed under this policy.
@@ -1244,15 +1136,13 @@ mod tests {
             ..OverloadConfig::disabled()
         };
         let cell = tier_cell();
-        let outcome = run_streaming_governed(
+        let (outcome, report) = governed(
             &Simulator::new(2),
             arrivals,
-            &mut FirstIdle,
             &engine_config(),
             &overload,
             Some(cell.clone()),
         );
-        let report = &outcome.overload;
         assert!(
             report.tier_transitions >= 2,
             "storm must degrade and recover: {report:?}"
@@ -1377,18 +1267,11 @@ mod tests {
             max_snapshots: 8,
             slo: crate::SloPolicy::default(),
         };
-        let outcome = run_streaming_governed(
-            &Simulator::new(2),
-            source,
-            &mut FirstIdle,
-            &config,
-            &overload,
-            None,
-        );
-        assert!(outcome.overload.shed() > 0);
-        assert_eq!(outcome.report.totals.sheds, outcome.overload.shed());
+        let (outcome, report) = governed(&Simulator::new(2), source, &config, &overload, None);
+        assert!(report.shed() > 0);
+        assert_eq!(outcome.report.totals.sheds, report.shed());
         // Snapshots conserve the shed count too.
         let snapshot_sheds: u64 = outcome.report.snapshots.iter().map(|s| s.sheds).sum();
-        assert!(snapshot_sheds <= outcome.overload.shed());
+        assert!(snapshot_sheds <= report.shed());
     }
 }

@@ -9,7 +9,7 @@ use hetero_telemetry::{Histogram, SeriesPoint};
 /// Snapshots are the engine's unit of observability *and* of memory
 /// reclamation: once a span closes, its windows are drained from the
 /// metrics sink and only this record survives (in a bounded ring).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Zero-based snapshot number.
     pub index: u64,

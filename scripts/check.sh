@@ -44,17 +44,20 @@ cargo build --release --offline -p hetero-bench
 echo "==> audit --smoke (flight-recorder ledger + stall-purity audit)"
 ./target/release/audit --smoke
 
-echo "==> pinned artifacts (figure6 + figure7 + full chaos sweep regenerate byte-identically)"
+echo "==> pinned artifacts (table1 + figure6 + figure7 + full chaos sweep regenerate byte-identically)"
 # The bins write under ./results/, so run them in a scratch directory and
 # compare against the committed files: any drift in the reproduced paper
 # numbers or in the faulted-run ledgers fails the gate. figure7 is the
 # only paper-scale artifact carrying energy-centric's stall counters.
+# table1 prints to stdout only; its committed text is that stdout.
 pin_tmp="$(mktemp -d)"
 trap 'rm -rf "$pin_tmp"' EXIT
 repo_root="$(pwd)"
 (cd "$pin_tmp" && "$repo_root/target/release/figure6" 500 60000000 20190325 >/dev/null)
 (cd "$pin_tmp" && "$repo_root/target/release/figure7" 5000 700000000 20190325 >/dev/null)
 (cd "$pin_tmp" && "$repo_root/target/release/chaos" >/dev/null)
+"$repo_root/target/release/table1" >"$pin_tmp/table1.txt"
+cmp "$pin_tmp/table1.txt" results/table1.txt
 cmp "$pin_tmp/results/figure6.json" results/figure6.json
 cmp "$pin_tmp/results/figure7.json" results/figure7.json
 cmp "$pin_tmp/results/BENCH_chaos.json" results/BENCH_chaos.json
@@ -64,9 +67,6 @@ echo "==> telemetry --smoke (span profiler + metrics sink across all systems)"
 
 echo "==> engine --smoke (streaming service: open-loop load, bounded-memory runs)"
 ./target/release/engine --smoke
-
-echo "==> engine --overload-smoke (admission control + brownout under a storm)"
-./target/release/engine --overload-smoke
 
 echo "==> engine --serve-smoke (live scrape endpoint + Perfetto round-trip)"
 ./target/release/engine --serve-smoke

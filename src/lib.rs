@@ -22,8 +22,9 @@
 //!   [`MetricsSink`](hetero_telemetry::MetricsSink), the span profiler,
 //!   and Prometheus text exposition;
 //! * [`hetero_engine`] — the streaming service engine: open-loop arrival
-//!   streams feed [`run_streaming`](hetero_engine::run_streaming), which
-//!   folds the run into bounded-memory snapshots, SLO verdicts, and
+//!   streams feed [`run`](hetero_engine::run), which folds the run into
+//!   bounded-memory snapshots and SLO verdicts — optionally under an
+//!   overload governor and a live observability plane — with
 //!   CSV/markdown exports.
 //!
 //! # Quickstart
