@@ -13,9 +13,14 @@
 //!    core its policy promised it waits for (`Scheduler::waits_for`) is
 //!    busy;
 //! 3. runs a mutation self-test: individually perturbs single accounting
-//!    sites in a recorded trace (dropped idle span, inflated placement
-//!    energy, dropped stall, forged eviction refund, dropped completion)
-//!    and verifies the auditor rejects every tampered stream.
+//!    sites in a recorded trace (dropped idle advance or idle-power
+//!    announcement, inflated placement energy, dropped stall, forged
+//!    eviction refund, dropped completion) and verifies the auditor
+//!    rejects every tampered stream;
+//! 4. runs a contract drill: a policy whose placement on one core moves
+//!    another idle core's idle power (`Scheduler::idle_power_nj_per_cycle`
+//!    forbids that; the loop caches idle power on the promise) must be
+//!    flagged by [`StallPurityChecked`].
 //!
 //! Usage: `audit [--smoke] [--export]`
 //!
@@ -24,7 +29,8 @@
 //!   `results/TRACE_<system>_<discipline>.json`.
 //!
 //! Exits non-zero if any ledger diverges, any stall-purity violation is
-//! detected, any mutation goes unnoticed, or no promise was ever checked.
+//! detected, any mutation goes unnoticed, no promise or idle power was
+//! ever checked, or the contract drill goes unflagged.
 
 use energy_model::EnergyModel;
 use hetero_bench::trace_json::trace_document;
@@ -32,8 +38,8 @@ use hetero_bench::Testbed;
 use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
 use hetero_telemetry::Histogram;
 use multicore_sim::{
-    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
-    StallPurityChecked, TraceEvent,
+    CoreId, CoreIndex, Decision, Job, LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics,
+    Scheduler, Simulator, StallPurityChecked, TraceEvent,
 };
 use std::process::ExitCode;
 use workloads::ArrivalPlan;
@@ -57,6 +63,7 @@ struct TracedRun {
     events: Vec<TraceEvent>,
     stall_checks: u64,
     promise_checks: u64,
+    idle_power_checks: u64,
     purity_violations: Vec<String>,
 }
 
@@ -76,8 +83,62 @@ fn trace_one<S: Scheduler>(
         events: sink.into_events(),
         stall_checks: checked.stall_checks(),
         promise_checks: checked.promise_checks(),
+        idle_power_checks: checked.idle_power_checks(),
         purity_violations: checked.violations().to_vec(),
     }
+}
+
+/// A policy that breaks the idle-power contract: every placement scales
+/// every core's idle power, so placing on one core moves the others.
+struct DriftingIdlePower<S> {
+    inner: S,
+    placements: u32,
+}
+
+impl<S: Scheduler> Scheduler for DriftingIdlePower<S> {
+    fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        let decision = self.inner.schedule(job, cores, now);
+        if matches!(decision, Decision::Run { .. }) {
+            self.placements += 1;
+        }
+        decision
+    }
+
+    fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+        self.inner.idle_power_nj_per_cycle(core) * (1.0 + f64::from(self.placements) * 1e-3)
+    }
+
+    fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.inner.on_complete(job, core, now);
+    }
+
+    fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.inner.on_preempt(job, core, now);
+    }
+
+    fn state_fingerprint(&self) -> u64 {
+        self.inner.state_fingerprint() ^ u64::from(self.placements)
+    }
+}
+
+/// Run the base system behind [`DriftingIdlePower`] on `plan` and return
+/// the idle-power violations the checker flagged.
+fn idle_power_drill(testbed: &Testbed, plan: &ArrivalPlan) -> usize {
+    let num_cores = testbed.arch.num_cores();
+    let inner = BaseSystem::new(&testbed.oracle, testbed.model, num_cores);
+    let run = trace_one(
+        DriftingIdlePower {
+            inner,
+            placements: 0,
+        },
+        num_cores,
+        QueueDiscipline::Fifo,
+        plan,
+    );
+    run.purity_violations
+        .iter()
+        .filter(|v| v.contains("idle power"))
+        .count()
 }
 
 /// Run `system_index` (paper presentation order) traced on one plan.
@@ -127,8 +188,11 @@ type Mutation = fn(&[TraceEvent]) -> Option<Vec<TraceEvent>>;
 /// site in a copy of the trace.
 fn mutations() -> Vec<(&'static str, Mutation)> {
     vec![
-        ("drop first idle span", |events| {
-            drop_first(events, |e| matches!(e, TraceEvent::IdleSpan { .. }))
+        ("drop first idle advance", |events| {
+            drop_first(events, |e| matches!(e, TraceEvent::IdleAdvance { .. }))
+        }),
+        ("drop first idle-power announcement", |events| {
+            drop_first(events, |e| matches!(e, TraceEvent::IdlePower { .. }))
         }),
         ("inflate a placement's dynamic energy", |events| {
             edit_first(events, |e| {
@@ -174,9 +238,9 @@ fn mutations() -> Vec<(&'static str, Mutation)> {
                 }
             })
         }),
-        ("discount an idle span's power", |events| {
+        ("discount an announced idle power", |events| {
             edit_first(events, |e| {
-                if let TraceEvent::IdleSpan {
+                if let TraceEvent::IdlePower {
                     idle_power_nj_per_cycle,
                     ..
                 } = e
@@ -258,6 +322,7 @@ fn main() -> ExitCode {
     let mut events_per_run = Histogram::new();
     let mut stall_checks_per_run = Histogram::new();
     let mut promise_checks = 0u64;
+    let mut idle_power_checks = 0u64;
     let mut mutations_applied = 0usize;
 
     for &seed in seeds {
@@ -275,6 +340,7 @@ fn main() -> ExitCode {
                 events_per_run.record(run.events.len() as u64);
                 stall_checks_per_run.record(run.stall_checks);
                 promise_checks += run.promise_checks;
+                idle_power_checks += run.idle_power_checks;
 
                 let mut problems: Vec<String> = Vec::new();
                 if run.metrics.jobs_completed != jobs as u64 {
@@ -311,10 +377,12 @@ fn main() -> ExitCode {
                 let verdict = if problems.is_empty() { "ok" } else { "FAIL" };
                 println!(
                     "  seed {seed:>2} {discipline_name:<20} {system_name:<14} \
-                     {:>6} events  {:>5} stall checks  {:>5} promise checks  {verdict}",
+                     {:>6} events  {:>5} stall checks  {:>5} promise checks  \
+                     {:>5} idle-power checks  {verdict}",
                     run.events.len(),
                     run.stall_checks,
                     run.promise_checks,
+                    run.idle_power_checks,
                 );
                 if !problems.is_empty() {
                     failures += 1;
@@ -326,10 +394,23 @@ fn main() -> ExitCode {
         }
     }
 
+    let drill_plan = ArrivalPlan::uniform_with_priorities(
+        jobs,
+        horizon,
+        testbed.suite.len(),
+        PRIORITY_LEVELS,
+        seeds[0],
+    );
+    let drill_flags = idle_power_drill(&testbed, &drill_plan);
+    println!(
+        "idle-power contract drill: a placement that moves other cores' idle power \
+         was flagged {drill_flags} time(s)"
+    );
+
     println!(
         "{runs} runs audited: {} events replayed (per run p50 {} / p95 {} / max {}), \
          {} stall-purity checks, {promise_checks} promise checks, \
-         {mutations_applied} mutations injected",
+         {idle_power_checks} idle-power checks, {mutations_applied} mutations injected",
         events_per_run.sum(),
         events_per_run.p50(),
         events_per_run.p95(),
@@ -348,9 +429,17 @@ fn main() -> ExitCode {
         eprintln!("no waits_for promise was ever checked");
         return ExitCode::FAILURE;
     }
+    if idle_power_checks == 0 {
+        eprintln!("no idle power was ever checked");
+        return ExitCode::FAILURE;
+    }
+    if drill_flags == 0 {
+        eprintln!("idle-power contract drill went unflagged");
+        return ExitCode::FAILURE;
+    }
     println!(
         "AUDIT PASSED: every ledger re-derived bit-for-bit; all stall paths pure; \
-         every promise kept"
+         every promise kept; every idle power kept"
     );
     ExitCode::SUCCESS
 }

@@ -54,9 +54,14 @@
 //! the overload governor and of the armed live observability plane
 //! (burn-rate evaluation + a polled scrape server) at >= 0.95x the
 //! plain streaming engine; the ungated `engine_observe_spans` stage
-//! records what the export-path span assembler adds on top. The binary
-//! exits non-zero when the guard fails, so it can serve as a CI perf
-//! gate.
+//! records what the export-path span assembler adds on top. The last
+//! two, `engine_manycore_256` and `engine_manycore_1024`, are absolute
+//! gates rather than ratios: the base system through `hetero_engine::run`
+//! at 256 and 1024 cores must reach a jobs/s floor and emit at most ten
+//! simulator events per job, counted exactly. The binary exits non-zero
+//! when the guard fails, so it can serve as a CI perf gate. The artifact
+//! records the commit, build profile and host parallelism it was
+//! measured with.
 //!
 //! Usage: `cargo run --release --bin perf_pipeline [min_speedup] [flags]`
 //!
@@ -73,12 +78,14 @@ use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_bench::json::Json;
 use hetero_bench::perf::{bench_paired, Sample};
 use hetero_bench::Testbed;
-use hetero_core::{BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle};
+use hetero_core::{
+    BaseSystem, BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle,
+};
 use hetero_engine::{Outcome, RunSpec};
 use hetero_telemetry::MetricsSink;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, FaultPlan, Job, JobExecution, NullSink, QueueDiscipline,
-    Scheduler, Simulator,
+    Scheduler, Simulator, TraceEvent, TraceSink,
 };
 use std::process::ExitCode;
 use tinyann::reference::RefBagging;
@@ -90,7 +97,7 @@ use workloads::{ArrivalPlan, SplitMix64, Suite};
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
 /// Stages whose speedup the gate checks (each must clear its threshold).
-const GATED_STAGES: [&str; 13] = [
+const GATED_STAGES: [&str; 15] = [
     "oracle_build_paper",
     "bagging_train",
     "ensemble_predict",
@@ -104,6 +111,8 @@ const GATED_STAGES: [&str; 13] = [
     "engine_stream",
     "engine_overload",
     "engine_observe",
+    "engine_manycore_256",
+    "engine_manycore_1024",
 ];
 
 /// Jobs per run of `sim_stall_backlog`: the paper's Sec. V arrival count.
@@ -177,9 +186,34 @@ const ENGINE_OVERLOAD_MIN_RATIO: f64 = 0.95;
 /// engine. Fixed — the CLI threshold does not move it.
 const ENGINE_OBSERVE_MIN_RATIO: f64 = 0.95;
 
+/// `engine_manycore` is an *absolute* gate, the first in this file: the
+/// base system on the paper quad tiled to 256 and 1024 cores (base runs
+/// any idle core, so the tiling only fixes the core count), fed
+/// [`ENGINE_MANYCORE_RATE_PER_CORE`] Poisson jobs per mega-cycle per
+/// core through `hetero_engine::run` with the default `RunSpec` — the
+/// `EngineSink` path whose idle accounting used to cost an event per
+/// idle core per clock advance. Each size must reach its jobs/s floor
+/// (set at no more than half the median of repeated runs on a 2-vCPU
+/// x86-64 host) and emit at most [`ENGINE_MANYCORE_MAX_EVENTS_PER_JOB`]
+/// simulator events per job, counted exactly. The stage reuses the
+/// `Stage` schema with the floor as its reference side, so `speedup`
+/// is measured jobs/s over the floor, gated at 1.0.
+const ENGINE_MANYCORE_FLOORS: [(usize, f64); 2] = [(256, 140_000.0), (1024, 40_000.0)];
+
+/// Offered load of `engine_manycore`, in jobs per mega-cycle per core.
+const ENGINE_MANYCORE_RATE_PER_CORE: f64 = 2.5;
+
+/// Jobs per core of one `engine_manycore` run.
+const ENGINE_MANYCORE_JOBS_PER_CORE: usize = 20;
+
+/// The exact event budget of `engine_manycore`: simulator events per
+/// job at either size.
+const ENGINE_MANYCORE_MAX_EVENTS_PER_JOB: f64 = 10.0;
+
 /// The gate bar for one stage at the given CLI threshold.
 fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
     match name {
+        "engine_manycore_256" | "engine_manycore_1024" => 1.0,
         "sim_trace_overhead" | "sim_fault_overhead" => TRACE_OVERHEAD_MIN_RATIO,
         "sim_metrics_overhead" => METRICS_OVERHEAD_MIN_RATIO,
         "sim_manycore" => MANYCORE_MIN_SPEEDUP,
@@ -196,8 +230,13 @@ fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
 fn stage_jobs(name: &str) -> Option<usize> {
     match name {
         "sim_stall_backlog" => Some(STALL_BACKLOG_JOBS),
-        _ => None,
+        _ => engine_manycore_cores(name).map(|cores| cores * ENGINE_MANYCORE_JOBS_PER_CORE),
     }
+}
+
+/// The core count of an `engine_manycore` stage name.
+fn engine_manycore_cores(name: &str) -> Option<usize> {
+    name.strip_prefix("engine_manycore_")?.parse().ok()
 }
 
 /// One stage's before/after measurement.
@@ -205,6 +244,8 @@ struct Stage {
     name: &'static str,
     reference: Sample,
     fused: Sample,
+    /// Simulator events per job, for the stages that gate it exactly.
+    events_per_job: Option<f64>,
 }
 
 impl Stage {
@@ -222,6 +263,15 @@ impl Stage {
 
     fn gated(&self) -> bool {
         GATED_STAGES.contains(&self.name)
+    }
+
+    /// Whether the stage clears its bar and, where it counts events, the
+    /// event budget.
+    fn passes(&self, min_speedup: f64) -> bool {
+        self.speedup() >= stage_threshold(self.name, min_speedup)
+            && self
+                .events_per_job
+                .is_none_or(|events| events <= ENGINE_MANYCORE_MAX_EVENTS_PER_JOB)
     }
 
     /// Unit of the stage's sample values: every stage is timed in
@@ -281,6 +331,15 @@ impl Stage {
                 ("fused_jobs_per_s".to_string(), per_s(&self.fused)),
             ]);
         }
+        if let Some(events) = self.events_per_job {
+            fields.extend([
+                ("events_per_job".to_string(), Json::Num(events)),
+                (
+                    "max_events_per_job".to_string(),
+                    Json::Num(ENGINE_MANYCORE_MAX_EVENTS_PER_JOB),
+                ),
+            ]);
+        }
         Json::object(fields)
     }
 }
@@ -300,6 +359,7 @@ fn measure_oracle(label: &'static str, suite: &Suite, iters: u32) -> Stage {
         name: label,
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -320,6 +380,7 @@ fn measure_training(iters: u32) -> Stage {
         name: "predictor_train_small",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -350,6 +411,7 @@ fn measure_run_all(iters: u32) -> Stage {
         name: "testbed_run_all_small",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -398,6 +460,7 @@ fn measure_bagging_train(iters: u32) -> Stage {
         name: "bagging_train",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -452,6 +515,7 @@ fn measure_ensemble_predict(iters: u32) -> Stage {
         name: "ensemble_predict",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -511,6 +575,7 @@ fn measure_predict_f32(iters: u32) -> Stage {
         name: "predict_f32",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -550,6 +615,7 @@ fn measure_distilled_predict(iters: u32) -> Stage {
         name: "distilled_predict",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -600,6 +666,7 @@ fn measure_trace_overhead(iters: u32) -> Stage {
         name: "sim_trace_overhead",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -627,6 +694,7 @@ fn measure_fault_overhead(iters: u32) -> Stage {
         name: "sim_fault_overhead",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -656,6 +724,7 @@ fn measure_metrics_overhead(iters: u32) -> Stage {
         name: "sim_metrics_overhead",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -682,6 +751,7 @@ fn measure_manycore(iters: u32) -> Stage {
         name: "sim_manycore",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -743,6 +813,7 @@ fn measure_stall_backlog(iters: u32) -> Stage {
         name: "sim_stall_backlog",
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -809,6 +880,7 @@ fn measure_engine_stream(iters: u32) -> Stage {
         name: "engine_stream",
         reference: sample("stream_rss_budget_mb", STREAM_RSS_BUDGET_MB),
         fused: sample("stream_rss_growth_mb", growth_mb),
+        events_per_job: None,
     }
 }
 
@@ -860,6 +932,7 @@ fn measure_engine_layer(
         name,
         reference,
         fused,
+        events_per_job: None,
     }
 }
 
@@ -950,8 +1023,8 @@ fn measure_engine_observe(iters: u32) -> Stage {
 /// The export-path span-assembly stage, ungated: the same observed run
 /// with only `assemble_spans` on. The assembler folds every trace event
 /// into lifecycle/occupancy spans it retains for the Perfetto export, so
-/// on this event-dense stream (the run emits roughly seven events per
-/// job once idle spans and stalls are counted) it pays real per-event
+/// on this event-dense stream (every arrival, placement, stall,
+/// completion and idle advance is an event) it pays real per-event
 /// work the same way the `MetricsSink` does in `sim_metrics_overhead` —
 /// the measurement is recorded in the artifact to keep that cost
 /// visible, but trace export is an offline tool, not part of the armed
@@ -983,9 +1056,80 @@ fn measure_engine_observe_spans(iters: u32) -> Stage {
     )
 }
 
+/// Forwards every event to the wrapped sink and counts them.
+struct CountingSink<'a, T: TraceSink> {
+    inner: &'a mut T,
+    events: u64,
+}
+
+impl<T: TraceSink> TraceSink for CountingSink<'_, T> {
+    fn record(&mut self, event: TraceEvent) {
+        self.events += 1;
+        self.inner.record(event);
+    }
+
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+}
+
+/// The `engine_manycore` stage at `cores` cores (see
+/// [`ENGINE_MANYCORE_FLOORS`]): times `hetero_engine::run` of the base
+/// system, then counts the events one run emits into the same sink.
+fn measure_engine_manycore(name: &'static str, iters: u32) -> Stage {
+    let cores = engine_manycore_cores(name).expect("an engine_manycore stage");
+    let floor = ENGINE_MANYCORE_FLOORS
+        .iter()
+        .find_map(|&(size, floor)| (size == cores).then_some(floor))
+        .expect("a floor per size");
+    let jobs = cores * ENGINE_MANYCORE_JOBS_PER_CORE;
+    let testbed = Testbed::small();
+    let sim = Simulator::new(cores);
+    let stream = || {
+        let rate = ENGINE_MANYCORE_RATE_PER_CORE * cores as f64;
+        workloads::OpenLoop::poisson(rate, testbed.suite.len(), 7).take(jobs)
+    };
+    let base = || BaseSystem::new(&testbed.oracle, testbed.model, cores);
+    let fused = hetero_bench::perf::bench(name, iters, || {
+        let outcome = hetero_engine::run(&sim, stream(), &mut base(), &RunSpec::default())
+            .expect("a plain run binds nothing");
+        assert_eq!(outcome.metrics.jobs_completed, jobs as u64);
+        outcome.metrics.jobs_completed
+    });
+    let config = hetero_engine::EngineConfig::default();
+    let mut engine = hetero_engine::EngineSink::new(cores, &config);
+    let mut counting = CountingSink {
+        inner: &mut engine,
+        events: 0,
+    };
+    let _ = sim.run_stream(stream(), &mut base(), &mut counting);
+    let events_per_job = counting.events as f64 / jobs as f64;
+    println!(
+        "{name}: {:.0} jobs/s (floor {floor:.0}), {events_per_job:.3} events/job \
+         (budget {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0})",
+        jobs as f64 / (fused.min_ns / 1e9)
+    );
+    let floor_ns = jobs as f64 / floor * 1e9;
+    Stage {
+        name,
+        reference: Sample {
+            label: format!("{name}_floor"),
+            iters: 1,
+            mean_ns: floor_ns,
+            min_ns: floor_ns,
+            p50_ns: floor_ns,
+            p95_ns: floor_ns,
+        },
+        fused,
+        events_per_job: Some(events_per_job),
+    }
+}
+
 /// (Re-)measure one stage by name, at the given iteration count.
 fn measure_stage(name: &str, iters: u32) -> Stage {
     match name {
+        "engine_manycore_256" => measure_engine_manycore("engine_manycore_256", iters),
+        "engine_manycore_1024" => measure_engine_manycore("engine_manycore_1024", iters),
         "oracle_build_small" => {
             measure_oracle("oracle_build_small", &Suite::eembc_like_small(), iters)
         }
@@ -1067,7 +1211,9 @@ fn main() -> ExitCode {
              sim_stall_backlog must be >= {min_speedup:.1}x the loop offering \
              energy-centric's whole backlog;\n\
              engine_stream must keep a 10M-job streaming run within \
-             {STREAM_RSS_BUDGET_MB:.0} MB of rss growth\n"
+             {STREAM_RSS_BUDGET_MB:.0} MB of rss growth;\n\
+             engine_manycore_256/_1024 must reach their jobs/s floors and emit \
+             <= {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0} simulator events per job\n"
         );
     }
 
@@ -1089,6 +1235,8 @@ fn main() -> ExitCode {
         "engine_overload",
         "engine_observe",
         "engine_observe_spans",
+        "engine_manycore_256",
+        "engine_manycore_1024",
     ];
     let mut stages: Vec<Stage> = all_stages
         .iter()
@@ -1145,9 +1293,7 @@ fn main() -> ExitCode {
     }
 
     let gated: Vec<&Stage> = stages.iter().filter(|s| s.gated()).collect();
-    let passed = gated
-        .iter()
-        .all(|s| s.speedup() >= stage_threshold(s.name, min_speedup));
+    let passed = gated.iter().all(|s| s.passes(min_speedup));
 
     if overridden && !allow_override {
         eprintln!(
@@ -1158,8 +1304,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let doc = Json::object([
-        ("experiment", Json::str("pipeline")),
+    let mut fields = vec![("experiment", Json::str("pipeline"))];
+    fields.extend(hetero_bench::perf::provenance());
+    let doc = Json::object(fields.into_iter().chain([
         ("workers", Json::UInt(workers as u64)),
         ("min_speedup", Json::Num(min_speedup)),
         ("default_min_speedup", Json::Num(DEFAULT_MIN_SPEEDUP)),
@@ -1173,7 +1320,7 @@ fn main() -> ExitCode {
             "stages",
             Json::Array(stages.iter().map(|s| s.to_json(min_speedup)).collect()),
         ),
-    ]);
+    ]));
     let path = std::path::Path::new("results").join("BENCH_pipeline.json");
     if let Err(error) =
         std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, doc.to_pretty()))
@@ -1201,6 +1348,16 @@ fn main() -> ExitCode {
                     "FAIL: {} speedup {:.2}x < {bar:.2}x",
                     stage.name,
                     stage.speedup()
+                );
+            }
+            if let Some(events) = stage
+                .events_per_job
+                .filter(|&events| events > ENGINE_MANYCORE_MAX_EVENTS_PER_JOB)
+            {
+                eprintln!(
+                    "FAIL: {} emits {events:.3} events/job > \
+                     {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0}",
+                    stage.name
                 );
             }
         }

@@ -205,8 +205,9 @@ fn run_manycore(smoke: bool) {
         return;
     }
 
-    let doc = Json::object([
-        ("experiment", Json::str("manycore_scaling")),
+    let mut fields = vec![("experiment", Json::str("manycore_scaling"))];
+    fields.extend(hetero_bench::perf::provenance());
+    let doc = Json::object(fields.into_iter().chain([
         ("suite", Json::str("eembc_like_small")),
         ("predictor", Json::str("fast")),
         ("jobs_per_core", Json::UInt(jobs_per_core as u64)),
@@ -216,7 +217,7 @@ fn run_manycore(smoke: bool) {
             "points",
             Json::Array(points.iter().map(SweepPoint::to_json).collect()),
         ),
-    ]);
+    ]));
     let path = std::path::Path::new("results").join("BENCH_scaling.json");
     match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, doc.to_pretty())) {
         Ok(()) => println!("\nwrote {}", path.display()),

@@ -9,8 +9,10 @@
 //! percentiles alongside the mean and the exact minimum (the gate
 //! statistic).
 
+use crate::json::Json;
 use hetero_telemetry::Histogram;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// One measured quantity.
@@ -132,6 +134,49 @@ pub fn bench_paired<RA, RB>(
     )
 }
 
+/// Where a perf artifact was measured, as top-level JSON fields: the
+/// checked-out commit (`git_rev`, read from `.git` in the working
+/// directory; uncommitted edits are not reflected), the build profile
+/// and the host's `available_parallelism`.
+pub fn provenance() -> [(&'static str, Json); 3] {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    [
+        ("git_rev", Json::str(git_rev())),
+        ("build_profile", Json::str(profile)),
+        ("host_parallelism", Json::UInt(parallelism as u64)),
+    ]
+}
+
+/// The commit `HEAD` names, read from `.git` without running git
+/// (`"unknown"` outside a git checkout).
+fn git_rev() -> String {
+    let git = Path::new(".git");
+    let read = |path: &Path| std::fs::read_to_string(path).ok();
+    let Some(head) = read(&git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(rev) = read(&git.join(reference)) {
+        return rev.trim().to_string();
+    }
+    read(&git.join("packed-refs"))
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                let (rev, name) = line.split_once(' ')?;
+                (name == reference).then(|| rev.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Measure and print one line in a stable `label  mean  min  p95` format.
 pub fn bench_report<R>(label: &str, iters: u32, f: impl FnMut() -> R) -> Sample {
     let sample = bench(label, iters, f);
@@ -181,6 +226,14 @@ mod tests {
             assert!(sample.p95_ns >= sample.p50_ns);
             assert!(sample.p50_ns >= sample.min_ns);
         }
+    }
+
+    #[test]
+    fn provenance_names_rev_profile_and_parallelism() {
+        let fields = provenance();
+        let names: Vec<&str> = fields.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["git_rev", "build_profile", "host_parallelism"]);
+        assert!(matches!(fields[2].1, Json::UInt(n) if n >= 1));
     }
 
     #[test]

@@ -42,6 +42,22 @@ pub fn event_to_json(event: &TraceEvent) -> Json {
                 Json::Num(idle_power_nj_per_cycle),
             ));
         }
+        TraceEvent::IdleAdvance { from, to } => {
+            pairs.push(("from", Json::UInt(from)));
+            pairs.push(("to", Json::UInt(to)));
+        }
+        TraceEvent::IdlePower {
+            core,
+            at,
+            idle_power_nj_per_cycle,
+        } => {
+            pairs.push(("core", Json::UInt(core.0 as u64)));
+            pairs.push(("at", Json::UInt(at)));
+            pairs.push((
+                "idle_power_nj_per_cycle",
+                Json::Num(idle_power_nj_per_cycle),
+            ));
+        }
         TraceEvent::Placement {
             seq,
             benchmark,

@@ -153,7 +153,10 @@ fn fixtures_exercise_stalls_and_evictions() {
         .any(|e| matches!(e, TraceEvent::Eviction { .. })));
     assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::IdleSpan { .. })));
+        .any(|e| matches!(e, TraceEvent::IdleAdvance { .. })));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::IdlePower { .. })));
     let auditor = LedgerAuditor::new(testbed().arch.num_cores());
     assert!(auditor.check(events, metrics).is_ok());
 
@@ -168,7 +171,8 @@ fn dropping_any_accounting_event_is_detected() {
     let (metrics, events) = recorded_preemptive_run();
     for kind in [
         "arrival",
-        "idle_span",
+        "idle_advance",
+        "idle_power",
         "placement",
         "eviction",
         "completion",
@@ -216,7 +220,7 @@ fn perturbing_any_energy_operand_is_detected() {
 
     let mut tampered = events.clone();
     for event in &mut tampered {
-        if let TraceEvent::IdleSpan {
+        if let TraceEvent::IdlePower {
             idle_power_nj_per_cycle,
             ..
         } = event
@@ -226,6 +230,15 @@ fn perturbing_any_energy_operand_is_detected() {
         }
     }
     assert_rejected(&tampered, metrics, "discounted idle power");
+
+    let mut tampered = events.clone();
+    for event in &mut tampered {
+        if let TraceEvent::IdleAdvance { to, .. } = event {
+            *to += 1;
+            break;
+        }
+    }
+    assert_rejected(&tampered, metrics, "stretched idle advance");
 }
 
 #[test]

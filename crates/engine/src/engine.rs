@@ -340,6 +340,74 @@ mod tests {
         crate::run(simulator, arrivals, &mut FirstIdle, &spec).expect("a plain run cannot fail")
     }
 
+    /// `spec` over a short stream: must come back as `expected`, not run.
+    fn assert_config_error(spec: RunSpec, expected: fn(&crate::EngineError) -> bool) {
+        let source = OpenLoop::poisson(20.0, 20, 3).take(50);
+        match crate::run(&Simulator::new(2), source, &mut FirstIdle, &spec) {
+            Err(error) => assert!(expected(&error), "unexpected error {error}"),
+            Ok(_) => panic!("a zero-valued configuration ran"),
+        }
+    }
+
+    #[test]
+    fn zero_window_cycles_is_a_config_error() {
+        let mut engine = config();
+        engine.window_cycles = 0;
+        let spec = RunSpec {
+            engine,
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroWindowCycles));
+    }
+
+    #[test]
+    fn zero_snapshot_windows_is_a_config_error() {
+        let mut engine = config();
+        engine.snapshot_windows = 0;
+        let spec = RunSpec {
+            engine,
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, |e| {
+            matches!(e, crate::EngineError::ZeroSnapshotWindows)
+        });
+    }
+
+    #[test]
+    fn zero_brownout_control_window_is_a_config_error() {
+        let spec = RunSpec {
+            overload: Some(crate::OverloadConfig {
+                brownout: Some(crate::BrownoutConfig {
+                    control_window_cycles: 0,
+                    depth_high: 8,
+                    depth_low: 2,
+                    latency_budget_cycles: 1_000,
+                    breach_fraction: 0.5,
+                    step_up_after: 1,
+                    step_down_after: 1,
+                }),
+                ..crate::OverloadConfig::disabled()
+            }),
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroControlWindow));
+    }
+
+    #[test]
+    fn zero_breaker_trip_after_is_a_config_error() {
+        let spec = RunSpec {
+            overload: Some(crate::OverloadConfig {
+                breaker: Some(crate::BreakerConfig {
+                    trip_after: 0,
+                    cooldown_cycles: 1_000,
+                }),
+                ..crate::OverloadConfig::disabled()
+            }),
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroTripAfter));
+    }
+
     #[test]
     fn streaming_matches_the_batch_run_bit_for_bit() {
         let source = || OpenLoop::poisson(20.0, 20, 42).take(3_000);

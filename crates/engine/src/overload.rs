@@ -25,7 +25,7 @@
 //!
 //! **Shed-flush ordering.** A shed is decided when the simulator *peeks*
 //! the arrival, which can be before earlier-timestamped completions and
-//! back-dated idle spans have been forwarded. Forwarding the shed
+//! back-dated idle advances have been forwarded. Forwarding the shed
 //! immediately would advance the metrics sink's clock past those events
 //! and panic its drained-window assertions. [`OverloadSink`] therefore
 //! buffers sheds and flushes one only once the forwarded stream has
@@ -1252,7 +1252,7 @@ mod tests {
     #[test]
     fn late_sheds_flush_in_drain_safe_order_through_the_engine_sink() {
         // A governed storm through the full EngineSink path: if a shed
-        // were forwarded before an earlier-cycle back-dated idle span,
+        // were forwarded before an earlier-cycle back-dated idle advance,
         // the metrics sink's drained-window assertions would fire. A
         // clean run with many sheds and tiny windows is the regression
         // test.

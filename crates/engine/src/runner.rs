@@ -60,6 +60,17 @@ pub enum EngineError {
     /// [`ObserveConfig::alert_tier_floor`] is set but the plane was
     /// given no governor to floor.
     FloorWithoutGovernor,
+    /// [`EngineConfig::window_cycles`] is zero.
+    ZeroWindowCycles,
+    /// [`EngineConfig::snapshot_windows`] is zero.
+    ZeroSnapshotWindows,
+    /// A brownout's
+    /// [`control_window_cycles`](crate::BrownoutConfig::control_window_cycles)
+    /// is zero.
+    ZeroControlWindow,
+    /// A breaker's [`trip_after`](crate::BreakerConfig::trip_after) is
+    /// zero.
+    ZeroTripAfter,
 }
 
 impl fmt::Display for EngineError {
@@ -69,8 +80,39 @@ impl fmt::Display for EngineError {
             EngineError::FloorWithoutGovernor => {
                 f.write_str("alert tier floor needs the run's governor handle")
             }
+            EngineError::ZeroWindowCycles => f.write_str("engine window_cycles must be positive"),
+            EngineError::ZeroSnapshotWindows => {
+                f.write_str("engine snapshot_windows must be positive")
+            }
+            EngineError::ZeroControlWindow => {
+                f.write_str("brownout control_window_cycles must be positive")
+            }
+            EngineError::ZeroTripAfter => f.write_str("breaker trip_after must be positive"),
         }
     }
+}
+
+/// The zero-valued fields that would otherwise panic deep inside the
+/// sinks and the governor, checked before anything is built.
+fn check_spec(spec: &RunSpec) -> Result<(), EngineError> {
+    if spec.engine.window_cycles == 0 {
+        return Err(EngineError::ZeroWindowCycles);
+    }
+    if spec.engine.snapshot_windows == 0 {
+        return Err(EngineError::ZeroSnapshotWindows);
+    }
+    if let Some(overload) = &spec.overload {
+        if overload
+            .brownout
+            .is_some_and(|b| b.control_window_cycles == 0)
+        {
+            return Err(EngineError::ZeroControlWindow);
+        }
+        if overload.breaker.is_some_and(|b| b.trip_after == 0) {
+            return Err(EngineError::ZeroTripAfter);
+        }
+    }
+    Ok(())
 }
 
 impl std::error::Error for EngineError {}
@@ -83,7 +125,12 @@ impl std::error::Error for EngineError {}
 ///
 /// # Errors
 ///
-/// [`EngineError::Bind`] when the plane's scrape port cannot be bound.
+/// A zero-valued configuration field ([`EngineError::ZeroWindowCycles`],
+/// [`ZeroSnapshotWindows`](EngineError::ZeroSnapshotWindows),
+/// [`ZeroControlWindow`](EngineError::ZeroControlWindow),
+/// [`ZeroTripAfter`](EngineError::ZeroTripAfter)) before anything runs;
+/// [`EngineError::FloorWithoutGovernor`] and [`EngineError::Bind`] from
+/// the observability plane.
 pub fn run<I>(
     simulator: &Simulator,
     arrivals: I,
@@ -93,6 +140,7 @@ pub fn run<I>(
 where
     I: IntoIterator<Item = Arrival>,
 {
+    check_spec(spec)?;
     let num_cores = simulator.num_cores();
     let config = &spec.engine;
     let governor = |overload: &OverloadConfig| {

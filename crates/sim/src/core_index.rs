@@ -20,7 +20,7 @@
 
 use crate::scheduler::{BusyInfo, CoreId, CoreView};
 
-const WORD_BITS: usize = u64::BITS as usize;
+pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 
 fn word_count(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS)
@@ -59,6 +59,24 @@ impl CoreSet {
     pub fn insert(&mut self, core: CoreId) {
         assert!(core.0 < self.num_cores, "core out of range");
         self.words[core.0 / WORD_BITS] |= 1u64 << (core.0 % WORD_BITS);
+    }
+
+    /// Drop `core` from the set.
+    pub(crate) fn remove(&mut self, core: CoreId) {
+        self.words[core.0 / WORD_BITS] &= !(1u64 << (core.0 % WORD_BITS));
+    }
+
+    /// Remove every member that is idle in `cores`, handing each to `f`
+    /// in ascending order: one AND per word plus one call per member.
+    pub(crate) fn drain_idle(&mut self, cores: &CoreIndex, mut f: impl FnMut(CoreId)) {
+        for (w, (word, &idle)) in self.words.iter_mut().zip(&cores.idle_words).enumerate() {
+            let mut both = *word & idle;
+            *word &= !both;
+            while both != 0 {
+                f(CoreId(w * WORD_BITS + both.trailing_zeros() as usize));
+                both &= both - 1;
+            }
+        }
     }
 
     /// `true` when `core` is a member.
@@ -259,14 +277,14 @@ fn mask_tail(words: &mut [u64], bits: usize) {
 }
 
 /// Ascending iterator over set bit positions of a word slice.
-struct BitIter<'a> {
+pub(crate) struct BitIter<'a> {
     words: &'a [u64],
     word_index: usize,
     current: u64,
 }
 
 impl<'a> BitIter<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
         BitIter {
             words,
             word_index: 0,
@@ -441,6 +459,23 @@ mod tests {
         index.place(CoreId(65), busy(2));
         index.set_online(CoreId(69), false);
         assert_eq!(index.first_idle_in(&set), None);
+    }
+
+    #[test]
+    fn drain_idle_takes_exactly_the_idle_members() {
+        let mut set = CoreSet::from_cores(130, [CoreId(1), CoreId(64), CoreId(100), CoreId(129)]);
+        let mut index = CoreIndex::new(130);
+        index.place(CoreId(64), busy(1));
+        index.set_online(CoreId(100), false);
+        let mut drained = Vec::new();
+        set.drain_idle(&index, |core| drained.push(core));
+        assert_eq!(drained, vec![CoreId(1), CoreId(129)]);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            vec![CoreId(64), CoreId(100)]
+        );
+        set.remove(CoreId(64));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![CoreId(100)]);
     }
 
     #[test]

@@ -125,6 +125,17 @@ pub trait Scheduler {
 
     /// Leakage power an *idle* core burns, in nJ/cycle. Depends on the
     /// core's currently-loaded cache configuration, which the policy owns.
+    ///
+    /// **Contract:** the answer for a core may change only through a
+    /// placement on that core or that core's
+    /// [`on_complete`](Scheduler::on_complete) /
+    /// [`on_preempt`](Scheduler::on_preempt). The simulator relies on it:
+    /// it reads each core's answer once at run start and again whenever
+    /// the core becomes idle (after `on_complete`, after `on_preempt` on
+    /// an eviction or fault, and when the core comes back online), and
+    /// charges idle leakage from that cache. `StallPurityChecked` checks
+    /// the contract, and `run_reference`, which asks on every advance,
+    /// disagrees with a run whose policy breaks it.
     fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64;
 
     /// Called when a job finishes executing, so policies can update

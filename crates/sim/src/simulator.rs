@@ -489,6 +489,9 @@ impl Simulator {
         T: TraceSink + ?Sized,
     {
         let mut m = Machine::new(self.num_cores, self.discipline != QueueDiscipline::Fifo);
+        for core in 0..self.num_cores {
+            m.refresh_idle_power(CoreId(core), scheduler);
+        }
         let mut arrivals = arrivals.peekable();
         let mut next_seq: u64 = 0;
         // Streams must be time-ordered (the sorted-plan invariant); an
@@ -506,23 +509,24 @@ impl Simulator {
                 .expect("the deadlock guard leaves an event pending");
 
             // Accrue idle energy over [clock, now) from the idle mask
-            // (vacant ∧ online: offline cores burn nothing) — O(1) when no
-            // core is idle, and the reference's per-core f64 operations in
-            // its ascending core order, so the energy is bit-identical.
+            // (vacant ∧ online: offline cores burn nothing) at each core's
+            // cached idle power — O(1) when no core is idle, and the
+            // reference's per-core f64 operations in its ascending core
+            // order, so the energy is bit-identical. A sink sees one
+            // `IdleAdvance`, after an `IdlePower` for each idle core whose
+            // cached power it has not been told yet.
             debug_assert!(now >= m.clock, "time must not run backwards");
             let span = now - m.clock;
             if span > 0 && m.cores.idle_count() > 0 {
+                if sink.enabled() {
+                    m.announce_idle_power(now, sink);
+                    sink.record(TraceEvent::IdleAdvance {
+                        from: m.clock,
+                        to: now,
+                    });
+                }
                 for core in m.cores.idle_cores() {
-                    let power = scheduler.idle_power_nj_per_cycle(core);
-                    m.metrics.energy.idle_nj += span as f64 * power;
-                    if sink.enabled() {
-                        sink.record(TraceEvent::IdleSpan {
-                            core,
-                            from: m.clock,
-                            to: now,
-                            idle_power_nj_per_cycle: power,
-                        });
-                    }
+                    m.metrics.energy.idle_nj += span as f64 * m.idle_power[core.0];
                 }
             }
             m.clock = now;
@@ -543,6 +547,7 @@ impl Simulator {
                         sink.record(fault_event(&info.job, core, t, kind, &exec, executed));
                     }
                     scheduler.on_preempt(&info.job, core, m.clock);
+                    m.refresh_idle_power(core, scheduler);
                     faults.failed(info.job, kind, m.clock, sink);
                     continue;
                 }
@@ -567,6 +572,7 @@ impl Simulator {
                 }
                 faults.completed(&job, t, sink);
                 scheduler.on_complete(&job, core, m.clock);
+                m.refresh_idle_power(core, scheduler);
             }
 
             faults.apply_due(&mut m, scheduler, sink);
@@ -667,6 +673,16 @@ struct Machine {
     stalled: SeqBitSet,
     /// The ledger under construction.
     metrics: RunMetrics,
+    /// Each core's idle power as the policy last answered it: read once
+    /// per core at run start and again whenever the core becomes idle,
+    /// which the [`Scheduler::idle_power_nj_per_cycle`] contract makes
+    /// enough.
+    idle_power: Vec<f64>,
+    /// The bits of the last `IdlePower` event each core was announced
+    /// with; `None` before its first.
+    announced: Vec<Option<u64>>,
+    /// Cores whose cached idle power differs from their announcement.
+    unannounced: CoreSet,
 }
 
 impl Machine {
@@ -691,7 +707,45 @@ impl Machine {
                 by_priority: BTreeMap::new(),
                 preemptions: 0,
             },
+            idle_power: vec![0.0; num_cores],
+            announced: vec![None; num_cores],
+            unannounced: CoreSet::new(num_cores),
         }
+    }
+
+    /// Re-read `core`'s idle power from the policy into the cache.
+    #[inline]
+    fn refresh_idle_power(&mut self, core: CoreId, scheduler: &dyn Scheduler) {
+        let power = scheduler.idle_power_nj_per_cycle(core);
+        self.idle_power[core.0] = power;
+        if self.announced[core.0] == Some(power.to_bits()) {
+            self.unannounced.remove(core);
+        } else {
+            self.unannounced.insert(core);
+        }
+    }
+
+    /// Emit an `IdlePower` event, stamped `at`, for each idle core whose
+    /// cached idle power the sink has not been told. Called only right
+    /// before the `IdleAdvance` that charges those cores, so every
+    /// announcement is charged.
+    fn announce_idle_power<T: TraceSink + ?Sized>(&mut self, at: u64, sink: &mut T) {
+        let Machine {
+            cores,
+            idle_power,
+            announced,
+            unannounced,
+            ..
+        } = self;
+        unannounced.drain_idle(cores, |core| {
+            let power = idle_power[core.0];
+            announced[core.0] = Some(power.to_bits());
+            sink.record(TraceEvent::IdlePower {
+                core,
+                at,
+                idle_power_nj_per_cycle: power,
+            });
+        });
     }
 
     /// Time of the next live execution end, dropping stale ones.
@@ -852,6 +906,7 @@ impl Machine {
             });
         }
         scheduler.on_preempt(&info.job, core, clock);
+        self.refresh_idle_power(core, scheduler);
         let _ = self.ready.take_urgent();
         self.ready.push(info.job);
         let charge = faults.charge(core, &urgent, execution);
@@ -1157,10 +1212,14 @@ impl FaultSource for PlanFaults<'_> {
                             sink.record(fault_event(&info.job, core, clock, kind, &exec, executed));
                         }
                         scheduler.on_preempt(&info.job, core, clock);
+                        m.refresh_idle_power(core, scheduler);
                         m.ready.push(info.job);
                     }
                 }
                 m.cores.set_online(core, transition.online);
+                if transition.online {
+                    m.refresh_idle_power(core, scheduler);
+                }
             }
             self.stats.degraded_transitions += 1;
             if sink.enabled() {

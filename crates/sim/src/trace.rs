@@ -4,7 +4,7 @@
 //!
 //! The simulator's energy/cycle ledger is accumulated by scattered
 //! accounting sites inside [`Simulator::run`](crate::Simulator::run)
-//! (placements, idle spans, preemption refunds). Every headline claim of
+//! (placements, idle accrual, preemption refunds). Every headline claim of
 //! the reproduction — the paper's ~28 % energy saving above all — rests on
 //! that arithmetic, so this module provides an independent cross-check:
 //!
@@ -12,26 +12,34 @@
 //!   as the run executes. The default [`NullSink`] compiles to nothing
 //!   (the hot path is monomorphised against it); [`RecordingSink`] keeps
 //!   the full stream.
+//! * Idle accrual costs one event per clock advance, not one per idle
+//!   core: an [`IdleAdvance`](TraceEvent::IdleAdvance) says the clock
+//!   moved, and an [`IdlePower`](TraceEvent::IdlePower) announces a core's
+//!   idle power when it first matters and whenever it changes. A consumer
+//!   rebuilds which cores were idle from the occupancy events with
+//!   [`IdleCores`] and charges them in ascending order.
 //! * [`LedgerAuditor`] replays a recorded stream, enforcing structural
 //!   conservation invariants (every arrival completes exactly once, no
 //!   double-booked cores, evictions refund exactly the unexecuted
-//!   remainder, idle spans never overlap occupancy) and re-deriving a
-//!   complete [`RunMetrics`] — energy to f64 **bit identity**, counters to
-//!   exact equality — that must match what the simulator returned.
+//!   remainder, idle power is announced only for idle cores and always
+//!   charged, advances never overlap) and re-deriving a complete
+//!   [`RunMetrics`] — energy to f64 **bit identity**, counters to exact
+//!   equality — that must match what the simulator returned.
 //! * [`StallPurityChecked`] wraps any [`Scheduler`] and verifies the
 //!   documented contract that a call returning
 //!   [`Decision::Stall`](crate::Decision::Stall) leaves the policy's
 //!   observable state untouched (the preemption probe depends on it),
 //!   using the policy's [`state_fingerprint`](Scheduler::state_fingerprint),
-//!   and that the policy keeps its [`waits_for`](Scheduler::waits_for)
-//!   promises.
+//!   that the policy keeps its [`waits_for`](Scheduler::waits_for)
+//!   promises, and that a placement never moves another idle core's
+//!   [`idle_power_nj_per_cycle`](Scheduler::idle_power_nj_per_cycle).
 //!
 //! Bit identity is achievable because the auditor replays the *same*
 //! floating-point operations in the *same* order the simulator performed
 //! them: each event carries the exact operands (idle power, execution
 //! energy, refund numerator/denominator) of its accounting site.
 
-use crate::core_index::{CoreIndex, CoreSet};
+use crate::core_index::{BitIter, CoreIndex, CoreSet, WORD_BITS};
 use crate::faults::{DegradedComponent, FallbackLevel, FaultKind, FaultStats, FaultedRun};
 use crate::job::Job;
 use crate::metrics::{ClassStats, RunMetrics};
@@ -70,6 +78,11 @@ pub enum TraceEvent {
         priority: u8,
     },
     /// A core sat idle over `[from, to)` and accrued leakage energy.
+    ///
+    /// The simulator no longer emits this per-core form — it records one
+    /// [`IdleAdvance`](TraceEvent::IdleAdvance) per clock advance instead
+    /// — but every consumer still folds it, so hand-built streams keep
+    /// working.
     IdleSpan {
         /// The idle core.
         core: CoreId,
@@ -79,6 +92,32 @@ pub enum TraceEvent {
         to: u64,
         /// Leakage power charged, in nJ/cycle (the policy's answer at
         /// accrual time — it depends on the loaded cache configuration).
+        idle_power_nj_per_cycle: f64,
+    },
+    /// The clock advanced over `[from, to)`: every idle core (vacant,
+    /// online) accrued `(to - from) as f64 * power` nJ of leakage, in
+    /// ascending core order, at the power its last
+    /// [`IdlePower`](TraceEvent::IdlePower) announced. Which cores were
+    /// idle follows from the occupancy events before it; [`IdleCores`]
+    /// rebuilds that set. Emitted only when some core is idle.
+    IdleAdvance {
+        /// First cycle of the advance.
+        from: u64,
+        /// One past the last cycle of the advance.
+        to: u64,
+    },
+    /// From here on, idle `core` burns `idle_power_nj_per_cycle`. The
+    /// simulator announces a core before the first advance that charges
+    /// it and again whenever its cached value's bits change, always
+    /// immediately before that [`IdleAdvance`](TraceEvent::IdleAdvance)
+    /// and stamped with its `to`; so every announcement is charged.
+    IdlePower {
+        /// The idle core.
+        core: CoreId,
+        /// The `to` of the advance this announcement precedes.
+        at: u64,
+        /// Leakage power, in nJ/cycle (the policy's answer for the core's
+        /// loaded cache configuration).
         idle_power_nj_per_cycle: f64,
     },
     /// A job started executing on a core.
@@ -248,7 +287,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The absolute cycle this event is stamped with (for an
-    /// [`IdleSpan`](TraceEvent::IdleSpan), the end of the span).
+    /// [`IdleSpan`](TraceEvent::IdleSpan) or an
+    /// [`IdleAdvance`](TraceEvent::IdleAdvance), the end of the span).
     /// Inline: called per event by cross-crate sinks on hot paths.
     #[inline]
     pub fn at(&self) -> u64 {
@@ -263,8 +303,9 @@ impl TraceEvent {
             | TraceEvent::Retry { at, .. }
             | TraceEvent::Fallback { at, .. }
             | TraceEvent::Degraded { at, .. }
-            | TraceEvent::Shed { at, .. } => at,
-            TraceEvent::IdleSpan { to, .. } => to,
+            | TraceEvent::Shed { at, .. }
+            | TraceEvent::IdlePower { at, .. } => at,
+            TraceEvent::IdleSpan { to, .. } | TraceEvent::IdleAdvance { to, .. } => to,
         }
     }
 
@@ -274,6 +315,8 @@ impl TraceEvent {
         match self {
             TraceEvent::Arrival { .. } => "arrival",
             TraceEvent::IdleSpan { .. } => "idle_span",
+            TraceEvent::IdleAdvance { .. } => "idle_advance",
+            TraceEvent::IdlePower { .. } => "idle_power",
             TraceEvent::Placement { .. } => "placement",
             TraceEvent::Stall { .. } => "stall",
             TraceEvent::PreemptionProbe { .. } => "preemption_probe",
@@ -358,6 +401,119 @@ impl TraceSink for RecordingSink {
     }
 }
 
+/// The idle cores of a run and the idle power announced for each, as a
+/// consumer of the event stream rebuilds them: what it needs to fold an
+/// [`IdleAdvance`](TraceEvent::IdleAdvance).
+///
+/// A core is idle when it is vacant, online, and has an announced idle
+/// power. [`observe`](Self::observe) applies the events that change
+/// that: `Placement` occupies a core; `Completion`, `Eviction` and
+/// `Fault` vacate it; a core's `Degraded` transition takes it offline or
+/// back; `IdlePower` sets its power. The table grows on demand for cores
+/// it has not seen. [`iter`](Self::iter) walks the idle cores in
+/// ascending order — the order the simulator charges them in — so a
+/// consumer that replays the simulator's f64 operations gets its bits.
+#[derive(Debug, Clone, Default)]
+pub struct IdleCores {
+    cores: Vec<IdleState>,
+    /// Bit `i` set ⇔ core `i` is idle.
+    idle: Vec<u64>,
+    /// Bit `i` set ⇔ core `i` is vacant and online but has no announced
+    /// idle power.
+    unannounced: Vec<u64>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct IdleState {
+    power: f64,
+    announced: bool,
+    busy: bool,
+    offline: bool,
+}
+
+/// Set or clear bit `index` of a mask.
+fn set_bit(words: &mut [u64], index: usize, on: bool) {
+    let (word, bit) = (index / WORD_BITS, 1u64 << (index % WORD_BITS));
+    if on {
+        words[word] |= bit;
+    } else {
+        words[word] &= !bit;
+    }
+}
+
+impl IdleCores {
+    /// A machine of `num_cores` vacant, online cores with no idle power
+    /// announced yet.
+    pub fn new(num_cores: usize) -> Self {
+        let mut idle = IdleCores::default();
+        idle.grow(num_cores);
+        idle
+    }
+
+    fn grow(&mut self, num_cores: usize) {
+        let words = num_cores.div_ceil(WORD_BITS);
+        if self.idle.len() < words {
+            self.idle.resize(words, 0);
+            self.unannounced.resize(words, 0);
+        }
+        while self.cores.len() < num_cores {
+            set_bit(&mut self.unannounced, self.cores.len(), true);
+            self.cores.push(IdleState::default());
+        }
+    }
+
+    /// Apply `event` to the occupancy, availability and announced power.
+    #[inline]
+    pub fn observe(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Placement { core, .. } => self.update(core, |c| c.busy = true),
+            TraceEvent::Completion { core, .. }
+            | TraceEvent::Eviction { core, .. }
+            | TraceEvent::Fault { core, .. } => self.update(core, |c| c.busy = false),
+            TraceEvent::Degraded {
+                component: DegradedComponent::Core(core),
+                online,
+                ..
+            } => self.update(core, |c| c.offline = !online),
+            TraceEvent::IdlePower {
+                core,
+                idle_power_nj_per_cycle,
+                ..
+            } => self.update(core, |c| {
+                c.power = idle_power_nj_per_cycle;
+                c.announced = true;
+            }),
+            _ => {}
+        }
+    }
+
+    fn update(&mut self, core: CoreId, change: impl FnOnce(&mut IdleState)) {
+        if core.0 >= self.cores.len() {
+            self.grow(core.0 + 1);
+        }
+        let state = &mut self.cores[core.0];
+        change(state);
+        let available = !state.busy && !state.offline;
+        let announced = state.announced;
+        set_bit(&mut self.idle, core.0, available && announced);
+        set_bit(&mut self.unannounced, core.0, available && !announced);
+    }
+
+    /// The idle cores with their announced idle power, in ascending
+    /// core order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (CoreId, f64)> + '_ {
+        BitIter::new(&self.idle).map(|i| (CoreId(i), self.cores[i].power))
+    }
+
+    /// The lowest-numbered vacant, online core that has no idle power
+    /// announced — a core an advance would have to charge at an unknown
+    /// power.
+    pub fn first_unannounced(&self) -> Option<CoreId> {
+        BitIter::new(&self.unannounced).next().map(CoreId)
+    }
+}
+
 /// A small 64-bit folding hasher (FNV-1a over 64-bit words) for policy
 /// state fingerprints.
 ///
@@ -420,6 +576,12 @@ impl Fingerprint {
 /// core of that set is idle. The record is dropped once the job is
 /// placed.
 ///
+/// And it checks the [`idle_power_nj_per_cycle`](Scheduler::idle_power_nj_per_cycle)
+/// contract the loop's idle-power cache relies on: after each call that
+/// places a job on core B, it reads the idle power of every other idle
+/// core and flags one whose answer moved since the wrapper last read it,
+/// unless that core was placed, completed or preempted in between.
+///
 /// Violations are collected, not panicked, so an audit run can report
 /// every offending call site; use [`violations`](Self::violations) (or
 /// [`assert_pure`](Self::assert_pure)) after the run.
@@ -431,6 +593,10 @@ pub struct StallPurityChecked<S> {
     /// The wait set promised for each stalled job, until it is placed.
     promises: HashMap<u64, CoreSet>,
     promise_checks: u64,
+    /// The bits of each core's idle power at the last read, forgotten
+    /// when the contract lets the answer change.
+    idle_powers: Vec<Option<u64>>,
+    idle_power_checks: u64,
 }
 
 impl<S: Scheduler> StallPurityChecked<S> {
@@ -442,6 +608,8 @@ impl<S: Scheduler> StallPurityChecked<S> {
             stall_checks: 0,
             promises: HashMap::new(),
             promise_checks: 0,
+            idle_powers: Vec::new(),
+            idle_power_checks: 0,
         }
     }
 
@@ -466,6 +634,19 @@ impl<S: Scheduler> StallPurityChecked<S> {
         self.promise_checks
     }
 
+    /// Number of idle-power reads compared against an earlier read of
+    /// the same core after a placement elsewhere.
+    pub fn idle_power_checks(&self) -> u64 {
+        self.idle_power_checks
+    }
+
+    /// Forget `core`'s last idle-power read: the contract lets it change.
+    fn release_idle_power(&mut self, core: CoreId) {
+        if let Some(slot) = self.idle_powers.get_mut(core.0) {
+            *slot = None;
+        }
+    }
+
     /// Every detected contract violation, in occurrence order.
     pub fn violations(&self) -> &[String] {
         &self.violations
@@ -476,14 +657,17 @@ impl<S: Scheduler> StallPurityChecked<S> {
     /// # Panics
     ///
     /// Panics if any `Stall`-returning call changed the policy's
-    /// fingerprint, or any call broke a `waits_for` promise.
+    /// fingerprint, any call broke a `waits_for` promise, or a placement
+    /// moved another idle core's idle power.
     pub fn assert_pure(&self) {
         assert!(
             self.violations.is_empty(),
-            "stall-purity contract violated ({} of {} stall calls, {} promise checks):\n{}",
+            "stall-purity contract violated ({} of {} stall calls, {} promise checks, \
+             {} idle-power checks):\n{}",
             self.violations.len(),
             self.stall_checks,
             self.promise_checks,
+            self.idle_power_checks,
             self.violations.join("\n")
         );
     }
@@ -521,6 +705,24 @@ impl<S: Scheduler> Scheduler for StallPurityChecked<S> {
                     ));
                 }
                 self.promises.remove(&job.seq);
+                if self.idle_powers.len() < cores.num_cores() {
+                    self.idle_powers.resize(cores.num_cores(), None);
+                }
+                for other in cores.idle_cores().filter(|&other| other != core) {
+                    let bits = self.inner.idle_power_nj_per_cycle(other).to_bits();
+                    if let Some(before) = self.idle_powers[other.0].replace(bits) {
+                        self.idle_power_checks += 1;
+                        if before != bits {
+                            self.violations.push(format!(
+                                "schedule({job}) at cycle {now} placed it on {core} and moved \
+                                 idle {other}'s idle power from {} to {} nJ/cycle",
+                                f64::from_bits(before),
+                                f64::from_bits(bits)
+                            ));
+                        }
+                    }
+                }
+                self.release_idle_power(core);
             }
         }
         decision
@@ -532,10 +734,12 @@ impl<S: Scheduler> Scheduler for StallPurityChecked<S> {
 
     fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
         self.inner.on_complete(job, core, now);
+        self.release_idle_power(core);
     }
 
     fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
         self.inner.on_preempt(job, core, now);
+        self.release_idle_power(core);
     }
 
     fn state_fingerprint(&self) -> u64 {
@@ -549,8 +753,9 @@ impl<S: Scheduler> Scheduler for StallPurityChecked<S> {
 ///
 /// The derived ledger must equal the simulator's to the bit (energy) and
 /// exactly (every counter); [`check`](Self::check) performs that
-/// comparison. Any tampering with a single event — a dropped idle span, a
-/// perturbed placement energy, a forged eviction refund — either trips a
+/// comparison. Any tampering with a single event — a dropped idle advance
+/// or idle-power announcement, a perturbed placement energy, a forged
+/// eviction refund — either trips a
 /// structural invariant or lands as a ledger divergence.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerAuditor {
@@ -668,8 +873,31 @@ impl LedgerAuditor {
         let mut shed_ids: HashSet<u64> = HashSet::new();
         let mut sheds = 0u64;
 
+        // Idle-advance state: the idle cores and their announced power,
+        // where the last advance ended, and the first announcement not
+        // yet charged by an advance.
+        let mut idle = IdleCores::new(self.num_cores);
+        let mut advanced_to = 0u64;
+        let mut uncharged: Option<(usize, CoreId)> = None;
+
         for (index, event) in events.iter().enumerate() {
             let at = event.at();
+            // An `IdlePower` is announced only for the advance right
+            // behind it (sheds flushed by the governor may sit between).
+            if let Some((announced, core)) = uncharged {
+                if !matches!(
+                    event,
+                    TraceEvent::IdlePower { .. }
+                        | TraceEvent::IdleAdvance { .. }
+                        | TraceEvent::Shed { .. }
+                ) {
+                    violations.push(format!(
+                        "idle power announced for {core} (event {announced}) is charged by no \
+                         idle advance"
+                    ));
+                    uncharged = None;
+                }
+            }
             // `Shed` is exempt from the watermark: sheds are engine-side
             // events that legitimately trail the simulator stream — a shed
             // arrival never became a simulator stop point, so the governor
@@ -687,6 +915,7 @@ impl LedgerAuditor {
             }
             if let Some(core) = match *event {
                 TraceEvent::IdleSpan { core, .. }
+                | TraceEvent::IdlePower { core, .. }
                 | TraceEvent::Placement { core, .. }
                 | TraceEvent::PreemptionProbe { core, .. }
                 | TraceEvent::Eviction { core, .. }
@@ -697,6 +926,7 @@ impl LedgerAuditor {
                     ..
                 } => Some(core),
                 TraceEvent::Arrival { .. }
+                | TraceEvent::IdleAdvance { .. }
                 | TraceEvent::Stall { .. }
                 | TraceEvent::Retry { .. }
                 | TraceEvent::Fallback { .. }
@@ -742,6 +972,44 @@ impl LedgerAuditor {
                     }
                     // Same operation, same order as the simulator.
                     energy.idle_nj += to.saturating_sub(from) as f64 * idle_power_nj_per_cycle;
+                }
+                TraceEvent::IdleAdvance { from, to } => {
+                    if from >= to {
+                        violations
+                            .push(format!("empty idle advance [{from}, {to}) (event {index})"));
+                    }
+                    if from < advanced_to {
+                        violations.push(format!(
+                            "idle advance [{from}, {to}) overlaps the advance ending at \
+                             {advanced_to} (event {index})"
+                        ));
+                    }
+                    advanced_to = advanced_to.max(to);
+                    if let Some(core) = idle.first_unannounced() {
+                        violations.push(format!(
+                            "idle advance [{from}, {to}) charges idle {core} with no idle \
+                             power announced (event {index})"
+                        ));
+                    }
+                    // The simulator's operations, in its ascending core order.
+                    let span = to.saturating_sub(from) as f64;
+                    for (_, power) in idle.iter() {
+                        energy.idle_nj += span * power;
+                    }
+                    uncharged = None;
+                }
+                TraceEvent::IdlePower { core, .. } => {
+                    if cores[core.0].is_some() {
+                        violations.push(format!(
+                            "idle power announced for busy {core} (event {index})"
+                        ));
+                    }
+                    if offline[core.0] {
+                        violations.push(format!(
+                            "idle power announced for offline {core} (event {index})"
+                        ));
+                    }
+                    uncharged.get_or_insert((index, core));
                 }
                 TraceEvent::Placement {
                     seq,
@@ -1081,6 +1349,14 @@ impl LedgerAuditor {
                     sheds += 1;
                 }
             }
+            idle.observe(event);
+        }
+
+        if let Some((announced, core)) = uncharged {
+            violations.push(format!(
+                "idle power announced for {core} (event {announced}) is charged by no idle \
+                 advance"
+            ));
         }
 
         for (index, slot) in cores.iter().enumerate() {
@@ -1785,6 +2061,248 @@ mod tests {
         let checked = check_promises(false);
         assert!(checked.promise_checks() > 0);
         checked.assert_pure();
+    }
+
+    /// Every core idles at `base + 0.25 * placements`: a placement on
+    /// one core moves every other core's idle power, which breaks the
+    /// idle-power contract.
+    struct DriftingIdlePower {
+        placements: u64,
+        broken: bool,
+    }
+
+    impl Scheduler for DriftingIdlePower {
+        fn schedule(&mut self, _job: &Job, cores: &CoreIndex, _now: u64) -> Decision {
+            match cores.first_idle() {
+                Some(core) => {
+                    self.placements += 1;
+                    Decision::run(
+                        core,
+                        crate::JobExecution {
+                            cycles: 100,
+                            energy: EnergyBreakdown::new(),
+                        },
+                    )
+                }
+                None => Decision::Stall,
+            }
+        }
+
+        fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+            let drift = if self.broken { self.placements } else { 0 };
+            1.0 + core.0 as f64 + 0.25 * drift as f64
+        }
+
+        fn state_fingerprint(&self) -> u64 {
+            self.placements
+        }
+    }
+
+    fn check_idle_power(broken: bool) -> (StallPurityChecked<DriftingIdlePower>, RunMetrics) {
+        use workloads::{Arrival, ArrivalPlan};
+        // Staggered arrivals on four cores: each placement leaves other
+        // cores idle, and the earlier placements already read them.
+        let plan = ArrivalPlan::from_arrivals(
+            [0, 10, 20, 30, 200, 210]
+                .into_iter()
+                .map(|t| Arrival::new(t, BenchmarkId(0)))
+                .collect(),
+        );
+        let mut checked = StallPurityChecked::new(DriftingIdlePower {
+            placements: 0,
+            broken,
+        });
+        let metrics = crate::Simulator::new(4).run(&plan, &mut checked);
+        assert_eq!(metrics.jobs_completed, 6);
+        (checked, metrics)
+    }
+
+    #[test]
+    fn idle_power_kept_per_core_passes_the_checker() {
+        let (checked, _) = check_idle_power(false);
+        assert!(checked.idle_power_checks() > 0);
+        checked.assert_pure();
+    }
+
+    #[test]
+    fn idle_power_moved_by_another_cores_placement_is_a_violation() {
+        let (checked, metrics) = check_idle_power(true);
+        let violations = checked.violations();
+        assert!(!violations.is_empty());
+        assert!(
+            violations.iter().all(|v| v.contains("moved idle")),
+            "{violations:?}"
+        );
+        // The loop trusts the contract and charges its cached powers, so
+        // the reference loop, which asks on every advance, disagrees.
+        let reference = crate::Simulator::new(4).run_reference(
+            &workloads::ArrivalPlan::from_arrivals(
+                [0, 10, 20, 30, 200, 210]
+                    .into_iter()
+                    .map(|t| workloads::Arrival::new(t, BenchmarkId(0)))
+                    .collect(),
+            ),
+            &mut DriftingIdlePower {
+                placements: 0,
+                broken: true,
+            },
+        );
+        assert_ne!(metrics.energy.idle_nj, reference.energy.idle_nj);
+    }
+
+    fn announced(core: usize, at: u64, power: f64) -> TraceEvent {
+        TraceEvent::IdlePower {
+            core: CoreId(core),
+            at,
+            idle_power_nj_per_cycle: power,
+        }
+    }
+
+    #[test]
+    fn idle_cores_follow_occupancy_availability_and_announcements() {
+        use crate::faults::DegradedComponent;
+        let mut idle = IdleCores::default();
+        assert_eq!(idle.iter().count(), 0);
+        // Announcing core 70 grows the table; cores below it are vacant
+        // and online but unannounced.
+        idle.observe(&announced(70, 5, 2.0));
+        idle.observe(&announced(3, 5, 1.0));
+        assert_eq!(
+            idle.iter().collect::<Vec<_>>(),
+            vec![(CoreId(3), 1.0), (CoreId(70), 2.0)]
+        );
+        assert_eq!(idle.first_unannounced(), Some(CoreId(0)));
+        idle.observe(&TraceEvent::Placement {
+            seq: 0,
+            benchmark: BenchmarkId(0),
+            core: CoreId(3),
+            at: 5,
+            cycles: 10,
+            dynamic_nj: 1.0,
+            static_nj: 0.0,
+            kind: PlacementKind::Pass,
+        });
+        idle.observe(&TraceEvent::Degraded {
+            at: 6,
+            component: DegradedComponent::Core(CoreId(70)),
+            online: false,
+        });
+        assert_eq!(idle.iter().count(), 0);
+        idle.observe(&TraceEvent::Completion {
+            seq: 0,
+            benchmark: BenchmarkId(0),
+            core: CoreId(3),
+            at: 15,
+            arrival: 5,
+            priority: 0,
+        });
+        assert_eq!(idle.iter().collect::<Vec<_>>(), vec![(CoreId(3), 1.0)]);
+    }
+
+    #[test]
+    fn idle_advances_charge_the_announced_idle_cores() {
+        let events = vec![
+            announced(0, 10, 1.5),
+            announced(1, 10, 0.5),
+            TraceEvent::IdleAdvance { from: 0, to: 10 },
+            TraceEvent::Arrival {
+                seq: 0,
+                benchmark: BenchmarkId(0),
+                at: 10,
+                priority: 0,
+            },
+            TraceEvent::Placement {
+                seq: 0,
+                benchmark: BenchmarkId(0),
+                core: CoreId(0),
+                at: 10,
+                cycles: 5,
+                dynamic_nj: 1.0,
+                static_nj: 0.0,
+                kind: PlacementKind::Pass,
+            },
+            TraceEvent::IdleAdvance { from: 10, to: 15 },
+            TraceEvent::Completion {
+                seq: 0,
+                benchmark: BenchmarkId(0),
+                core: CoreId(0),
+                at: 15,
+                arrival: 10,
+                priority: 0,
+            },
+        ];
+        let metrics = LedgerAuditor::new(2).replay(&events).unwrap();
+        // Both cores over [0, 10), core 1 alone over [10, 15).
+        assert_eq!(metrics.energy.idle_nj, 10.0 * 1.5 + 10.0 * 0.5 + 5.0 * 0.5);
+
+        // An advance over an idle core nobody announced is rejected.
+        let violations = LedgerAuditor::new(2).replay(&events[1..]).unwrap_err();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("no idle power announced")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn idle_power_must_be_charged_by_the_next_advance() {
+        let arrival = TraceEvent::Arrival {
+            seq: 0,
+            benchmark: BenchmarkId(0),
+            at: 10,
+            priority: 0,
+        };
+        // Announced at the end of the trace: charged by nothing.
+        let violations = LedgerAuditor::new(1)
+            .replay(&[announced(0, 10, 1.0)])
+            .unwrap_err();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("charged by no idle advance")),
+            "{violations:?}"
+        );
+        // Announced, then another event before any advance.
+        let violations = LedgerAuditor::new(1)
+            .replay(&[announced(0, 10, 1.0), arrival])
+            .unwrap_err();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("charged by no idle advance")),
+            "{violations:?}"
+        );
+        // Announced for a busy core.
+        let place = TraceEvent::Placement {
+            seq: 0,
+            benchmark: BenchmarkId(0),
+            core: CoreId(0),
+            at: 10,
+            cycles: 5,
+            dynamic_nj: 1.0,
+            static_nj: 0.0,
+            kind: PlacementKind::Pass,
+        };
+        let violations = LedgerAuditor::new(1)
+            .replay(&[arrival, place, announced(0, 12, 1.0)])
+            .unwrap_err();
+        assert!(
+            violations.iter().any(|v| v.contains("busy")),
+            "{violations:?}"
+        );
+        // Overlapping advances double-charge, so they are rejected too.
+        let violations = LedgerAuditor::new(1)
+            .replay(&[
+                announced(0, 10, 1.0),
+                TraceEvent::IdleAdvance { from: 0, to: 10 },
+                TraceEvent::IdleAdvance { from: 5, to: 10 },
+            ])
+            .unwrap_err();
+        assert!(
+            violations.iter().any(|v| v.contains("overlaps")),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! exactly one terminal [`JobPhase::Shed`] span. The export tests in
 //! `crates/bench` assert exactly this arithmetic against the raw stream.
 
-use multicore_sim::{CoreId, DegradedComponent, TraceEvent, TraceSink};
+use multicore_sim::{CoreId, DegradedComponent, IdleCores, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use workloads::BenchmarkId;
@@ -246,6 +246,8 @@ pub struct SpanAssembler {
     marks: Vec<Mark>,
     core_busy: Vec<Option<(u64, BenchmarkId, u64)>>,
     core_offline_since: Vec<Option<u64>>,
+    /// The idle cores an idle advance spans, rebuilt from the stream.
+    idle: IdleCores,
     arrivals: u64,
     completed: u64,
     abandoned: u64,
@@ -395,6 +397,7 @@ impl SpanAssembler {
 impl TraceSink for SpanAssembler {
     fn record(&mut self, event: TraceEvent) {
         self.last_at = self.last_at.max(event.at());
+        self.idle.observe(&event);
         match event {
             TraceEvent::Arrival {
                 seq, benchmark, at, ..
@@ -562,6 +565,17 @@ impl TraceSink for SpanAssembler {
                     kind: CoreSpanKind::Idle,
                 });
             }
+            TraceEvent::IdleAdvance { from, to } => {
+                // One idle span per idle core, in ascending core order.
+                self.core_spans
+                    .extend(self.idle.iter().map(|(core, _)| CoreSpan {
+                        core,
+                        start: from,
+                        end: to,
+                        kind: CoreSpanKind::Idle,
+                    }));
+            }
+            TraceEvent::IdlePower { .. } => {}
             TraceEvent::Degraded {
                 at,
                 component,

@@ -24,13 +24,22 @@
 //! held within a gated cost budget by the `sim_metrics_overhead` stage
 //! of `perf_pipeline`.
 //!
+//! Idle time folds from [`TraceEvent::IdleAdvance`]: the sink tracks the
+//! idle cores and their announced idle power itself ([`IdleCores`], fed
+//! by placements, completions, evictions, faults, core transitions and
+//! [`TraceEvent::IdlePower`]) and, per advance, replays the simulator's
+//! ascending per-core operations in one tight loop — so its idle energy
+//! matches the ledger to the bit without an event per idle core. The
+//! per-core [`TraceEvent::IdleSpan`] folds the same way, one core at a
+//! time.
+//!
 //! Windows are addressed by index (`at / interval`), which makes the
-//! out-of-order back-fill of [`TraceEvent::IdleSpan`] (stamped at span
+//! out-of-order back-fill of idle advances and spans (stamped at span
 //! *end*, covering earlier cycles) exact rather than approximate.
 
 use crate::histogram::Histogram;
 use crate::registry::Registry;
-use multicore_sim::{DegradedComponent, FaultKind, TraceEvent, TraceSink};
+use multicore_sim::{DegradedComponent, FaultKind, IdleCores, TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -360,6 +369,8 @@ pub struct MetricsSink {
     job_base: u64,
     /// Offline-transition cycle per core, while offline.
     core_offline_since: Vec<Option<u64>>,
+    /// The idle cores and their announced idle power.
+    idle: IdleCores,
     latency: Histogram,
     job_energy_hist: Histogram,
     stall_hist: Histogram,
@@ -391,6 +402,7 @@ impl MetricsSink {
             jobs: VecDeque::new(),
             job_base: 0,
             core_offline_since: vec![None; num_cores],
+            idle: IdleCores::new(num_cores),
             latency: Histogram::new(),
             job_energy_hist: Histogram::new(),
             stall_hist: Histogram::new(),
@@ -413,6 +425,7 @@ impl MetricsSink {
         self.jobs.clear();
         self.job_base = 0;
         self.core_offline_since.iter_mut().for_each(|c| *c = None);
+        self.idle = IdleCores::new(self.num_cores);
         self.latency.reset();
         self.job_energy_hist.reset();
         self.stall_hist.reset();
@@ -707,11 +720,35 @@ impl MetricsSink {
         self.jobs.len()
     }
 
+    /// Charge every idle core over `[from, to)`: per window overlapped,
+    /// each idle core's slot gains the chunk's cycles and energy, and with
+    /// the last window the run total gains each core's `power * span` in
+    /// ascending core order, as the simulator's ledger does. Window lookup
+    /// goes through the cached bounds (an advance usually sits inside one
+    /// window, so one pass over the idle cores does both).
+    fn add_idle_advance(&mut self, from: u64, to: u64) {
+        let span = (to - from) as f64;
+        let mut cursor = from;
+        while cursor < to {
+            let idx = self.window_index(cursor);
+            let chunk = to.min(self.cur_hi) - cursor;
+            let last = cursor + chunk == to;
+            self.window_mut(idx);
+            let window = &mut self.windows[idx - self.window_base];
+            for (core, power) in self.idle.iter() {
+                let slot = &mut window.cores[core.0];
+                slot.idle_cycles += chunk;
+                slot.idle_energy_nj += power * chunk as f64;
+                if last {
+                    self.totals.idle_energy_nj += power * span;
+                }
+            }
+            cursor += chunk;
+        }
+    }
+
     /// Clip the span `[from, to)` into windows, attributing idle cycles
-    /// and idle energy to each overlapped window. Hot: idle spans are the
-    /// majority of a dense run's event stream, so window lookup goes
-    /// through the cached bounds (consecutive spans share `[from, to)`
-    /// across cores and usually sit inside one window).
+    /// and idle energy to each overlapped window.
     fn add_idle_span(&mut self, core: usize, from: u64, to: u64, power: f64) {
         let mut cursor = from;
         while cursor < to {
@@ -748,17 +785,20 @@ impl TraceSink for MetricsSink {
     fn record(&mut self, event: TraceEvent) {
         let at = event.at();
         self.advance(at);
-        // Idle spans — the bulk of a dense stream — cover earlier cycles
-        // and do their own window clipping; skip the shared lookup.
-        if let TraceEvent::IdleSpan {
-            core,
-            from,
-            to,
-            idle_power_nj_per_cycle,
-        } = event
-        {
-            self.add_idle_span(core.0, from, to, idle_power_nj_per_cycle);
-            return;
+        self.idle.observe(&event);
+        // Idle advances and spans cover earlier cycles and do their own
+        // window clipping, and an idle-power announcement only updates
+        // the idle table: skip the shared lookup.
+        match event {
+            TraceEvent::IdleAdvance { from, to } => return self.add_idle_advance(from, to),
+            TraceEvent::IdleSpan {
+                core,
+                from,
+                to,
+                idle_power_nj_per_cycle,
+            } => return self.add_idle_span(core.0, from, to, idle_power_nj_per_cycle),
+            TraceEvent::IdlePower { .. } => return,
+            _ => {}
         }
         let window = self.window_index(at);
         match event {
@@ -768,7 +808,9 @@ impl TraceSink for MetricsSink {
                 self.totals.arrivals += 1;
                 self.window_mut(window).arrivals += 1;
             }
-            TraceEvent::IdleSpan { .. } => unreachable!("handled above"),
+            TraceEvent::IdleSpan { .. }
+            | TraceEvent::IdleAdvance { .. }
+            | TraceEvent::IdlePower { .. } => unreachable!("handled above"),
             TraceEvent::Placement {
                 seq,
                 at,

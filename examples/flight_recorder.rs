@@ -5,7 +5,9 @@
 //! The simulator emits one typed [`TraceEvent`] per accounting action —
 //! arrivals, placements (with the exact energy operands), stalls,
 //! preemption probes, evictions (with the refund numerator/denominator),
-//! completions, and per-core idle spans. Because events carry the exact
+//! completions, one idle advance per clock advance and an idle-power
+//! announcement whenever an idle core's power changes. Because events
+//! carry the exact
 //! `f64` operands, the [`LedgerAuditor`] replays the identical float
 //! arithmetic in the identical order and reproduces the simulator's
 //! [`RunMetrics`] *bit for bit* — any single perturbed accounting site
@@ -64,7 +66,8 @@ fn main() {
         "arrival",
         "placement",
         "completion",
-        "idle_span",
+        "idle_advance",
+        "idle_power",
         "stall",
         "preemption_probe",
         "eviction",
