@@ -9,8 +9,11 @@
 
 use hetero_bench::Testbed;
 use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
-use hetero_telemetry::{MetricsSink, TelemetryReport};
-use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, Simulator};
+use hetero_telemetry::{MetricsSink, SpanAssembler, TelemetryReport};
+use multicore_sim::{
+    FaultConfig, FaultPlan, IdleCores, QueueDiscipline, RecordingSink, RunMetrics, Scheduler,
+    Simulator, TraceEvent, TraceSink,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use workloads::ArrivalPlan;
@@ -164,5 +167,117 @@ proptest! {
             }
         }
         prop_assert_eq!(&busy, &reference.busy_cycles);
+    }
+
+    /// Folding one `IdleAdvance` per clock advance is the old per-core
+    /// fold: the same stream with every advance expanded into one
+    /// `IdleSpan` per idle core (ascending, at its announced power)
+    /// gives a `MetricsSink` report with the same windows — per-core idle
+    /// cycles and idle energy included — and the same totals, and a
+    /// `SpanAssembler` the same core spans. Faulted runs cover outages.
+    #[test]
+    fn idle_advances_fold_like_per_core_idle_spans(
+        system_index in 0usize..4,
+        discipline_index in 0usize..3,
+        jobs in 40usize..120,
+        seed in 0u64..1_000,
+        sparse in 0usize..2,
+        faulted in 0usize..2,
+    ) {
+        let t = testbed();
+        let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
+        let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
+        let num_cores = t.arch.num_cores();
+        let fault_plan = if faulted == 1 {
+            FaultPlan::build(&FaultConfig::chaos(0.3, seed, horizon), num_cores)
+        } else {
+            FaultPlan::empty()
+        };
+        let events = record(system_index, DISCIPLINES[discipline_index], &plan, &fault_plan);
+
+        let mut idle = IdleCores::new(num_cores);
+        let mut expanded = Vec::with_capacity(events.len());
+        for event in &events {
+            match *event {
+                TraceEvent::IdleAdvance { from, to } => {
+                    expanded.extend(idle.iter().map(|(core, power)| TraceEvent::IdleSpan {
+                        core,
+                        from,
+                        to,
+                        idle_power_nj_per_cycle: power,
+                    }));
+                }
+                TraceEvent::IdlePower { .. } => {}
+                other => expanded.push(other),
+            }
+            idle.observe(event);
+        }
+        let fold = |stream: &[TraceEvent]| {
+            let mut sink = MetricsSink::new(num_cores, INTERVAL);
+            let mut spans = SpanAssembler::new();
+            for &event in stream {
+                sink.record(event);
+                spans.record(event);
+            }
+            spans.finish(sink.last_event_at());
+            (sink.report(), spans)
+        };
+        let (advanced, advanced_spans) = fold(&events);
+        let (per_core, per_core_spans) = fold(&expanded);
+        prop_assert_eq!(format!("{:?}", advanced.points), format!("{:?}", per_core.points));
+        prop_assert_eq!(advanced.totals, per_core.totals);
+        prop_assert_eq!(
+            advanced.totals.idle_energy_nj.to_bits(),
+            per_core.totals.idle_energy_nj.to_bits()
+        );
+        prop_assert_eq!(advanced_spans.core_spans(), per_core_spans.core_spans());
+    }
+}
+
+/// One system's traced run (faulted when `fault_plan` is not empty).
+fn record(
+    system_index: usize,
+    discipline: QueueDiscipline,
+    plan: &ArrivalPlan,
+    fault_plan: &FaultPlan,
+) -> Vec<TraceEvent> {
+    fn go<S: Scheduler>(
+        mut system: S,
+        discipline: QueueDiscipline,
+        plan: &ArrivalPlan,
+        fault_plan: &FaultPlan,
+    ) -> Vec<TraceEvent> {
+        let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
+        let mut sink = RecordingSink::new();
+        let _ = sim.run_with_faults(plan, &mut system, fault_plan, &mut sink);
+        sink.into_events()
+    }
+
+    let t = testbed();
+    match system_index {
+        0 => go(
+            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
+            discipline,
+            plan,
+            fault_plan,
+        ),
+        1 => go(
+            OptimalSystem::new(&t.arch, &t.oracle, t.model),
+            discipline,
+            plan,
+            fault_plan,
+        ),
+        2 => go(
+            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            discipline,
+            plan,
+            fault_plan,
+        ),
+        _ => go(
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            discipline,
+            plan,
+            fault_plan,
+        ),
     }
 }
