@@ -32,10 +32,8 @@
 //! detected, any mutation goes unnoticed, no promise or idle power was
 //! ever checked, or the contract drill goes unflagged.
 
-use energy_model::EnergyModel;
 use hetero_bench::trace_json::trace_document;
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
 use hetero_telemetry::Histogram;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, Job, LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics,
@@ -43,8 +41,6 @@ use multicore_sim::{
 };
 use std::process::ExitCode;
 use workloads::ArrivalPlan;
-
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 const DISCIPLINES: [(QueueDiscipline, &str); 3] = [
     (QueueDiscipline::Fifo, "fifo"),
@@ -124,14 +120,12 @@ impl<S: Scheduler> Scheduler for DriftingIdlePower<S> {
 /// Run the base system behind [`DriftingIdlePower`] on `plan` and return
 /// the idle-power violations the checker flagged.
 fn idle_power_drill(testbed: &Testbed, plan: &ArrivalPlan) -> usize {
-    let num_cores = testbed.arch.num_cores();
-    let inner = BaseSystem::new(&testbed.oracle, testbed.model, num_cores);
     let run = trace_one(
         DriftingIdlePower {
-            inner,
+            inner: testbed.system(SystemKind::Base),
             placements: 0,
         },
-        num_cores,
+        testbed.arch.num_cores(),
         QueueDiscipline::Fifo,
         plan,
     );
@@ -139,45 +133,6 @@ fn idle_power_drill(testbed: &Testbed, plan: &ArrivalPlan) -> usize {
         .iter()
         .filter(|v| v.contains("idle power"))
         .count()
-}
-
-/// Run `system_index` (paper presentation order) traced on one plan.
-fn run_system(
-    testbed: &Testbed,
-    system_index: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-) -> TracedRun {
-    let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
-    match system_index {
-        0 => {
-            let base = BaseSystem::new(&testbed.oracle, model, num_cores);
-            trace_one(base, num_cores, discipline, plan)
-        }
-        1 => {
-            let optimal = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-            trace_one(optimal, num_cores, discipline, plan)
-        }
-        2 => {
-            let energy_centric = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            trace_one(energy_centric, num_cores, discipline, plan)
-        }
-        _ => {
-            let proposed = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            trace_one(proposed, num_cores, discipline, plan)
-        }
-    }
 }
 
 /// A single-site trace perturbation; `None` when the trace has no event
@@ -334,8 +289,9 @@ fn main() -> ExitCode {
             seed,
         );
         for (discipline, discipline_name) in DISCIPLINES {
-            for (system_index, system_name) in SYSTEMS.iter().enumerate() {
-                let run = run_system(&testbed, system_index, discipline, &plan);
+            for kind in SystemKind::ALL {
+                let system_name = kind.name();
+                let run = trace_one(testbed.system(kind), num_cores, discipline, &plan);
                 runs += 1;
                 events_per_run.record(run.events.len() as u64);
                 stall_checks_per_run.record(run.stall_checks);
@@ -365,7 +321,7 @@ fn main() -> ExitCode {
                     }
                 }
 
-                if export && seed == seeds[0] && *system_name == "proposed" {
+                if export && seed == seeds[0] && kind == SystemKind::Proposed {
                     let doc = trace_document(system_name, discipline_name, seed, &run.events);
                     let path = format!("results/TRACE_{system_name}_{discipline_name}.json");
                     match std::fs::write(&path, doc.to_pretty()) {

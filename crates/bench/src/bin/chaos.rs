@@ -58,27 +58,21 @@
 //! `results/BENCH_chaos.json`. Exits non-zero on any check failure.
 
 use cache_sim::CacheSizeKb;
-use energy_model::EnergyModel;
 use hetero_bench::json::Json;
-use hetero_bench::Testbed;
-use hetero_core::{
-    BaseSystem, BestCorePredictor, EnergyCentricSystem, FallbackChain, OptimalSystem,
-    ProposedSystem, SuiteOracle, SystemStats,
-};
+use hetero_bench::{SystemKind, Testbed};
+use hetero_core::{BestCorePredictor, FallbackChain, SuiteOracle, SystemStats};
 use hetero_engine::{
     BrownoutConfig, EngineConfig, GovernorHandle, ObserveConfig, OverloadConfig, RunSpec,
     ShedPolicy, SloPolicy,
 };
 use hetero_telemetry::{AlertState, BurnRateRule, Histogram};
 use multicore_sim::{
-    tier_cell, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor, QueueDiscipline,
-    RecordingSink, Scheduler, ServingTier, Simulator, StallPurityChecked, TierCell, TraceEvent,
+    ledger_divergences, tier_cell, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor,
+    QueueDiscipline, RecordingSink, ServingTier, Simulator, StallPurityChecked, TraceEvent,
 };
 use std::process::ExitCode;
 use tinyann::{DistillConfig, TrainConfig};
 use workloads::{Arrival, ArrivalPlan, BenchmarkId, SplitMix64};
-
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 const DISCIPLINES: [(QueueDiscipline, &str); 2] = [
     (QueueDiscipline::Fifo, "fifo"),
@@ -96,140 +90,48 @@ struct ChaosRun {
     stats: Option<SystemStats>,
 }
 
-fn chaos_one<S: Scheduler>(
-    system: S,
-    num_cores: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-    faults: &FaultPlan,
-) -> (ChaosRun, S) {
-    let mut checked = StallPurityChecked::new(system);
-    let mut sink = RecordingSink::new();
-    let run = Simulator::new(num_cores)
-        .with_discipline(discipline)
-        .run_with_faults(plan, &mut checked, faults, &mut sink);
-    let purity_violations = checked.violations().to_vec();
-    (
-        ChaosRun {
-            run,
-            events: sink.into_events(),
-            purity_violations,
-            stats: None,
-        },
-        checked.into_inner(),
-    )
-}
-
-/// Run `system_index` (paper presentation order) under the fault plan.
-/// `check_identity` additionally replays a fresh instance through the
-/// untraced reference loop and demands bit-exact agreement (only
-/// meaningful when the plan is empty).
+/// Run one system under the fault plan, the predictive systems degrading
+/// through `chain`. `check_identity` additionally replays a fresh
+/// instance through the untraced reference loop and demands bit-exact
+/// agreement (only meaningful when the plan is empty).
 fn run_system(
     testbed: &Testbed,
     chain: &FallbackChain,
-    system_index: usize,
+    kind: SystemKind,
     discipline: QueueDiscipline,
     plan: &ArrivalPlan,
     faults: &FaultPlan,
     check_identity: bool,
 ) -> (ChaosRun, Vec<String>) {
-    let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
+    let sim = Simulator::new(testbed.arch.num_cores()).with_discipline(discipline);
+    let build = || testbed.system(kind).with_faults(faults, chain.clone());
+    let mut checked = StallPurityChecked::new(build());
+    let mut sink = RecordingSink::new();
+    let run = sim.run_with_faults(plan, &mut checked, faults, &mut sink);
     let mut problems = Vec::new();
 
-    let chaos = match system_index {
-        0 => {
-            let system = BaseSystem::new(&testbed.oracle, model, num_cores);
-            let (chaos, _) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos
-        }
-        1 => {
-            let system = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
-        2 => {
-            let system = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            )
-            .with_faults(faults, chain.clone());
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
-        _ => {
-            let system = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            )
-            .with_faults(faults, chain.clone());
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
-    };
-
     if check_identity {
-        let reference = match system_index {
-            0 => {
-                let mut system = BaseSystem::new(&testbed.oracle, model, num_cores);
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            1 => {
-                let mut system = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            2 => {
-                let mut system = EnergyCentricSystem::new(
-                    &testbed.arch,
-                    &testbed.oracle,
-                    model,
-                    testbed.predictor.clone(),
-                )
-                .with_faults(faults, chain.clone());
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            _ => {
-                let mut system = ProposedSystem::with_model(
-                    &testbed.arch,
-                    &testbed.oracle,
-                    model,
-                    testbed.predictor.clone(),
-                )
-                .with_faults(faults, chain.clone());
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-        };
-        if chaos.run.metrics != reference
-            || chaos.run.metrics.energy.idle_nj.to_bits() != reference.energy.idle_nj.to_bits()
-            || chaos.run.metrics.energy.dynamic_nj.to_bits()
-                != reference.energy.dynamic_nj.to_bits()
-            || chaos.run.metrics.energy.static_nj.to_bits() != reference.energy.static_nj.to_bits()
-        {
-            problems.push("zero-rate run diverges from the reference loop".to_string());
+        let reference = sim.run_reference(plan, &mut build());
+        let divergences = ledger_divergences(&run.metrics, &reference);
+        if !divergences.is_empty() {
+            problems.push(format!(
+                "zero-rate run diverges from the reference loop: {divergences:?}"
+            ));
         }
-        if chaos.run.faults != FaultStats::default() {
+        if run.faults != FaultStats::default() {
             problems.push(format!(
                 "zero-rate run reports fault activity: {:?}",
-                chaos.run.faults
+                run.faults
             ));
         }
     }
 
+    let chaos = ChaosRun {
+        run,
+        events: sink.into_events(),
+        purity_violations: checked.violations().to_vec(),
+        stats: (kind != SystemKind::Base).then(|| checked.inner().stats()),
+    };
     (chaos, problems)
 }
 
@@ -425,48 +327,6 @@ fn drift_scenario(testbed: &Testbed, refine_epochs: usize) -> (Json, Vec<String>
     (row, problems)
 }
 
-/// Build one system for the overload drill, subscribing the predictive
-/// systems to the shared serving-tier cell (the base and optimal systems
-/// take no predictions at completion time, so the cell has nothing to
-/// steer there — the governor still accounts tier dwell for them).
-fn overload_system<'a>(
-    testbed: &'a Testbed,
-    system_index: usize,
-    cell: Option<TierCell>,
-    student: Option<&BestCorePredictor>,
-) -> Box<dyn Scheduler + 'a> {
-    let model = testbed.model;
-    let num_cores = testbed.arch.num_cores();
-    match system_index {
-        0 => Box::new(BaseSystem::new(&testbed.oracle, model, num_cores)),
-        1 => Box::new(OptimalSystem::new(&testbed.arch, &testbed.oracle, model)),
-        2 => {
-            let mut system = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            if let Some(cell) = cell {
-                system = system.with_serving_tier(cell, student.cloned());
-            }
-            Box::new(system)
-        }
-        _ => {
-            let mut system = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            if let Some(cell) = cell {
-                system = system.with_serving_tier(cell, student.cloned());
-            }
-            Box::new(system)
-        }
-    }
-}
-
 /// Mean and maximum best-config service cycles across the suite: the
 /// storm drills calibrate their arrival gaps and windows from these.
 fn service_cycles(testbed: &Testbed) -> (u64, u64) {
@@ -595,13 +455,18 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
     );
     let mut problems = Vec::new();
     let mut rows = Vec::new();
-    for (system_index, system_name) in SYSTEMS.iter().enumerate() {
+    for kind in SystemKind::ALL {
+        let system_name = kind.name();
         let sim = Simulator::new(num_cores);
         let cell = tier_cell();
-        let mut system =
-            overload_system(testbed, system_index, Some(cell.clone()), student.as_ref());
+        // Base and optimal take no predictions at completion time, so the
+        // cell has nothing to steer there; the governor still accounts
+        // tier dwell for them.
+        let mut system = testbed
+            .system(kind)
+            .with_serving_tier(cell.clone(), student.clone());
         spec.tier = Some(cell);
-        let outcome = hetero_engine::run(&sim, arrivals.iter().copied(), &mut *system, &spec)
+        let outcome = hetero_engine::run(&sim, arrivals.iter().copied(), &mut system, &spec)
             .expect("no plane to bind");
         let report = outcome.overload.as_ref().expect("a governed run reports");
 
@@ -644,32 +509,27 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         // Gate (b): shedding disabled is bit-identical to a plain
         // `run_stream`, event ledger included.
         let mut plain_sink = RecordingSink::new();
-        let mut plain_system = overload_system(testbed, system_index, None, None);
         let plain = sim.run_stream(
             arrivals.iter().copied(),
-            &mut *plain_system,
+            &mut testbed.system(kind),
             &mut plain_sink,
         );
         let governor = GovernorHandle::new(&OverloadConfig::disabled(), num_cores, None);
         let mut governed_sink = RecordingSink::new();
-        let mut governed_system = overload_system(testbed, system_index, None, None);
         let governed = {
             let mut wrapped = governor.sink(&mut governed_sink);
             let metrics = sim.run_stream(
                 governor.gate(arrivals.iter().copied()),
-                &mut *governed_system,
+                &mut testbed.system(kind),
                 &mut wrapped,
             );
             wrapped.finish();
             metrics
         };
-        if plain != governed
-            || plain.energy.dynamic_nj.to_bits() != governed.energy.dynamic_nj.to_bits()
-            || plain.energy.static_nj.to_bits() != governed.energy.static_nj.to_bits()
-            || plain.energy.idle_nj.to_bits() != governed.energy.idle_nj.to_bits()
-        {
+        let divergences = ledger_divergences(&plain, &governed);
+        if !divergences.is_empty() {
             problems.push(format!(
-                "{system_name}: disabled governor diverges from the plain stream"
+                "{system_name}: disabled governor diverges from the plain stream: {divergences:?}"
             ));
         }
         if plain_sink.events() != governed_sink.events() {
@@ -691,7 +551,7 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
             recovery_cycles,
         );
         rows.push(Json::object([
-            ("system", Json::str(*system_name)),
+            ("system", Json::str(system_name)),
             ("offered", Json::UInt(report.offered)),
             ("admitted", Json::UInt(report.admitted)),
             ("shed", Json::UInt(report.shed())),
@@ -804,11 +664,13 @@ fn burn_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         }),
         tier: Some(cell.clone()),
     };
-    let mut system = overload_system(testbed, 3, Some(cell), None);
+    let mut system = testbed
+        .system(SystemKind::Proposed)
+        .with_serving_tier(cell, None);
     let outcome = hetero_engine::run(
         &Simulator::new(num_cores),
         arrivals.iter().copied(),
-        &mut *system,
+        &mut system,
         &spec,
     )
     .expect("no scrape port to bind");
@@ -994,11 +856,12 @@ fn main() -> ExitCode {
             let config = FaultConfig::chaos(rate, seed, horizon);
             let faults = FaultPlan::build(&config, num_cores);
             for &(discipline, discipline_name) in disciplines {
-                for (system_index, system_name) in SYSTEMS.iter().enumerate() {
+                for kind in SystemKind::ALL {
+                    let system_name = kind.name();
                     let (chaos, mut problems) = run_system(
                         &testbed,
                         &chain,
-                        system_index,
+                        kind,
                         discipline,
                         &plan,
                         &faults,

@@ -11,7 +11,7 @@
 //! Usage:
 //!
 //! ```text
-//! engine [--system base|optimal|energy|proposed|all] [--process poisson|bursty|diurnal|ramp|mix]
+//! engine [--system base|optimal|energy-centric|proposed|all] [--process poisson|bursty|diurnal|ramp|mix]
 //!        [--jobs N] [--rate R] [--seed S] [--export PATH.json] [--csv] [--md]
 //!        [--slo-p99 CYCLES] [--slo-energy NJ] [--smoke]
 //!        [--serve PORT] [--linger SECS] [--perfetto PATH.json] [--serve-smoke]
@@ -52,18 +52,14 @@
 
 use hetero_bench::json::Json;
 use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
 use hetero_engine::{
     export, EngineConfig, EngineReport, ObserveConfig, ObservedSink, Outcome, RunSpec, SloPolicy,
 };
 use hetero_telemetry::BurnRateRule;
-use multicore_sim::{Scheduler, Simulator};
+use multicore_sim::Simulator;
 use std::process::ExitCode;
 use workloads::{Arrival, Compose, OpenLoop};
-
-/// `(flag value, display name)` in the paper's presentation order.
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 struct Options {
     system: String,
@@ -165,7 +161,7 @@ impl Options {
         if options.smoke {
             options.jobs = options.jobs.min(2_000);
         }
-        if !SYSTEMS.contains(&options.system.as_str()) && options.system != "all" {
+        if SystemKind::from_name(&options.system).is_none() && options.system != "all" {
             return Err(format!(
                 "unknown system {:?} (expected base|optimal|energy-centric|proposed|all)",
                 options.system
@@ -174,11 +170,9 @@ impl Options {
         Ok(options)
     }
 
-    fn systems(&self) -> Vec<usize> {
-        match self.system.as_str() {
-            "all" => (0..SYSTEMS.len()).collect(),
-            name => vec![SYSTEMS.iter().position(|s| *s == name).expect("validated")],
-        }
+    /// The selected system, or `None` for `all`.
+    fn kind(&self) -> Option<SystemKind> {
+        SystemKind::from_name(&self.system)
     }
 
     fn policy(&self) -> SloPolicy {
@@ -243,8 +237,8 @@ fn arrivals(
     Ok(Box::new(source.take(jobs)))
 }
 
-/// Serve `system_index` (paper presentation order) from the stream.
-fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> Outcome {
+/// Serve one system from the stream.
+fn serve(testbed: &Testbed, kind: SystemKind, options: &Options) -> Outcome {
     let spec = RunSpec {
         engine: EngineConfig {
             slo: options.policy(),
@@ -261,8 +255,8 @@ fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> Outcome {
     )
     .expect("validated before the run started");
     let simulator = Simulator::new(testbed.arch.num_cores());
-    let mut system = boxed_system(testbed, system_index);
-    hetero_engine::run(&simulator, stream, &mut *system, &spec).expect("a plain run binds nothing")
+    hetero_engine::run(&simulator, stream, &mut testbed.system(kind), &spec)
+        .expect("a plain run binds nothing")
 }
 
 fn report_to_json(name: &str, report: &EngineReport) -> Json {
@@ -356,7 +350,7 @@ fn compare(old_path: &str, new_path: &str) -> ExitCode {
     );
     let mut regressions = 0u32;
     let mut compared = 0u32;
-    for system in SYSTEMS {
+    for system in SystemKind::ALL.map(SystemKind::name) {
         for (key, label, bigger_is_better) in METRICS {
             let (Some(before), Some(after)) = (field(&old, system, key), field(&new, system, key))
             else {
@@ -399,31 +393,6 @@ fn compare(old_path: &str, new_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One scheduling system as a trait object.
-fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Scheduler + 't> {
-    let num_cores = testbed.arch.num_cores();
-    match system_index {
-        0 => Box::new(BaseSystem::new(&testbed.oracle, testbed.model, num_cores)),
-        1 => Box::new(OptimalSystem::new(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-        )),
-        2 => Box::new(EnergyCentricSystem::new(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )),
-        _ => Box::new(ProposedSystem::with_model(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )),
-    }
-}
-
 /// `engine --serve PORT` / `--perfetto PATH`: one system served through
 /// the live observability plane — scrape endpoint polled at snapshot
 /// boundaries while the run is hot, burn-rate alerting on the p99
@@ -435,14 +404,11 @@ fn observed_run(options: &Options) -> ExitCode {
     } else {
         Testbed::paper()
     };
-    let system_index = match options.system.as_str() {
-        "all" => {
-            println!("(--serve/--perfetto observe one system; defaulting to proposed)");
-            3
-        }
-        name => SYSTEMS.iter().position(|s| *s == name).expect("validated"),
-    };
-    let name = SYSTEMS[system_index];
+    let kind = options.kind().unwrap_or_else(|| {
+        println!("(--serve/--perfetto observe one system; defaulting to proposed)");
+        SystemKind::Proposed
+    });
+    let name = kind.name();
     let num_cores = testbed.arch.num_cores();
     let config = EngineConfig {
         slo: options.policy(),
@@ -476,8 +442,8 @@ fn observed_run(options: &Options) -> ExitCode {
         options.jobs,
     )
     .expect("validated before the run started");
-    let mut system = boxed_system(&testbed, system_index);
-    let metrics = Simulator::new(num_cores).run_stream(stream, &mut *system, &mut plane);
+    let metrics =
+        Simulator::new(num_cores).run_stream(stream, &mut testbed.system(kind), &mut plane);
 
     if options.serve.is_some() && options.linger > 0.0 {
         println!(
@@ -618,12 +584,7 @@ fn serve_smoke() -> ExitCode {
         jobs,
     )
     .expect("poisson is a valid process");
-    let mut system = ProposedSystem::with_model(
-        &testbed.arch,
-        &testbed.oracle,
-        testbed.model,
-        testbed.predictor.clone(),
-    );
+    let mut system = testbed.system(SystemKind::Proposed);
     let metrics = Simulator::new(num_cores).run_stream(stream, &mut system, &mut plane);
 
     // Drain scrapes the in-run boundary polls did not catch.
@@ -764,10 +725,12 @@ fn main() -> ExitCode {
         Testbed::paper()
     };
 
-    let system_indices = options.systems();
+    let kinds = options
+        .kind()
+        .map_or(SystemKind::ALL.to_vec(), |kind| vec![kind]);
     let outcomes =
-        hetero_parallel::map_indexed(system_indices.len(), hetero_parallel::worker_count(), |i| {
-            serve(&testbed, system_indices[i], &options)
+        hetero_parallel::map_indexed(kinds.len(), hetero_parallel::worker_count(), |i| {
+            serve(&testbed, kinds[i], &options)
         });
 
     let mut failures = 0u32;
@@ -777,8 +740,8 @@ fn main() -> ExitCode {
         "{:<16} {:>9} {:>11} {:>11} {:>12} {:>10} {:>6}",
         "system", "completed", "jobs/Mcyc", "p99 (cyc)", "energy/job", "snapshots", "SLO"
     );
-    for (&system_index, outcome) in system_indices.iter().zip(&outcomes) {
-        let name = SYSTEMS[system_index];
+    for (kind, outcome) in kinds.iter().zip(&outcomes) {
+        let name = kind.name();
         let report = &outcome.report;
         if outcome.metrics.jobs_completed != options.jobs as u64 {
             eprintln!(
@@ -841,7 +804,7 @@ fn main() -> ExitCode {
     }
     println!(
         "ENGINE OK: {} system(s) served {} streamed jobs in bounded memory",
-        system_indices.len(),
+        kinds.len(),
         options.jobs
     );
     ExitCode::SUCCESS

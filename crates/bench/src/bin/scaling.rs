@@ -28,7 +28,7 @@
 use cache_sim::CacheSizeKb;
 use energy_model::EnergyModel;
 use hetero_bench::json::Json;
-use hetero_bench::parse_plan_args;
+use hetero_bench::{parse_plan_args, tiled_architecture};
 use hetero_core::{
     Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
     PredictorConfig, ProposedSystem, SuiteOracle,
@@ -62,18 +62,6 @@ fn architectures() -> Vec<(&'static str, Architecture)> {
             ),
         ),
     ]
-}
-
-/// The paper's 2/4/8/8 quad tiled to `num_cores` (must be a multiple of
-/// 4 so the last two cores are 8 KB and can profile).
-fn tiled_architecture(num_cores: usize) -> Architecture {
-    use CacheSizeKb::{K2, K4, K8};
-    assert!(
-        num_cores >= 4 && num_cores.is_multiple_of(4),
-        "tile whole quads"
-    );
-    let sizes = (0..num_cores).map(|i| [K2, K4, K8, K8][i % 4]).collect();
-    Architecture::new(sizes, CoreId(num_cores - 1), Some(CoreId(num_cores - 2)))
 }
 
 /// One measured (system, scale) point of the many-core sweep.

@@ -30,23 +30,12 @@
 use energy_model::EnergyModel;
 use hetero_bench::json::Json;
 use hetero_bench::telemetry_json::{histogram_summary, spans_to_json, telemetry_document};
-use hetero_bench::{Testbed, PAPER_HORIZON, PAPER_JOBS, PAPER_SEED};
-use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
-};
-use hetero_telemetry::{MetricsSink, SpanRecorder, TelemetryReport};
-use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, Simulator};
+use hetero_bench::{SystemKind, Testbed, PAPER_HORIZON, PAPER_JOBS, PAPER_SEED};
+use hetero_core::{Architecture, BestCorePredictor, PredictorConfig, SuiteOracle};
+use hetero_telemetry::{MetricsSink, SpanRecorder};
+use multicore_sim::{QueueDiscipline, Simulator};
 use std::process::ExitCode;
-use workloads::{ArrivalPlan, BenchmarkId, Suite};
-
-/// `(display name, artifact stem)` in the paper's presentation order.
-const SYSTEMS: [(&str, &str); 4] = [
-    ("base", "base"),
-    ("optimal", "optimal"),
-    ("energy-centric", "energy_centric"),
-    ("proposed", "proposed"),
-];
+use workloads::{BenchmarkId, Suite};
 
 /// Build the testbed with every offline stage under the span profiler.
 ///
@@ -78,67 +67,6 @@ fn build_profiled(smoke: bool, recorder: &mut SpanRecorder) -> Testbed {
         oracle,
         arch: Architecture::paper_quad(),
         predictor,
-    }
-}
-
-/// Run `system_index` (paper presentation order) with a metrics sink
-/// attached, returning the simulator ledger and the sink's report.
-fn run_system(
-    testbed: &Testbed,
-    system_index: usize,
-    plan: &ArrivalPlan,
-    interval: u64,
-) -> (RunMetrics, TelemetryReport) {
-    fn go<S: Scheduler>(
-        mut system: S,
-        num_cores: usize,
-        plan: &ArrivalPlan,
-        interval: u64,
-    ) -> (RunMetrics, TelemetryReport) {
-        let mut sink = MetricsSink::new(num_cores, interval);
-        let metrics = Simulator::new(num_cores)
-            .with_discipline(QueueDiscipline::Fifo)
-            .run_with_sink(plan, &mut system, &mut sink);
-        (metrics, sink.report())
-    }
-
-    let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
-    match system_index {
-        0 => go(
-            BaseSystem::new(&testbed.oracle, model, num_cores),
-            num_cores,
-            plan,
-            interval,
-        ),
-        1 => go(
-            OptimalSystem::new(&testbed.arch, &testbed.oracle, model),
-            num_cores,
-            plan,
-            interval,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            plan,
-            interval,
-        ),
-        _ => go(
-            ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            plan,
-            interval,
-        ),
     }
 }
 
@@ -181,8 +109,14 @@ fn main() -> ExitCode {
         "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "system", "completed", "lat p50", "lat p95", "lat p99", "lat max", "util"
     );
-    for (system_index, &(system_name, stem)) in SYSTEMS.iter().enumerate() {
-        let (metrics, report) = run_system(&testbed, system_index, &plan, interval);
+    let num_cores = testbed.arch.num_cores();
+    for kind in SystemKind::ALL {
+        let system_name = kind.name();
+        let mut sink = MetricsSink::new(num_cores, interval);
+        let metrics = Simulator::new(num_cores)
+            .with_discipline(QueueDiscipline::Fifo)
+            .run_with_sink(&plan, &mut testbed.system(kind), &mut sink);
+        let report = sink.report();
         if metrics.jobs_completed != jobs as u64 {
             eprintln!(
                 "  {system_name}: completed {} of {jobs} jobs",
@@ -218,9 +152,10 @@ fn main() -> ExitCode {
 
         if !smoke {
             let doc = telemetry_document(system_name, "fifo", jobs, PAPER_SEED, &report);
-            if let Err(problem) =
-                write_artifact(&format!("results/TELEMETRY_{stem}.json"), &doc.to_pretty())
-            {
+            if let Err(problem) = write_artifact(
+                &format!("results/TELEMETRY_{}.json", system_name.replace('-', "_")),
+                &doc.to_pretty(),
+            ) {
                 eprintln!("  {problem}");
                 failures += 1;
             }

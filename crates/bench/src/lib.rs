@@ -3,6 +3,14 @@
 //! four systems on one arrival plan, and formats the Figure 6 / Figure 7
 //! normalisations.
 //!
+//! [`Testbed::system`] is the one place the harness builds the four
+//! systems: it returns a [`System`], which is a [`Scheduler`] itself and
+//! keeps each system's concrete type so its counters stay readable after
+//! a run. Every bin and property suite that compares the four systems
+//! loops over [`SystemKind::ALL`] through it. [`Testbed::shared_small`]
+//! and [`tiled_architecture`] are the fixtures the property suites
+//! share.
+//!
 //! The experiment binaries (`figure6`, `figure7`, `ann_accuracy`,
 //! `overheads`, `ablations`, `table1`) are thin wrappers over this crate.
 
@@ -13,12 +21,17 @@ pub mod report;
 pub mod telemetry_json;
 pub mod trace_json;
 
+use cache_sim::CacheSizeKb;
 use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
+    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, FallbackChain, OptimalSystem,
     PredictorConfig, ProposedSystem, SystemStats,
 };
-use multicore_sim::{RunMetrics, Simulator};
+use multicore_sim::{
+    CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, RunMetrics, Scheduler, Simulator,
+    TierCell,
+};
+use std::sync::OnceLock;
 use workloads::{ArrivalPlan, Suite};
 
 pub use hetero_core::SuiteOracle;
@@ -50,6 +63,14 @@ impl Testbed {
         Self::with_suite(Suite::eembc_like_small(), PredictorConfig::fast())
     }
 
+    /// One [`small`](Self::small) testbed per process, built on first
+    /// use: the oracle build and predictor training dominate a property
+    /// suite's cost, and every case reads the same fixture.
+    pub fn shared_small() -> &'static Testbed {
+        static TESTBED: OnceLock<Testbed> = OnceLock::new();
+        TESTBED.get_or_init(Testbed::small)
+    }
+
     /// Build over an explicit suite and predictor configuration.
     pub fn with_suite(suite: Suite, predictor_config: PredictorConfig) -> Self {
         let model = EnergyModel::default();
@@ -71,6 +92,32 @@ impl Testbed {
         ArrivalPlan::uniform(jobs, horizon, self.suite.len(), seed)
     }
 
+    /// A fresh instance of one system on the testbed's architecture.
+    pub fn system(&self, kind: SystemKind) -> System<'_> {
+        match kind {
+            SystemKind::Base => System::Base(BaseSystem::new(
+                &self.oracle,
+                self.model,
+                self.arch.num_cores(),
+            )),
+            SystemKind::Optimal => {
+                System::Optimal(OptimalSystem::new(&self.arch, &self.oracle, self.model))
+            }
+            SystemKind::EnergyCentric => System::EnergyCentric(EnergyCentricSystem::new(
+                &self.arch,
+                &self.oracle,
+                self.model,
+                self.predictor.clone(),
+            )),
+            SystemKind::Proposed => System::Proposed(ProposedSystem::with_model(
+                &self.arch,
+                &self.oracle,
+                self.model,
+                self.predictor.clone(),
+            )),
+        }
+    }
+
     /// Run all four systems on one plan.
     ///
     /// The four simulations are independent (each builds its own scheduler
@@ -86,50 +133,12 @@ impl Testbed {
     /// `workers = 1` runs the four systems sequentially on the caller in
     /// the legacy order (base, optimal, energy-centric, proposed).
     pub fn run_all_with_threads(&self, plan: &ArrivalPlan, workers: usize) -> Comparison {
-        let mut runs = hetero_parallel::map_indexed(4, workers, |system| {
-            let simulator = Simulator::new(self.arch.num_cores());
-            match system {
-                0 => {
-                    let mut base = BaseSystem::new(&self.oracle, self.model, self.arch.num_cores());
-                    SystemRun {
-                        metrics: simulator.run(plan, &mut base),
-                        stats: SystemStats::default(),
-                    }
-                }
-                1 => {
-                    let mut optimal = OptimalSystem::new(&self.arch, &self.oracle, self.model);
-                    let metrics = simulator.run(plan, &mut optimal);
-                    SystemRun {
-                        metrics,
-                        stats: optimal.stats(),
-                    }
-                }
-                2 => {
-                    let mut energy_centric = EnergyCentricSystem::new(
-                        &self.arch,
-                        &self.oracle,
-                        self.model,
-                        self.predictor.clone(),
-                    );
-                    let metrics = simulator.run(plan, &mut energy_centric);
-                    SystemRun {
-                        metrics,
-                        stats: energy_centric.stats(),
-                    }
-                }
-                _ => {
-                    let mut proposed = ProposedSystem::with_model(
-                        &self.arch,
-                        &self.oracle,
-                        self.model,
-                        self.predictor.clone(),
-                    );
-                    let metrics = simulator.run(plan, &mut proposed);
-                    SystemRun {
-                        metrics,
-                        stats: proposed.stats(),
-                    }
-                }
+        let mut runs = hetero_parallel::map_indexed(4, workers, |i| {
+            let mut system = self.system(SystemKind::ALL[i]);
+            let metrics = Simulator::new(self.arch.num_cores()).run(plan, &mut system);
+            SystemRun {
+                metrics,
+                stats: system.stats(),
             }
         });
         let proposed = runs.pop().expect("four runs");
@@ -142,6 +151,150 @@ impl Testbed {
             energy_centric,
             proposed,
         }
+    }
+}
+
+/// The paper's 2/4/8/8 KB quad tiled to `num_cores` (a multiple of 4,
+/// so the last two cores are 8 KB and can profile).
+pub fn tiled_architecture(num_cores: usize) -> Architecture {
+    use CacheSizeKb::{K2, K4, K8};
+    assert!(
+        num_cores >= 4 && num_cores.is_multiple_of(4),
+        "tile whole quads"
+    );
+    let sizes = (0..num_cores).map(|i| [K2, K4, K8, K8][i % 4]).collect();
+    Architecture::new(sizes, CoreId(num_cores - 1), Some(CoreId(num_cores - 2)))
+}
+
+/// The four systems of the paper's evaluation (Sec. V).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SystemKind {
+    /// Fixed `8KB_4W_64B` on every core.
+    Base,
+    /// Exhaustive-search comparator.
+    Optimal,
+    /// ANN + always-stall comparator.
+    EnergyCentric,
+    /// The paper's proposed system.
+    Proposed,
+}
+
+impl SystemKind {
+    /// All four, in the paper's presentation order.
+    pub const ALL: [SystemKind; 4] = [
+        SystemKind::Base,
+        SystemKind::Optimal,
+        SystemKind::EnergyCentric,
+        SystemKind::Proposed,
+    ];
+
+    /// The display name the bins print and accept.
+    pub fn name(self) -> &'static str {
+        match self {
+            SystemKind::Base => "base",
+            SystemKind::Optimal => "optimal",
+            SystemKind::EnergyCentric => "energy-centric",
+            SystemKind::Proposed => "proposed",
+        }
+    }
+
+    /// The kind whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<SystemKind> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+}
+
+/// One system built by [`Testbed::system`], keeping its concrete type so
+/// its counters stay readable after a run.
+pub enum System<'a> {
+    /// See [`SystemKind::Base`].
+    Base(BaseSystem<'a>),
+    /// See [`SystemKind::Optimal`].
+    Optimal(OptimalSystem<'a>),
+    /// See [`SystemKind::EnergyCentric`].
+    EnergyCentric(EnergyCentricSystem<'a>),
+    /// See [`SystemKind::Proposed`].
+    Proposed(ProposedSystem<'a>),
+}
+
+impl<'a> System<'a> {
+    /// Subscribe the two predictive systems to a fault plan, degrading
+    /// through `chain`; base and optimal take no predictions, so they
+    /// pass through unchanged.
+    pub fn with_faults(self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
+        match self {
+            System::EnergyCentric(system) => System::EnergyCentric(system.with_faults(plan, chain)),
+            System::Proposed(system) => System::Proposed(system.with_faults(plan, chain)),
+            other => other,
+        }
+    }
+
+    /// Subscribe the two predictive systems to a brownout serving tier;
+    /// base and optimal pass through unchanged.
+    pub fn with_serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self {
+        match self {
+            System::EnergyCentric(system) => {
+                System::EnergyCentric(system.with_serving_tier(cell, distilled))
+            }
+            System::Proposed(system) => System::Proposed(system.with_serving_tier(cell, distilled)),
+            other => other,
+        }
+    }
+
+    /// Scheduler-level counters; the base system keeps none.
+    pub fn stats(&self) -> SystemStats {
+        match self {
+            System::Base(_) => SystemStats::default(),
+            System::Optimal(system) => system.stats(),
+            System::EnergyCentric(system) => system.stats(),
+            System::Proposed(system) => system.stats(),
+        }
+    }
+
+    fn scheduler(&self) -> &dyn Scheduler {
+        match self {
+            System::Base(system) => system,
+            System::Optimal(system) => system,
+            System::EnergyCentric(system) => system,
+            System::Proposed(system) => system,
+        }
+    }
+
+    fn scheduler_mut(&mut self) -> &mut dyn Scheduler {
+        match self {
+            System::Base(system) => system,
+            System::Optimal(system) => system,
+            System::EnergyCentric(system) => system,
+            System::Proposed(system) => system,
+        }
+    }
+}
+
+/// Forwards every method, `waits_for` included: a wrapper that drops it
+/// hides energy-centric's wait-set promise from the loop.
+impl Scheduler for System<'_> {
+    fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        self.scheduler_mut().schedule(job, cores, now)
+    }
+
+    fn waits_for(&self, job: &Job) -> Option<&CoreSet> {
+        self.scheduler().waits_for(job)
+    }
+
+    fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+        self.scheduler().idle_power_nj_per_cycle(core)
+    }
+
+    fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.scheduler_mut().on_complete(job, core, now);
+    }
+
+    fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.scheduler_mut().on_preempt(job, core, now);
+    }
+
+    fn state_fingerprint(&self) -> u64 {
+        self.scheduler().state_fingerprint()
     }
 }
 
@@ -170,13 +323,12 @@ pub struct Comparison {
 impl Comparison {
     /// Iterate as (name, run) pairs in the paper's presentation order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &SystemRun)> {
-        [
-            ("base", &self.base),
-            ("optimal", &self.optimal),
-            ("energy-centric", &self.energy_centric),
-            ("proposed", &self.proposed),
-        ]
-        .into_iter()
+        SystemKind::ALL.map(SystemKind::name).into_iter().zip([
+            &self.base,
+            &self.optimal,
+            &self.energy_centric,
+            &self.proposed,
+        ])
     }
 }
 
@@ -279,6 +431,69 @@ pub fn parse_plan_args() -> (usize, u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multicore_sim::{ledger_divergences, QueueDiscipline, StallPurityChecked};
+
+    /// A run under the stall-purity checker: the ledger, the final policy
+    /// fingerprint, and the checker's stall, promise and idle-power
+    /// check counts.
+    fn checked_run<S: Scheduler>(
+        sim: &Simulator,
+        plan: &ArrivalPlan,
+        system: S,
+    ) -> (RunMetrics, u64, [u64; 3]) {
+        let mut checked = StallPurityChecked::new(system);
+        let metrics = sim.run(plan, &mut checked);
+        checked.assert_pure();
+        let checks = [
+            checked.stall_checks(),
+            checked.promise_checks(),
+            checked.idle_power_checks(),
+        ];
+        (metrics, checked.inner().state_fingerprint(), checks)
+    }
+
+    /// `System` forwards every `Scheduler` method: each kind run through
+    /// the enum and as the concrete system inside it leaves the same
+    /// ledger, fingerprint and checker counts under every discipline.
+    /// Energy-centric's promise checks fail if `waits_for` is dropped,
+    /// which no metric shows.
+    #[test]
+    fn system_forwards_every_scheduler_method() {
+        let t = Testbed::shared_small();
+        let plan = ArrivalPlan::uniform_with_priorities(150, 2_500_000, t.suite.len(), 3, 9);
+        for discipline in [
+            QueueDiscipline::Fifo,
+            QueueDiscipline::Priority,
+            QueueDiscipline::PreemptivePriority,
+        ] {
+            let sim = Simulator::new(t.arch.num_cores()).with_discipline(discipline);
+            for kind in SystemKind::ALL {
+                let (metrics, fingerprint, checks) = checked_run(&sim, &plan, t.system(kind));
+                let (concrete, concrete_fingerprint, concrete_checks) = match t.system(kind) {
+                    System::Base(system) => checked_run(&sim, &plan, system),
+                    System::Optimal(system) => checked_run(&sim, &plan, system),
+                    System::EnergyCentric(system) => checked_run(&sim, &plan, system),
+                    System::Proposed(system) => checked_run(&sim, &plan, system),
+                };
+                let what = format!("{} {discipline:?}", kind.name());
+                let divergences = ledger_divergences(&metrics, &concrete);
+                assert!(divergences.is_empty(), "{what}: {divergences:?}");
+                assert_eq!(fingerprint, concrete_fingerprint, "{what}");
+                assert_eq!(checks, concrete_checks, "{what}: stall/promise/idle checks");
+                if kind == SystemKind::EnergyCentric {
+                    assert!(checks[1] > 0, "{what}: no promise was checked");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn system_kind_names_round_trip() {
+        for kind in SystemKind::ALL {
+            assert_eq!(SystemKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(SystemKind::from_name("all"), None);
+    }
 
     #[test]
     fn small_testbed_runs_all_four_systems() {
@@ -308,36 +523,28 @@ mod tests {
         }
     }
 
+    /// Two comparisons agree run for run: every `RunMetrics` field, and
+    /// every scheduler counter, energies to the bit.
+    fn assert_identical(a: &Comparison, b: &Comparison, what: &str) {
+        for ((name, a), (_, b)) in a.iter().zip(b.iter()) {
+            let divergences = multicore_sim::ledger_divergences(&a.metrics, &b.metrics);
+            assert!(divergences.is_empty(), "{name} {what}: {divergences:?}");
+            assert_eq!(a.stats, b.stats, "{name} {what}");
+            assert_eq!(
+                a.stats.profiling_energy_nj.to_bits(),
+                b.stats.profiling_energy_nj.to_bits(),
+                "{name} {what}: energy bits"
+            );
+        }
+    }
+
     #[test]
     fn threaded_run_all_is_bit_identical_to_one_worker() {
         let testbed = Testbed::small();
         let plan = testbed.plan(150, 30_000_000, 7);
         let one = testbed.run_all_with_threads(&plan, 1);
         let four = testbed.run_all_with_threads(&plan, 4);
-        for ((name, a), (_, b)) in one.iter().zip(four.iter()) {
-            assert_eq!(a.metrics.total_cycles, b.metrics.total_cycles, "{name}");
-            assert_eq!(a.metrics.jobs_completed, b.metrics.jobs_completed, "{name}");
-            assert_eq!(a.metrics.busy_cycles, b.metrics.busy_cycles, "{name}");
-            assert_eq!(a.metrics.stalls, b.metrics.stalls, "{name}");
-            for (x, y) in [
-                (a.metrics.energy.dynamic_nj, b.metrics.energy.dynamic_nj),
-                (a.metrics.energy.static_nj, b.metrics.energy.static_nj),
-                (a.metrics.energy.idle_nj, b.metrics.energy.idle_nj),
-                (a.stats.profiling_energy_nj, b.stats.profiling_energy_nj),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits(), "{name}: energy bits");
-            }
-            assert_eq!(a.stats.profiling_runs, b.stats.profiling_runs, "{name}");
-            assert_eq!(a.stats.tuning_runs, b.stats.tuning_runs, "{name}");
-            assert_eq!(
-                a.stats.decisions_evaluated, b.stats.decisions_evaluated,
-                "{name}"
-            );
-            assert_eq!(
-                a.stats.decisions_ran_non_best, b.stats.decisions_ran_non_best,
-                "{name}"
-            );
-        }
+        assert_identical(&one, &four, "workers 1 vs 4");
     }
 
     /// Satellite check: memoizing ensemble predictions per benchmark id
@@ -353,30 +560,9 @@ mod tests {
             .map(|&w| testbed.run_all_with_threads(&plan, w))
             .collect();
         testbed.predictor = testbed.predictor.without_memo();
-        let direct: Vec<Comparison> = [1usize, 4]
-            .iter()
-            .map(|&w| testbed.run_all_with_threads(&plan, w))
-            .collect();
-        for (workers, (with_memo, without)) in [1, 4].iter().zip(memoized.iter().zip(&direct)) {
-            for ((name, a), (_, b)) in with_memo.iter().zip(without.iter()) {
-                assert_eq!(
-                    a.metrics.total_cycles, b.metrics.total_cycles,
-                    "{name} workers={workers}"
-                );
-                assert_eq!(a.metrics.jobs_completed, b.metrics.jobs_completed, "{name}");
-                assert_eq!(a.metrics.busy_cycles, b.metrics.busy_cycles, "{name}");
-                assert_eq!(a.metrics.stalls, b.metrics.stalls, "{name}");
-                for (x, y) in [
-                    (a.metrics.energy.dynamic_nj, b.metrics.energy.dynamic_nj),
-                    (a.metrics.energy.static_nj, b.metrics.energy.static_nj),
-                    (a.metrics.energy.idle_nj, b.metrics.energy.idle_nj),
-                    (a.stats.profiling_energy_nj, b.stats.profiling_energy_nj),
-                ] {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{name}: energy bits");
-                }
-                assert_eq!(a.stats.profiling_runs, b.stats.profiling_runs, "{name}");
-                assert_eq!(a.stats.tuning_runs, b.stats.tuning_runs, "{name}");
-            }
+        for (workers, with_memo) in [1usize, 4].into_iter().zip(&memoized) {
+            let without = testbed.run_all_with_threads(&plan, workers);
+            assert_identical(with_memo, &without, &format!("workers={workers}"));
         }
     }
 

@@ -3,22 +3,14 @@
 //! (energies to the bit, counters precisely), and every single-site
 //! tampering of a recorded trace must be rejected.
 
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
 use multicore_sim::{
-    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
-    StallPurityChecked, TraceEvent,
+    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Simulator, StallPurityChecked,
+    TraceEvent,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use workloads::ArrivalPlan;
-
-/// One shared testbed: the oracle build and predictor training dominate
-/// the cost of these tests, and every case reads the same fixture.
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -30,47 +22,17 @@ const DISCIPLINES: [QueueDiscipline; 3] = [
 /// attached. Returns the simulator ledger, the event stream, and any
 /// purity violations.
 fn run_traced(
-    system_index: usize,
+    kind: SystemKind,
     discipline: QueueDiscipline,
     plan: &ArrivalPlan,
 ) -> (RunMetrics, Vec<TraceEvent>, Vec<String>) {
-    fn go<S: Scheduler>(
-        system: S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-    ) -> (RunMetrics, Vec<TraceEvent>, Vec<String>) {
-        let num_cores = testbed().arch.num_cores();
-        let mut checked = StallPurityChecked::new(system);
-        let mut sink = RecordingSink::new();
-        let metrics = Simulator::new(num_cores)
-            .with_discipline(discipline)
-            .run_with_sink(plan, &mut checked, &mut sink);
-        (metrics, sink.into_events(), checked.violations().to_vec())
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-        ),
-        1 => go(
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-        _ => go(
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-    }
+    let t = Testbed::shared_small();
+    let mut checked = StallPurityChecked::new(t.system(kind));
+    let mut sink = RecordingSink::new();
+    let metrics = Simulator::new(t.arch.num_cores())
+        .with_discipline(discipline)
+        .run_with_sink(plan, &mut checked, &mut sink);
+    (metrics, sink.into_events(), checked.violations().to_vec())
 }
 
 proptest! {
@@ -88,14 +50,14 @@ proptest! {
         seed in 0u64..1_000,
         sparse in 0usize..2,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         // Sparse horizons leave long all-idle gaps between arrivals;
         // dense ones force contention (stalls, and evictions under the
         // preemptive discipline).
         let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
         let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
         let (metrics, events, purity_violations) =
-            run_traced(system_index, DISCIPLINES[discipline_index], &plan);
+            run_traced(SystemKind::ALL[system_index], DISCIPLINES[discipline_index], &plan);
 
         prop_assert_eq!(metrics.jobs_completed, jobs as u64);
         prop_assert!(
@@ -115,9 +77,10 @@ proptest! {
 fn recorded_preemptive_run() -> &'static (RunMetrics, Vec<TraceEvent>) {
     static RUN: OnceLock<(RunMetrics, Vec<TraceEvent>)> = OnceLock::new();
     RUN.get_or_init(|| {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(250, 2_500_000, t.suite.len(), 3, 9);
-        let (metrics, events, purity) = run_traced(0, QueueDiscipline::PreemptivePriority, &plan);
+        let (metrics, events, purity) =
+            run_traced(SystemKind::Base, QueueDiscipline::PreemptivePriority, &plan);
         assert!(purity.is_empty(), "fixture run must be pure: {purity:?}");
         (metrics, events)
     })
@@ -128,16 +91,17 @@ fn recorded_preemptive_run() -> &'static (RunMetrics, Vec<TraceEvent>) {
 fn recorded_stall_run() -> &'static (RunMetrics, Vec<TraceEvent>) {
     static RUN: OnceLock<(RunMetrics, Vec<TraceEvent>)> = OnceLock::new();
     RUN.get_or_init(|| {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(150, 2_500_000, t.suite.len(), 3, 9);
-        let (metrics, events, purity) = run_traced(2, QueueDiscipline::Fifo, &plan);
+        let (metrics, events, purity) =
+            run_traced(SystemKind::EnergyCentric, QueueDiscipline::Fifo, &plan);
         assert!(purity.is_empty(), "fixture run must be pure: {purity:?}");
         (metrics, events)
     })
 }
 
 fn assert_rejected(events: &[TraceEvent], metrics: &RunMetrics, what: &str) {
-    let auditor = LedgerAuditor::new(testbed().arch.num_cores());
+    let auditor = LedgerAuditor::new(Testbed::shared_small().arch.num_cores());
     assert!(
         auditor.check(events, metrics).is_err(),
         "auditor accepted a tampered trace: {what}"
@@ -157,7 +121,7 @@ fn fixtures_exercise_stalls_and_evictions() {
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::IdlePower { .. })));
-    let auditor = LedgerAuditor::new(testbed().arch.num_cores());
+    let auditor = LedgerAuditor::new(Testbed::shared_small().arch.num_cores());
     assert!(auditor.check(events, metrics).is_ok());
 
     let (metrics, events) = recorded_stall_run();

@@ -14,20 +14,13 @@
 //!    counted when windows are drained mid-flight), and the engine's
 //!    cumulative energy equals the simulator's to the bit.
 
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
-use hetero_engine::{EngineConfig, EngineReport, Outcome, RunSpec, SloPolicy};
+use hetero_bench::{SystemKind, Testbed};
+use hetero_engine::{EngineConfig, Outcome, RunSpec, SloPolicy};
 use multicore_sim::{
-    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
+    ledger_divergences, LedgerAuditor, QueueDiscipline, RecordingSink, Scheduler, Simulator,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use workloads::{ArrivalPlan, OpenLoop};
-
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -59,60 +52,6 @@ fn run_plain(
     hetero_engine::run(sim, arrivals, scheduler, &spec).expect("a plain run binds nothing")
 }
 
-struct BothPaths {
-    batch: RunMetrics,
-    streamed: RunMetrics,
-    report: EngineReport,
-}
-
-fn run_both(system_index: usize, discipline: QueueDiscipline, plan: &ArrivalPlan) -> BothPaths {
-    fn go<S: Scheduler>(
-        build: impl Fn() -> S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-    ) -> BothPaths {
-        let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
-        let batch = sim.run(plan, &mut build());
-        let outcome = run_plain(&sim, plan.iter().copied(), &mut build());
-        BothPaths {
-            batch,
-            streamed: outcome.metrics,
-            report: outcome.report,
-        }
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            || BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-        ),
-        1 => go(
-            || OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-        ),
-        2 => go(
-            || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-        _ => go(
-            || ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-    }
-}
-
-fn assert_bit_identical(a: &RunMetrics, b: &RunMetrics) {
-    assert_eq!(a, b);
-    assert_eq!(a.energy.dynamic_nj.to_bits(), b.energy.dynamic_nj.to_bits());
-    assert_eq!(a.energy.static_nj.to_bits(), b.energy.static_nj.to_bits());
-    assert_eq!(a.energy.idle_nj.to_bits(), b.energy.idle_nj.to_bits());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -127,16 +66,20 @@ proptest! {
         jobs in 40usize..100,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
-        let paths = run_both(system_index, DISCIPLINES[discipline_index], &plan);
-        assert_bit_identical(&paths.batch, &paths.streamed);
-        prop_assert_eq!(paths.streamed.jobs_completed, jobs as u64);
+        let kind = SystemKind::ALL[system_index];
+        let sim = Simulator::new(t.arch.num_cores()).with_discipline(DISCIPLINES[discipline_index]);
+        let batch = sim.run(&plan, &mut t.system(kind));
+        let outcome = run_plain(&sim, plan.iter().copied(), &mut t.system(kind));
+        let divergences = ledger_divergences(&batch, &outcome.metrics);
+        prop_assert!(divergences.is_empty(), "{:?}", divergences);
+        prop_assert_eq!(outcome.metrics.jobs_completed, jobs as u64);
 
         // Snapshot conservation: the ring re-aggregates the run without
         // loss. Energy must match the simulator's own ledger to the bit
         // (each side sums the identical event stream left to right).
-        let report = &paths.report;
+        let report = &outcome.report;
         prop_assert_eq!(
             report.snapshots.iter().map(|s| s.arrivals).sum::<u64>(),
             jobs as u64
@@ -148,7 +91,7 @@ proptest! {
         prop_assert_eq!(report.latency_cycles.count(), jobs as u64);
         prop_assert_eq!(
             report.totals.evictions,
-            paths.batch.preemptions
+            batch.preemptions
         );
         let span_energy: f64 = report.snapshots.iter().map(|s| s.energy_nj).sum();
         let total = report.energy_nj();
@@ -174,40 +117,18 @@ proptest! {
         jobs in 40usize..80,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let num_cores = t.arch.num_cores();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
-        let discipline = DISCIPLINES[discipline_index];
-
-        fn ledgers<S: Scheduler>(
-            build: impl Fn() -> S,
-            discipline: QueueDiscipline,
-            plan: &ArrivalPlan,
-            num_cores: usize,
-        ) -> (RunMetrics, Vec<multicore_sim::TraceEvent>, Vec<multicore_sim::TraceEvent>) {
-            let sim = Simulator::new(num_cores).with_discipline(discipline);
-            let mut batch_sink = RecordingSink::new();
-            let batch = sim.run_with_sink(plan, &mut build(), &mut batch_sink);
-            let mut stream_sink = RecordingSink::new();
-            let streamed = sim.run_stream(plan.iter().copied(), &mut build(), &mut stream_sink);
-            assert_eq!(batch, streamed);
-            (batch, batch_sink.into_events(), stream_sink.into_events())
-        }
-
-        let (metrics, batch_events, stream_events) = match system_index {
-            0 => ledgers(|| BaseSystem::new(&t.oracle, t.model, num_cores), discipline, &plan, num_cores),
-            1 => ledgers(|| OptimalSystem::new(&t.arch, &t.oracle, t.model), discipline, &plan, num_cores),
-            2 => ledgers(
-                || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-                discipline, &plan, num_cores,
-            ),
-            _ => ledgers(
-                || ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-                discipline, &plan, num_cores,
-            ),
-        };
-        prop_assert_eq!(&batch_events, &stream_events);
-        let outcome = LedgerAuditor::new(num_cores).check(&stream_events, &metrics);
+        let kind = SystemKind::ALL[system_index];
+        let sim = Simulator::new(num_cores).with_discipline(DISCIPLINES[discipline_index]);
+        let mut batch_sink = RecordingSink::new();
+        let metrics = sim.run_with_sink(&plan, &mut t.system(kind), &mut batch_sink);
+        let mut stream_sink = RecordingSink::new();
+        let streamed = sim.run_stream(plan.iter().copied(), &mut t.system(kind), &mut stream_sink);
+        prop_assert_eq!(&metrics, &streamed);
+        prop_assert_eq!(batch_sink.events(), stream_sink.events());
+        let outcome = LedgerAuditor::new(num_cores).check(stream_sink.events(), &metrics);
         prop_assert!(outcome.is_ok(), "streamed ledger audit failed: {:?}", outcome.err());
     }
 
@@ -283,19 +204,16 @@ proptest! {
         jobs in 50usize..150,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let rate = rate_tenths as f64 / 10.0;
         let source = || OpenLoop::poisson(rate, t.suite.len(), seed).take(jobs);
         let plan = ArrivalPlan::from_stream(source(), jobs);
         let sim = Simulator::new(t.arch.num_cores());
 
-        let batch = sim.run(&plan, &mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()));
-        let outcome = run_plain(
-            &sim,
-            source(),
-            &mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-        );
-        assert_bit_identical(&batch, &outcome.metrics);
+        let batch = sim.run(&plan, &mut t.system(SystemKind::Base));
+        let outcome = run_plain(&sim, source(), &mut t.system(SystemKind::Base));
+        let divergences = ledger_divergences(&batch, &outcome.metrics);
+        prop_assert!(divergences.is_empty(), "{:?}", divergences);
         prop_assert_eq!(outcome.report.totals.arrivals, jobs as u64);
     }
 }

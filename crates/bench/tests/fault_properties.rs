@@ -3,27 +3,20 @@
 //! gracefully when they are, and collapse the predictive systems to the
 //! base system's placements under a full predictor blackout.
 
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, FallbackChain, OptimalSystem, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
+use hetero_core::FallbackChain;
 use multicore_sim::{
-    FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor, QueueDiscipline, RecordingSink,
-    RunMetrics, Scheduler, Simulator, StallPurityChecked, TraceEvent,
+    ledger_divergences, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor,
+    QueueDiscipline, RecordingSink, Simulator, StallPurityChecked, TraceEvent,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use workloads::ArrivalPlan;
 
-/// One shared testbed: the oracle build and predictor training dominate
-/// the cost of these tests, and every case reads the same fixture.
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
-
 /// The trained fallback chain, shared across cases like the testbed.
 fn chain() -> &'static FallbackChain {
     static CHAIN: OnceLock<FallbackChain> = OnceLock::new();
-    CHAIN.get_or_init(|| FallbackChain::train(&testbed().oracle))
+    CHAIN.get_or_init(|| FallbackChain::train(&Testbed::shared_small().oracle))
 }
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
@@ -35,96 +28,18 @@ const DISCIPLINES: [QueueDiscipline; 3] = [
 /// Run one of the four systems through the faulted loop with the purity
 /// checker attached; predictive systems subscribe to the fault plan.
 fn run_faulted(
-    system_index: usize,
+    kind: SystemKind,
     discipline: QueueDiscipline,
     plan: &ArrivalPlan,
     faults: &FaultPlan,
 ) -> (FaultedRun, Vec<TraceEvent>, Vec<String>) {
-    fn go<S: Scheduler>(
-        system: S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-        faults: &FaultPlan,
-    ) -> (FaultedRun, Vec<TraceEvent>, Vec<String>) {
-        let num_cores = testbed().arch.num_cores();
-        let mut checked = StallPurityChecked::new(system);
-        let mut sink = RecordingSink::new();
-        let run = Simulator::new(num_cores)
-            .with_discipline(discipline)
-            .run_with_faults(plan, &mut checked, faults, &mut sink);
-        (run, sink.into_events(), checked.violations().to_vec())
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-            faults,
-        ),
-        1 => go(
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-            faults,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone())
-                .with_faults(faults, chain().clone()),
-            discipline,
-            plan,
-            faults,
-        ),
-        _ => go(
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
-                .with_faults(faults, chain().clone()),
-            discipline,
-            plan,
-            faults,
-        ),
-    }
-}
-
-/// The untraced reference loop for the same system (no fault hooks).
-fn run_reference(
-    system_index: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-) -> RunMetrics {
-    fn go<S: Scheduler>(
-        mut system: S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-    ) -> RunMetrics {
-        Simulator::new(testbed().arch.num_cores())
-            .with_discipline(discipline)
-            .run_reference(plan, &mut system)
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-        ),
-        1 => go(
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-        _ => go(
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-    }
+    let t = Testbed::shared_small();
+    let mut checked = StallPurityChecked::new(t.system(kind).with_faults(faults, chain().clone()));
+    let mut sink = RecordingSink::new();
+    let run = Simulator::new(t.arch.num_cores())
+        .with_discipline(discipline)
+        .run_with_faults(plan, &mut checked, faults, &mut sink);
+    (run, sink.into_events(), checked.violations().to_vec())
 }
 
 fn placements(events: &[TraceEvent]) -> Vec<TraceEvent> {
@@ -148,30 +63,22 @@ proptest! {
         jobs in 40usize..100,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
         let empty = FaultPlan::build(&FaultConfig::none(), t.arch.num_cores());
         prop_assert!(empty.is_empty());
 
-        let (run, _, purity) =
-            run_faulted(system_index, DISCIPLINES[discipline_index], &plan, &empty);
-        let reference = run_reference(system_index, DISCIPLINES[discipline_index], &plan);
+        let kind = SystemKind::ALL[system_index];
+        let discipline = DISCIPLINES[discipline_index];
+        let (run, _, purity) = run_faulted(kind, discipline, &plan, &empty);
+        let reference = Simulator::new(t.arch.num_cores())
+            .with_discipline(discipline)
+            .run_reference(&plan, &mut t.system(kind));
 
         prop_assert!(purity.is_empty(), "stall purity violated: {:?}", purity);
         prop_assert_eq!(run.faults, FaultStats::default());
-        prop_assert_eq!(&run.metrics, &reference);
-        prop_assert_eq!(
-            run.metrics.energy.dynamic_nj.to_bits(),
-            reference.energy.dynamic_nj.to_bits()
-        );
-        prop_assert_eq!(
-            run.metrics.energy.static_nj.to_bits(),
-            reference.energy.static_nj.to_bits()
-        );
-        prop_assert_eq!(
-            run.metrics.energy.idle_nj.to_bits(),
-            reference.energy.idle_nj.to_bits()
-        );
+        let divergences = ledger_divergences(&run.metrics, &reference);
+        prop_assert!(divergences.is_empty(), "{:?}", divergences);
     }
 
     /// Under arbitrary chaos no system ever loses a job, exceeds the
@@ -183,14 +90,14 @@ proptest! {
         rate in 0.0f64..0.8,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let jobs = 60usize;
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 5_000_000, t.suite.len(), 3, seed);
         let config = FaultConfig::chaos(rate, seed, 8_000_000);
         let faults = FaultPlan::build(&config, t.arch.num_cores());
 
         let (run, events, purity) =
-            run_faulted(system_index, DISCIPLINES[discipline_index], &plan, &faults);
+            run_faulted(SystemKind::ALL[system_index], DISCIPLINES[discipline_index], &plan, &faults);
 
         prop_assert!(purity.is_empty(), "stall purity violated: {:?}", purity);
         prop_assert_eq!(
@@ -212,14 +119,14 @@ proptest! {
         jobs in 40usize..100,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
         let blackout = FaultPlan::build(&FaultConfig::predictor_blackout(seed), t.arch.num_cores());
 
         let (proposed_run, proposed_events, _) =
-            run_faulted(3, QueueDiscipline::Fifo, &plan, &blackout);
+            run_faulted(SystemKind::Proposed, QueueDiscipline::Fifo, &plan, &blackout);
         let (base_run, base_events, _) =
-            run_faulted(0, QueueDiscipline::Fifo, &plan, &blackout);
+            run_faulted(SystemKind::Base, QueueDiscipline::Fifo, &plan, &blackout);
 
         prop_assert_eq!(proposed_run.metrics.jobs_completed, jobs as u64);
         prop_assert_eq!(base_run.metrics.jobs_completed, jobs as u64);

@@ -19,22 +19,15 @@
 
 use hetero_bench::json::Json;
 use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
 use hetero_engine::{
     EngineConfig, EngineReport, ObserveConfig, Outcome, OverloadConfig, RunSpec, ServeStats,
     ShedPolicy, SloPolicy,
 };
 use hetero_telemetry::{JobPhase, SpanClose};
-use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, ServingTier, Simulator};
+use multicore_sim::{ledger_divergences, QueueDiscipline, ServingTier, Simulator};
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use workloads::ArrivalPlan;
-
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -51,12 +44,11 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-/// A streamed run of `plan` on `system_index` under `overload` and
-/// `observe`.
+/// A streamed run of `plan` on `kind` under `overload` and `observe`.
 fn run_spec(
     sim: &Simulator,
     plan: &ArrivalPlan,
-    system_index: usize,
+    kind: SystemKind,
     overload: Option<OverloadConfig>,
     observe: Option<ObserveConfig>,
 ) -> Outcome {
@@ -66,38 +58,9 @@ fn run_spec(
         observe,
         tier: None,
     };
-    with_system(system_index, |scheduler| {
-        hetero_engine::run(sim, plan.iter().copied(), scheduler, &spec)
-    })
-    .expect("no scrape port to bind")
-}
-
-fn assert_bit_identical(a: &RunMetrics, b: &RunMetrics) {
-    assert_eq!(a, b);
-    assert_eq!(a.energy.dynamic_nj.to_bits(), b.energy.dynamic_nj.to_bits());
-    assert_eq!(a.energy.static_nj.to_bits(), b.energy.static_nj.to_bits());
-    assert_eq!(a.energy.idle_nj.to_bits(), b.energy.idle_nj.to_bits());
-}
-
-/// Run `body` with a freshly built scheduler for `system_index`.
-fn with_system<R>(system_index: usize, body: impl FnOnce(&mut dyn Scheduler) -> R) -> R {
-    let t = testbed();
-    match system_index {
-        0 => body(&mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores())),
-        1 => body(&mut OptimalSystem::new(&t.arch, &t.oracle, t.model)),
-        2 => body(&mut EnergyCentricSystem::new(
-            &t.arch,
-            &t.oracle,
-            t.model,
-            t.predictor.clone(),
-        )),
-        _ => body(&mut ProposedSystem::with_model(
-            &t.arch,
-            &t.oracle,
-            t.model,
-            t.predictor.clone(),
-        )),
-    }
+    let mut system = Testbed::shared_small().system(kind);
+    hetero_engine::run(sim, plan.iter().copied(), &mut system, &spec)
+        .expect("no scrape port to bind")
 }
 
 proptest! {
@@ -110,17 +73,18 @@ proptest! {
         jobs in 40usize..100,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
-        for system_index in 0..4 {
+        for kind in SystemKind::ALL {
             for discipline in DISCIPLINES {
                 let sim = Simulator::new(t.arch.num_cores()).with_discipline(discipline);
-                let batch = with_system(system_index, |scheduler| sim.run(&plan, scheduler));
+                let batch = sim.run(&plan, &mut t.system(kind));
                 let mut first: Option<EngineReport> = None;
                 for overload in [None, Some(OverloadConfig::disabled())] {
                     for observe in [None, Some(ObserveConfig::disabled())] {
-                        let outcome = run_spec(&sim, &plan, system_index, overload.clone(), observe);
-                        assert_bit_identical(&batch, &outcome.metrics);
+                        let outcome = run_spec(&sim, &plan, kind, overload.clone(), observe);
+                        let divergences = ledger_divergences(&batch, &outcome.metrics);
+                        prop_assert!(divergences.is_empty(), "{:?}", divergences);
                         prop_assert_eq!(outcome.overload.is_some(), overload.is_some());
                         if let Some(report) = &outcome.overload {
                             prop_assert_eq!(report.offered, jobs as u64);
@@ -165,7 +129,7 @@ proptest! {
         jobs in 40usize..90,
         seed in 0u64..1_000,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 4_000_000, t.suite.len(), 3, seed);
         let sim = Simulator::new(t.arch.num_cores())
             .with_discipline(DISCIPLINES[discipline_index]);
@@ -173,7 +137,7 @@ proptest! {
             assemble_spans: true,
             ..ObserveConfig::disabled()
         };
-        let outcome = run_spec(&sim, &plan, system_index, None, Some(observe));
+        let outcome = run_spec(&sim, &plan, SystemKind::ALL[system_index], None, Some(observe));
         let spans = outcome.spans.as_ref().expect("spans were assembled");
         prop_assert_eq!(spans.arrivals(), jobs as u64);
         prop_assert_eq!(spans.completed(), jobs as u64);
@@ -205,7 +169,7 @@ proptest! {
         seed in 0u64..1_000,
         capacity in 2u64..6,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         // A tight arrival horizon so the bounded queue actually sheds.
         let plan = ArrivalPlan::uniform_with_priorities(jobs, 400_000, t.suite.len(), 3, seed);
         let sim = Simulator::new(t.arch.num_cores());
@@ -220,7 +184,7 @@ proptest! {
             assemble_spans: true,
             ..ObserveConfig::disabled()
         };
-        let outcome = run_spec(&sim, &plan, system_index, Some(overload), Some(observe));
+        let outcome = run_spec(&sim, &plan, SystemKind::ALL[system_index], Some(overload), Some(observe));
         let governor = outcome.overload.as_ref().expect("a governed run reports");
         let spans = outcome.spans.as_ref().expect("spans were assembled");
         // Shed arrivals never reach the simulator, so the span books see

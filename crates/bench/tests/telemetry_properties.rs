@@ -7,23 +7,14 @@
 //! to the bit, the latency histogram's exact sum equal to the ledger's
 //! turnaround total).
 
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
-use hetero_telemetry::{MetricsSink, SpanAssembler, TelemetryReport};
+use hetero_bench::{SystemKind, Testbed};
+use hetero_telemetry::{MetricsSink, SpanAssembler};
 use multicore_sim::{
-    FaultConfig, FaultPlan, IdleCores, QueueDiscipline, RecordingSink, RunMetrics, Scheduler,
-    Simulator, TraceEvent, TraceSink,
+    FaultConfig, FaultPlan, IdleCores, QueueDiscipline, RecordingSink, Simulator, TraceEvent,
+    TraceSink,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use workloads::ArrivalPlan;
-
-/// One shared testbed: the oracle build and predictor training dominate
-/// the cost of these tests, and every case reads the same fixture.
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -33,57 +24,6 @@ const DISCIPLINES: [QueueDiscipline; 3] = [
 
 /// Interval chosen so sparse runs span many windows and dense runs a few.
 const INTERVAL: u64 = 500_000;
-
-/// Run one system twice from identical state — once through
-/// `run_reference`, once through the traced loop feeding a `MetricsSink`
-/// — and return both ledgers plus the sink's report.
-fn run_both(
-    system_index: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-) -> (RunMetrics, RunMetrics, TelemetryReport) {
-    fn go<S: Scheduler>(
-        mut reference_system: S,
-        mut sink_system: S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-    ) -> (RunMetrics, RunMetrics, TelemetryReport) {
-        let num_cores = testbed().arch.num_cores();
-        let sim = Simulator::new(num_cores).with_discipline(discipline);
-        let reference = sim.run_reference(plan, &mut reference_system);
-        let mut sink = MetricsSink::new(num_cores, INTERVAL);
-        let instrumented = sim.run_with_sink(plan, &mut sink_system, &mut sink);
-        (reference, instrumented, sink.report())
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-        ),
-        1 => go(
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-        _ => go(
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-        ),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -100,11 +40,18 @@ proptest! {
         seed in 0u64..1_000,
         sparse in 0usize..2,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
         let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
-        let (reference, instrumented, report) =
-            run_both(system_index, DISCIPLINES[discipline_index], &plan);
+        // The same system twice from identical state: once through
+        // `run_reference`, once through the traced loop into a sink.
+        let kind = SystemKind::ALL[system_index];
+        let num_cores = t.arch.num_cores();
+        let sim = Simulator::new(num_cores).with_discipline(DISCIPLINES[discipline_index]);
+        let reference = sim.run_reference(&plan, &mut t.system(kind));
+        let mut sink = MetricsSink::new(num_cores, INTERVAL);
+        let instrumented = sim.run_with_sink(&plan, &mut t.system(kind), &mut sink);
+        let report = sink.report();
 
         // Bit-identity of the full ledger.
         prop_assert_eq!(
@@ -184,7 +131,7 @@ proptest! {
         sparse in 0usize..2,
         faulted in 0usize..2,
     ) {
-        let t = testbed();
+        let t = Testbed::shared_small();
         let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
         let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
         let num_cores = t.arch.num_cores();
@@ -193,7 +140,11 @@ proptest! {
         } else {
             FaultPlan::empty()
         };
-        let events = record(system_index, DISCIPLINES[discipline_index], &plan, &fault_plan);
+        let mut recording = RecordingSink::new();
+        let _ = Simulator::new(num_cores)
+            .with_discipline(DISCIPLINES[discipline_index])
+            .run_with_faults(&plan, &mut t.system(SystemKind::ALL[system_index]), &fault_plan, &mut recording);
+        let events = recording.into_events();
 
         let mut idle = IdleCores::new(num_cores);
         let mut expanded = Vec::with_capacity(events.len());
@@ -231,53 +182,5 @@ proptest! {
             per_core.totals.idle_energy_nj.to_bits()
         );
         prop_assert_eq!(advanced_spans.core_spans(), per_core_spans.core_spans());
-    }
-}
-
-/// One system's traced run (faulted when `fault_plan` is not empty).
-fn record(
-    system_index: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-    fault_plan: &FaultPlan,
-) -> Vec<TraceEvent> {
-    fn go<S: Scheduler>(
-        mut system: S,
-        discipline: QueueDiscipline,
-        plan: &ArrivalPlan,
-        fault_plan: &FaultPlan,
-    ) -> Vec<TraceEvent> {
-        let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
-        let mut sink = RecordingSink::new();
-        let _ = sim.run_with_faults(plan, &mut system, fault_plan, &mut sink);
-        sink.into_events()
-    }
-
-    let t = testbed();
-    match system_index {
-        0 => go(
-            BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()),
-            discipline,
-            plan,
-            fault_plan,
-        ),
-        1 => go(
-            OptimalSystem::new(&t.arch, &t.oracle, t.model),
-            discipline,
-            plan,
-            fault_plan,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-            fault_plan,
-        ),
-        _ => go(
-            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            discipline,
-            plan,
-            fault_plan,
-        ),
     }
 }

@@ -7,8 +7,8 @@
 //! own integration-test binary: no other test in this process reads
 //! `HETERO_THREADS` concurrently.
 
-use hetero_bench::Testbed;
-use hetero_core::{FallbackChain, ProposedSystem};
+use hetero_bench::{SystemKind, Testbed};
+use hetero_core::FallbackChain;
 use multicore_sim::{FaultConfig, FaultPlan, RecordingSink, Simulator, TraceEvent};
 use workloads::ArrivalPlan;
 
@@ -24,13 +24,9 @@ fn run_with_workers(workers: usize) -> (Vec<TraceEvent>, FaultPlan) {
     let num_cores = testbed.arch.num_cores();
     let plan = ArrivalPlan::uniform_with_priorities(80, 5_000_000, testbed.suite.len(), 3, 77);
     let faults = FaultPlan::build(&FaultConfig::chaos(0.25, 77, 8_000_000), num_cores);
-    let mut system = ProposedSystem::with_model(
-        &testbed.arch,
-        &testbed.oracle,
-        testbed.model,
-        testbed.predictor.clone(),
-    )
-    .with_faults(&faults, chain);
+    let mut system = testbed
+        .system(SystemKind::Proposed)
+        .with_faults(&faults, chain);
     let mut sink = RecordingSink::new();
     let run = Simulator::new(num_cores).run_with_faults(&plan, &mut system, &faults, &mut sink);
     assert_eq!(

@@ -5,31 +5,14 @@
 //! final policy fingerprint — on the paper's quad and on the quad tiled
 //! to 16 cores, under every queue discipline.
 
-use cache_sim::CacheSizeKb;
-use hetero_bench::Testbed;
+use hetero_bench::{tiled_architecture, Testbed};
 use hetero_core::{Architecture, EnergyCentricSystem, SystemStats};
 use multicore_sim::{
     ledger_divergences, CoreId, CoreIndex, Decision, Job, QueueDiscipline, RecordingSink,
     RunMetrics, Scheduler, Simulator, TraceEvent,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use workloads::ArrivalPlan;
-
-fn testbed() -> &'static Testbed {
-    static TESTBED: OnceLock<Testbed> = OnceLock::new();
-    TESTBED.get_or_init(Testbed::small)
-}
-
-/// The paper's 2/4/8/8 KB quad tiled to 16 cores.
-fn tiled16() -> &'static Architecture {
-    static ARCH: OnceLock<Architecture> = OnceLock::new();
-    ARCH.get_or_init(|| {
-        use CacheSizeKb::{K2, K4, K8};
-        let sizes = (0..16).map(|i| [K2, K4, K8, K8][i % 4]).collect();
-        Architecture::new(sizes, CoreId(15), Some(CoreId(14)))
-    })
-}
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -76,7 +59,7 @@ fn run(
     plan: &ArrivalPlan,
     hide: bool,
 ) -> Outcome {
-    let t = testbed();
+    let t = Testbed::shared_small();
     let system = EnergyCentricSystem::new(arch, &t.oracle, t.model, t.predictor.clone());
     let sim = Simulator::new(arch.num_cores()).with_discipline(discipline);
     let mut sink = RecordingSink::new();
@@ -124,11 +107,12 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let plan = ArrivalPlan::uniform_with_priorities(
-            jobs, horizon, testbed().suite.len(), levels, seed,
+            jobs, horizon, Testbed::shared_small().suite.len(), levels, seed,
         );
+        let tiled16 = tiled_architecture(16);
         for discipline in DISCIPLINES {
-            assert_invisible(&testbed().arch, discipline, &plan);
-            assert_invisible(tiled16(), discipline, &plan);
+            assert_invisible(&Testbed::shared_small().arch, discipline, &plan);
+            assert_invisible(&tiled16, discipline, &plan);
         }
     }
 }
@@ -137,13 +121,20 @@ proptest! {
 /// promise skips are most of the run's offers.
 #[test]
 fn deep_backlog_is_invisible() {
-    let plan = ArrivalPlan::uniform_with_priorities(600, 2_000_000, testbed().suite.len(), 3, 42);
+    let plan = ArrivalPlan::uniform_with_priorities(
+        600,
+        2_000_000,
+        Testbed::shared_small().suite.len(),
+        3,
+        42,
+    );
+    let tiled16 = tiled_architecture(16);
     for discipline in DISCIPLINES {
-        let quad = assert_invisible(&testbed().arch, discipline, &plan);
+        let quad = assert_invisible(&Testbed::shared_small().arch, discipline, &plan);
         assert!(
             quad > 10 * plan.len() as u64,
             "{discipline:?}: {quad} stall offers"
         );
-        assert_invisible(tiled16(), discipline, &plan);
+        assert_invisible(&tiled16, discipline, &plan);
     }
 }

@@ -23,6 +23,11 @@ cargo build --workspace --offline
 echo "==> cargo test --workspace --offline"
 cargo test --workspace --offline --quiet
 
+# The benchmark is a workspace of its own that drives the crates through
+# their public API; no other step compiles it.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline"
+cargo test --manifest-path benchmark/Cargo.toml --offline --quiet
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
