@@ -23,6 +23,7 @@ pub enum Activation {
 
 impl Activation {
     /// Apply the function.
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Identity => x,
@@ -33,6 +34,7 @@ impl Activation {
     }
 
     /// Derivative at pre-activation `x`.
+    #[inline]
     pub fn derivative(self, x: f64) -> f64 {
         match self {
             Activation::Identity => 1.0,

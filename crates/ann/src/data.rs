@@ -83,6 +83,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if any index is out of bounds or `indices` is empty.
+    #[inline]
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         assert!(!indices.is_empty(), "subset must keep at least one sample");
         Dataset {
@@ -204,6 +205,7 @@ impl Standardizer {
     /// # Panics
     ///
     /// Panics if `row.len()` differs from the fitted dimensionality.
+    #[inline]
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(row.len(), self.means.len(), "dimension mismatch");
         row.iter()
@@ -214,6 +216,7 @@ impl Standardizer {
     }
 
     /// Transform a batch of rows.
+    #[inline]
     pub fn transform_all(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         rows.iter().map(|r| self.transform(r)).collect()
     }

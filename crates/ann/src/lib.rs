@@ -28,11 +28,10 @@
 //! contiguous `Vec<f64>` behind a per-layer offset table, with
 //! preallocated [`Workspace`] scratch threaded through training and
 //! inference so the steady-state hot loop performs zero heap allocations.
-//! The original per-`Vec` implementation survives unchanged in
-//! [`reference`] ([`reference::RefNetwork`], [`reference::RefTrainer`],
-//! [`reference::RefBagging`]) as the oracle: the arithmetic order is
-//! preserved exactly, so losses, gradients, predictions, and fully trained
-//! weights are bit-identical across both engines (property-tested in
+//! The original per-`Vec` implementation survives unchanged as the oracle
+//! `hetero_oracles::ann`: the arithmetic order is preserved exactly, so
+//! losses, gradients, predictions, and fully trained weights are
+//! bit-identical across both engines (property-tested in
 //! `tests/flat_vs_ref.rs`, perf-gated in the `perf_pipeline` binary).
 //!
 //! # The serving path
@@ -69,8 +68,6 @@ mod distill;
 mod knn;
 mod linear;
 mod network;
-mod network_ref;
-pub mod reference;
 mod rng;
 mod serve;
 mod train;
@@ -82,5 +79,6 @@ pub use distill::{DistillConfig, Distilled};
 pub use knn::KnnRegressor;
 pub use linear::RidgeRegression;
 pub use network::{Network, Workspace};
+pub use rng::SplitMix64;
 pub use serve::{EnsembleF32, MemberF32, NetworkF32, WorkspaceF32};
 pub use train::{TrainConfig, TrainReport, TrainedModel, Trainer};

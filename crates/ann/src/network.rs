@@ -11,7 +11,7 @@
 //! activation functions are monomorphised per layer.
 //!
 //! The arithmetic is kept in the *exact* order of the legacy per-`Vec`
-//! implementation (which survives as [`crate::reference::RefNetwork`]), so
+//! implementation (which survives as `hetero_oracles::ann::RefNetwork`), so
 //! losses, gradients, predictions, and fully trained weights are
 //! bit-identical to the reference engine — property-tested in
 //! `tests/flat_vs_ref.rs`.
@@ -583,7 +583,7 @@ impl Network {
 
     /// Loss and flat-layout gradients of one sample — the verification
     /// surface the property tests compare against
-    /// [`crate::reference::RefNetwork::loss_and_gradients`].
+    /// `hetero_oracles::ann::RefNetwork::loss_and_gradients`.
     pub fn loss_and_gradients(&self, input: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
         assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
         let mut ws = Workspace::for_dims(&self.dims);

@@ -1,17 +1,20 @@
-//! Internal deterministic PRNG (SplitMix64), so that weight initialisation,
+//! Deterministic PRNG (SplitMix64), so that weight initialisation,
 //! shuffling, and bootstrap resampling are bit-reproducible without an
 //! external generator dependency.
 
+/// The crate's generator, public so the reference engine in `hetero-oracles` draws the same stream.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
+    /// A generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
+    /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -20,6 +23,8 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Uniform in `[0, bound)`; panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
@@ -36,6 +41,7 @@ impl SplitMix64 {
     }
 
     /// Fisher–Yates shuffle of index vector `0..n`.
+    #[inline]
     pub fn shuffled_indices(&mut self, n: usize) -> Vec<usize> {
         let mut indices = Vec::new();
         self.shuffled_indices_into(n, &mut indices);

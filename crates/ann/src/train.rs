@@ -6,7 +6,7 @@
 //! and batch; mini-batches are index slices into the standardised sample
 //! pool rather than cloned rows. The RNG draws, batch boundaries, and
 //! arithmetic order are identical to the legacy loop (preserved as
-//! [`crate::reference::RefTrainer`]), so the trained weights match the
+//! `hetero_oracles::ann::RefTrainer`), so the trained weights match the
 //! reference bit for bit.
 
 use crate::data::{Dataset, Split, Standardizer};
@@ -273,7 +273,6 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::reference::{RefNetwork, RefTrainer};
 
     fn linear_dataset(n: usize) -> Dataset {
         let inputs: Vec<Vec<f64>> = (0..n)
@@ -337,48 +336,6 @@ mod tests {
         let trained =
             Trainer::new(config).fit(Network::new(&[2, 3, 1], Activation::Tanh, 4), &dataset);
         assert_eq!(trained.report().epochs_run, 37);
-    }
-
-    /// Satellite check: reusing one workspace (and gradient accumulator)
-    /// across all epochs leaves every epoch's results unchanged — the flat
-    /// trainer matches the legacy allocate-per-batch reference loop down to
-    /// the last bit of the trained weights, the report, and predictions.
-    #[test]
-    fn workspace_reuse_across_epochs_matches_reference_trainer() {
-        let dataset = linear_dataset(48);
-        let config = TrainConfig {
-            epochs: 40,
-            patience: 15,
-            ..TrainConfig::default()
-        };
-        let flat =
-            Trainer::new(config).fit(Network::new(&[2, 5, 1], Activation::Tanh, 3), &dataset);
-        let reference =
-            RefTrainer::new(config).fit(RefNetwork::new(&[2, 5, 1], Activation::Tanh, 3), &dataset);
-
-        assert_eq!(
-            flat.network().params(),
-            reference.network().params_flat().as_slice(),
-            "trained weights diverged"
-        );
-        assert_eq!(flat.report().epochs_run, reference.report().epochs_run);
-        assert_eq!(
-            flat.report().train_loss.to_bits(),
-            reference.report().train_loss.to_bits()
-        );
-        assert_eq!(
-            flat.report().validation_loss.to_bits(),
-            reference.report().validation_loss.to_bits()
-        );
-        assert_eq!(
-            flat.report().test_loss.to_bits(),
-            reference.report().test_loss.to_bits()
-        );
-        for probe in [[0.0, 1.0], [0.4, 0.6], [0.9, 0.1]] {
-            let a = flat.predict(&probe);
-            let b = reference.predict(&probe);
-            assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
     }
 
     #[test]

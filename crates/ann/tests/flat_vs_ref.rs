@@ -6,8 +6,8 @@
 //! including the degenerate corners: 1-wide layers, 1-sample datasets,
 //! batch sizes larger than the dataset.
 
+use hetero_oracles::ann::{RefBagging, RefNetwork, RefTrainer};
 use proptest::prelude::*;
-use tinyann::reference::{RefBagging, RefNetwork, RefTrainer};
 use tinyann::{Activation, Bagging, Dataset, Network, TrainConfig, Trainer, Workspace};
 
 /// Deterministic data generator local to the tests (independent of the
@@ -251,5 +251,57 @@ proptest! {
                 assert_bits_eq(row, &reference.predict(x), "predict_batch");
             }
         }
+    }
+}
+
+fn linear_dataset(n: usize) -> Dataset {
+    let inputs: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![i as f64 / n as f64, (n - i) as f64 / n as f64])
+        .collect();
+    let targets: Vec<Vec<f64>> = inputs
+        .iter()
+        .map(|x| vec![3.0 * x[0] - 2.0 * x[1]])
+        .collect();
+    Dataset::new(inputs, targets).unwrap()
+}
+
+/// Satellite check: reusing one workspace (and gradient accumulator)
+/// across all epochs leaves every epoch's results unchanged — the flat
+/// trainer matches the legacy allocate-per-batch reference loop down to
+/// the last bit of the trained weights, the report, and predictions.
+#[test]
+fn workspace_reuse_across_epochs_matches_reference_trainer() {
+    let dataset = linear_dataset(48);
+    let config = TrainConfig {
+        epochs: 40,
+        patience: 15,
+        ..TrainConfig::default()
+    };
+    let flat = Trainer::new(config).fit(Network::new(&[2, 5, 1], Activation::Tanh, 3), &dataset);
+    let reference =
+        RefTrainer::new(config).fit(RefNetwork::new(&[2, 5, 1], Activation::Tanh, 3), &dataset);
+
+    assert_eq!(
+        flat.network().params(),
+        reference.network().params_flat().as_slice(),
+        "trained weights diverged"
+    );
+    assert_eq!(flat.report().epochs_run, reference.report().epochs_run);
+    assert_eq!(
+        flat.report().train_loss.to_bits(),
+        reference.report().train_loss.to_bits()
+    );
+    assert_eq!(
+        flat.report().validation_loss.to_bits(),
+        reference.report().validation_loss.to_bits()
+    );
+    assert_eq!(
+        flat.report().test_loss.to_bits(),
+        reference.report().test_loss.to_bits()
+    );
+    for probe in [[0.0, 1.0], [0.4, 0.6], [0.9, 0.1]] {
+        let a = flat.predict(&probe);
+        let b = reference.predict(&probe);
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

@@ -6,10 +6,11 @@
 //! A plain `std::time::Instant` harness (`hetero_bench::perf`) — criterion
 //! is unavailable offline. Run with `cargo bench --bench components`.
 
-use cache_sim::{simulate, sweep_fused, sweep_serial, Access, CacheConfig, Trace, BASE_CONFIG};
+use cache_sim::{simulate, sweep_fused, Access, CacheConfig, Trace, BASE_CONFIG};
 use energy_model::{EnergyModel, ExecutionCost};
 use hetero_bench::perf::bench_report;
 use hetero_core::{StallDecision, TuningExplorer, TuningStatus};
+use hetero_oracles::cache::sweep_serial;
 use tinyann::{Activation, Network};
 use workloads::Suite;
 

@@ -66,7 +66,7 @@ fn bench_oracle_build() {
     let suite = Suite::eembc_like_small();
     let model = EnergyModel::default();
     bench_report("characterisation/suite_sweep_reference", 5, || {
-        SuiteOracle::build_reference(&suite, &model).len()
+        hetero_oracles::core::build_reference(&suite, &model).len()
     });
     bench_report("characterisation/suite_sweep_fused", 5, || {
         SuiteOracle::build(&suite, &model).len()

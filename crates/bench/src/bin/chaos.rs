@@ -65,6 +65,7 @@ use hetero_engine::{
     BrownoutConfig, EngineConfig, GovernorHandle, ObserveConfig, OverloadConfig, RunSpec,
     ShedPolicy, SloPolicy,
 };
+use hetero_oracles::sim::run_reference;
 use hetero_telemetry::{AlertState, BurnRateRule, Histogram};
 use multicore_sim::{
     ledger_divergences, tier_cell, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor,
@@ -111,7 +112,7 @@ fn run_system(
     let mut problems = Vec::new();
 
     if check_identity {
-        let reference = sim.run_reference(plan, &mut build());
+        let reference = run_reference(&sim, plan, &mut build());
         let divergences = ledger_divergences(&run.metrics, &reference);
         if !divergences.is_empty() {
             problems.push(format!(

@@ -12,7 +12,7 @@
 //! - `oracle_build_paper`: fused single-pass cache sweep vs the serial
 //!   18-replay reference over `Suite::eembc_like()`.
 //! - `bagging_train`: flat-tensor ensemble training vs the allocating
-//!   per-`Vec` reference engine (`tinyann::reference`).
+//!   per-`Vec` reference engine (`hetero_oracles::ann`).
 //! - `ensemble_predict`: memoized batched inference (the ensemble runs
 //!   once per benchmark) vs re-running the reference ensemble on every
 //!   completing job.
@@ -29,7 +29,7 @@
 //! each with a fixed ratio bar regardless of the CLI threshold:
 //! `sim_trace_overhead` (the `NullSink` build of the traced simulator
 //! loop vs the verbatim untraced reference loop,
-//! `Simulator::run_reference`) and `sim_fault_overhead`
+//! `hetero_oracles::sim::run_reference`) and `sim_fault_overhead`
 //! (`run_with_faults` with an empty `FaultPlan` vs the same
 //! reference) — both must stay within 2% — and `sim_metrics_overhead`
 //! (the traced loop feeding a live `hetero_telemetry::MetricsSink`,
@@ -37,9 +37,10 @@
 //! gated at 0.55x of the untraced loop). A seventh gated stage,
 //! `sim_manycore`, pins the indexed event loop's scaling win: at 256
 //! cores under a saturating burst, `Simulator::run` must be at least 5x
-//! faster than the retained linear-scan `Simulator::run_reference`. An
-//! eighth, `sim_stall_backlog`, pins the wait-set skip: on the
-//! energy-centric system's stalled backlog on the paper's quad, the loop
+//! faster than the retained linear-scan
+//! `hetero_oracles::sim::run_reference`. An eighth, `sim_stall_backlog`,
+//! pins the wait-set skip: on the energy-centric system's stalled
+//! backlog on the paper's quad, the loop
 //! that skips jobs whose best cores are all busy must run at least 2x
 //! (the CLI threshold) faster than the same loop offering every job; its
 //! artifact entry also reports both sides' absolute throughput in jobs/s.
@@ -82,13 +83,15 @@ use hetero_core::{
     BaseSystem, BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle,
 };
 use hetero_engine::{Outcome, RunSpec};
+use hetero_oracles::ann::RefBagging;
+use hetero_oracles::core::build_reference;
+use hetero_oracles::sim::run_reference;
 use hetero_telemetry::MetricsSink;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, FaultPlan, Job, JobExecution, NullSink, QueueDiscipline,
     Scheduler, Simulator, TraceEvent, TraceSink,
 };
 use std::process::ExitCode;
-use tinyann::reference::RefBagging;
 use tinyann::{Activation, Bagging, Dataset, DistillConfig, EnsembleF32, TrainConfig};
 use workloads::{ArrivalPlan, SplitMix64, Suite};
 
@@ -138,9 +141,10 @@ const METRICS_OVERHEAD_MIN_RATIO: f64 = 0.55;
 
 /// `sim_manycore` pins the scaling win of the indexed event loop: the
 /// bitset/indexed `Simulator::run` against the retained linear-scan
-/// `Simulator::run_reference` at 256 cores under a saturating burst (the
-/// regime where the reference pays O(cores) per event for idle scans and
-/// per-offer index rebuilds, while the indexed loop pays O(1)/O(words)).
+/// `hetero_oracles::sim::run_reference` at 256 cores under a saturating
+/// burst (the regime where the reference pays O(cores) per event for idle
+/// scans and per-offer index rebuilds, while the indexed loop pays
+/// O(1)/O(words)).
 /// Fixed — the CLI threshold does not move it.
 const MANYCORE_MIN_SPEEDUP: f64 = 5.0;
 
@@ -350,7 +354,7 @@ fn measure_oracle(label: &'static str, suite: &Suite, iters: u32) -> Stage {
     // single worker isolates the fused engine's gain from parallelism.
     let (reference, fused) = bench_paired(
         "oracle_reference",
-        || SuiteOracle::build_reference(suite, &model).len(),
+        || build_reference(suite, &model).len(),
         "oracle_fused",
         || SuiteOracle::build_with_threads(suite, &model, 1).len(),
         iters,
@@ -648,7 +652,7 @@ impl Scheduler for FirstIdle {
 }
 
 /// The flight-recorder no-regression stage: `Simulator::run` (traced
-/// loop, `NullSink`) against `Simulator::run_reference` (verbatim
+/// loop, `NullSink`) against `hetero_oracles::sim::run_reference` (verbatim
 /// pre-trace loop) on an arrival-dense preemptive workload. Both sides
 /// produce bit-identical metrics (property-tested); here only their cost
 /// is compared.
@@ -657,7 +661,7 @@ fn measure_trace_overhead(iters: u32) -> Stage {
     let sim = Simulator::new(4).with_discipline(QueueDiscipline::PreemptivePriority);
     let (reference, fused) = bench_paired(
         "sim_untraced_reference",
-        || sim.run_reference(&plan, &mut FirstIdle).jobs_completed,
+        || run_reference(&sim, &plan, &mut FirstIdle).jobs_completed,
         "sim_nullsink_traced",
         || sim.run(&plan, &mut FirstIdle).jobs_completed,
         iters,
@@ -681,7 +685,7 @@ fn measure_fault_overhead(iters: u32) -> Stage {
     let sim = Simulator::new(4).with_discipline(QueueDiscipline::PreemptivePriority);
     let (reference, fused) = bench_paired(
         "sim_untraced_reference",
-        || sim.run_reference(&plan, &mut FirstIdle).jobs_completed,
+        || run_reference(&sim, &plan, &mut FirstIdle).jobs_completed,
         "sim_faulted_nofault",
         || {
             sim.run_with_faults(&plan, &mut FirstIdle, &faults, &mut NullSink)
@@ -711,7 +715,7 @@ fn measure_metrics_overhead(iters: u32) -> Stage {
     let mut sink = MetricsSink::new(4, 100_000);
     let (reference, fused) = bench_paired(
         "sim_untraced_reference",
-        || sim.run_reference(&plan, &mut FirstIdle).jobs_completed,
+        || run_reference(&sim, &plan, &mut FirstIdle).jobs_completed,
         "sim_metrics_sink",
         || {
             sink.reset();
@@ -742,7 +746,7 @@ fn measure_manycore(iters: u32) -> Stage {
     let sim = Simulator::new(256);
     let (reference, fused) = bench_paired(
         "sim_manycore_linear",
-        || sim.run_reference(&plan, &mut FirstIdle).jobs_completed,
+        || run_reference(&sim, &plan, &mut FirstIdle).jobs_completed,
         "sim_manycore_indexed",
         || sim.run(&plan, &mut FirstIdle).jobs_completed,
         iters,

@@ -5,6 +5,7 @@
 
 use hetero_bench::{SystemKind, Testbed};
 use hetero_core::FallbackChain;
+use hetero_oracles::sim::run_reference;
 use multicore_sim::{
     ledger_divergences, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor,
     QueueDiscipline, RecordingSink, Simulator, StallPurityChecked, TraceEvent,
@@ -71,9 +72,11 @@ proptest! {
         let kind = SystemKind::ALL[system_index];
         let discipline = DISCIPLINES[discipline_index];
         let (run, _, purity) = run_faulted(kind, discipline, &plan, &empty);
-        let reference = Simulator::new(t.arch.num_cores())
-            .with_discipline(discipline)
-            .run_reference(&plan, &mut t.system(kind));
+        let reference = run_reference(
+            &Simulator::new(t.arch.num_cores()).with_discipline(discipline),
+            &plan,
+            &mut t.system(kind),
+        );
 
         prop_assert!(purity.is_empty(), "stall purity violated: {:?}", purity);
         prop_assert_eq!(run.faults, FaultStats::default());

@@ -11,6 +11,7 @@
 
 use hetero_bench::{tiled_architecture, SystemKind, Testbed};
 use hetero_core::ProposedSystem;
+use hetero_oracles::sim::run_reference;
 use multicore_sim::{
     ledger_divergences, FaultPlan, LedgerAuditor, NullSink, QueueDiscipline, RecordingSink,
     Simulator,
@@ -42,7 +43,7 @@ proptest! {
         let kind = SystemKind::ALL[system_index];
         let sim = Simulator::new(t.arch.num_cores()).with_discipline(DISCIPLINES[discipline_index]);
         let indexed = sim.run(&plan, &mut t.system(kind));
-        let reference = sim.run_reference(&plan, &mut t.system(kind));
+        let reference = run_reference(&sim, &plan, &mut t.system(kind));
         let traced = sim.run_with_sink(&plan, &mut t.system(kind), &mut RecordingSink::new());
         let faulted = sim
             .run_with_faults(&plan, &mut t.system(kind), &FaultPlan::empty(), &mut NullSink)
@@ -76,7 +77,7 @@ fn manycore_tiled_proposed_matches_reference_and_audits_clean() {
     assert!(outcome.is_ok(), "64-core audit failed: {:?}", outcome.err());
 
     let mut again = ProposedSystem::with_model(&arch, &t.oracle, t.model, t.predictor.clone());
-    let reference = sim.run_reference(&plan, &mut again);
+    let reference = run_reference(&sim, &plan, &mut again);
     let divergences = ledger_divergences(&traced, &reference);
     assert!(divergences.is_empty(), "{divergences:?}");
 }

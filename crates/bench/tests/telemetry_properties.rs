@@ -8,6 +8,7 @@
 //! turnaround total).
 
 use hetero_bench::{SystemKind, Testbed};
+use hetero_oracles::sim::run_reference;
 use hetero_telemetry::{MetricsSink, SpanAssembler};
 use multicore_sim::{
     FaultConfig, FaultPlan, IdleCores, QueueDiscipline, RecordingSink, Simulator, TraceEvent,
@@ -48,7 +49,7 @@ proptest! {
         let kind = SystemKind::ALL[system_index];
         let num_cores = t.arch.num_cores();
         let sim = Simulator::new(num_cores).with_discipline(DISCIPLINES[discipline_index]);
-        let reference = sim.run_reference(&plan, &mut t.system(kind));
+        let reference = run_reference(&sim, &plan, &mut t.system(kind));
         let mut sink = MetricsSink::new(num_cores, INTERVAL);
         let instrumented = sim.run_with_sink(&plan, &mut t.system(kind), &mut sink);
         let report = sink.report();

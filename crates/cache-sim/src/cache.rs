@@ -71,6 +71,7 @@ pub struct Cache {
 impl Cache {
     /// Create an empty (all-invalid) cache in the given Table 1
     /// configuration, with LRU replacement.
+    #[inline]
     pub fn new(config: CacheConfig) -> Self {
         let mut cache = Cache::from_geometry(Geometry::from(config));
         cache.config = Some(config);
@@ -187,6 +188,7 @@ impl Cache {
 
     /// Replay a whole trace, returning the statistics for *this run only*
     /// (the cache's cumulative [`stats`](Cache::stats) also advance).
+    #[inline]
     pub fn run(&mut self, trace: &Trace) -> CacheStats {
         let before = self.stats;
         for &access in trace.iter() {

@@ -396,12 +396,13 @@ fn splitmix_mix(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Single-pass equivalent of [`sweep_serial`](crate::sweep_serial):
+/// Single-pass equivalent of `hetero_oracles::cache::sweep_serial`:
 /// simulate `trace` under all 18 Table 1 configurations while walking it
 /// once. Results are bit-identical, in [`design_space`] order.
 ///
 /// ```
-/// use cache_sim::{sweep_fused, sweep_serial, Access, Trace};
+/// use cache_sim::{sweep_fused, Access, Trace};
+/// use hetero_oracles::cache::sweep_serial;
 /// let trace: Trace = (0..512u64).map(|i| Access::read(i * 24)).collect();
 /// assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
 /// ```
@@ -410,7 +411,7 @@ pub fn sweep_fused(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
 }
 
 /// Like [`sweep_fused`] with an explicit replacement policy — the fused
-/// analogue of [`sweep_with_policy_serial`](crate::sweep_with_policy_serial).
+/// analogue of `hetero_oracles::cache::sweep_with_policy_serial`.
 pub fn sweep_fused_with_policy(
     trace: &Trace,
     policy: ReplacementPolicy,
@@ -431,7 +432,7 @@ pub fn sweep_fused_with_policy(
 }
 
 /// Single-pass equivalent of
-/// [`sweep_hierarchy_serial`](crate::sweep_hierarchy_serial): all 18 L1
+/// `hetero_oracles::cache::sweep_hierarchy_serial`: all 18 L1
 /// configurations, each in front of its own private copy of the same L2
 /// geometry, in one trace walk. Per block, each L1 lane's misses are
 /// collected in order and replayed through its L2 lane — the L2 sees
@@ -477,91 +478,10 @@ pub fn sweep_hierarchy_fused(
 mod tests {
     use super::*;
 
-    /// A conflict-heavy mixed read/write trace touching a few address
-    /// regions, long enough to exercise evictions in every lane and to
-    /// span multiple tiles.
-    fn mixed_trace(len: u64) -> Trace {
-        (0..len)
-            .map(|i| {
-                let addr = (i.wrapping_mul(2654435761) ^ (i << 7)) % 262_144;
-                if i % 5 == 0 {
-                    Access::write(addr)
-                } else {
-                    Access::read(addr)
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fused_matches_serial_lru() {
-        let trace = mixed_trace(20_000);
-        assert_eq!(sweep_fused(&trace), crate::sweep_serial(&trace));
-    }
-
-    #[test]
-    fn fused_matches_serial_for_every_policy() {
-        let trace = mixed_trace(8_000);
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random { seed: 0xDEAD_BEEF },
-        ] {
-            assert_eq!(
-                sweep_fused_with_policy(&trace, policy),
-                crate::sweep_with_policy_serial(&trace, policy),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_hierarchy_matches_serial() {
-        let trace = mixed_trace(12_000);
-        assert_eq!(
-            sweep_hierarchy_fused(Geometry::typical_l2(), &trace),
-            crate::sweep_hierarchy_serial(Geometry::typical_l2(), &trace)
-        );
-    }
-
-    #[test]
-    fn fused_hierarchy_matches_serial_on_an_odd_l2() {
-        // A non-power-of-two set count exercises the modulo indexing path.
-        let l2 = Geometry::new(3, 2, 32).unwrap();
-        let trace = mixed_trace(4_000);
-        assert_eq!(
-            sweep_hierarchy_fused(l2, &trace),
-            crate::sweep_hierarchy_serial(l2, &trace)
-        );
-    }
-
-    #[test]
-    fn tile_boundaries_are_invisible() {
-        // Lengths straddling the block size: 0, 1, BLOCK-1, BLOCK,
-        // BLOCK+1, several blocks plus a remainder.
-        for len in [0, 1, 1023, 1024, 1025, 5000] {
-            let trace = mixed_trace(len as u64);
-            assert_eq!(
-                sweep_fused(&trace),
-                crate::sweep_serial(&trace),
-                "len {len}"
-            );
-        }
-    }
-
     #[test]
     fn empty_trace_yields_zeroed_lanes() {
         for (config, stats) in sweep_fused(&Trace::new()) {
             assert_eq!(stats.accesses(), 0, "{config}");
         }
-    }
-
-    #[test]
-    fn sentinel_tags_survive_extreme_addresses() {
-        // Addresses near u64::MAX must still be representable tags.
-        let trace: Trace = (0..64u64)
-            .map(|i| Access::read(u64::MAX - i * 16))
-            .collect();
-        assert_eq!(sweep_fused(&trace), crate::sweep_serial(&trace));
     }
 }

@@ -145,21 +145,10 @@ pub fn simulate_hierarchy(
 ///
 /// Delegates to the single-pass
 /// [`sweep_hierarchy_fused`](crate::sweep_hierarchy_fused) engine;
-/// [`sweep_hierarchy_serial`] is the per-config reference it is tested
-/// against.
+/// `hetero_oracles::cache::sweep_hierarchy_serial` is the per-config
+/// reference it is tested against.
 pub fn sweep_hierarchy(l2_geometry: Geometry, trace: &Trace) -> Vec<(CacheConfig, HierarchyStats)> {
     crate::fused::sweep_hierarchy_fused(l2_geometry, trace)
-}
-
-/// Reference implementation of [`sweep_hierarchy`]: one full hierarchy
-/// replay per configuration.
-pub fn sweep_hierarchy_serial(
-    l2_geometry: Geometry,
-    trace: &Trace,
-) -> Vec<(CacheConfig, HierarchyStats)> {
-    crate::design_space()
-        .map(|config| (config, simulate_hierarchy(config, l2_geometry, trace)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -56,11 +56,7 @@ pub use config::{
 pub use fused::{sweep_fused, sweep_fused_with_policy, sweep_hierarchy_fused};
 pub use geometry::{Geometry, GeometryError};
 pub use hierarchy::{
-    simulate_hierarchy, sweep_hierarchy, sweep_hierarchy_serial, CacheHierarchy, HierarchyStats,
-    HitLevel,
+    simulate_hierarchy, sweep_hierarchy, CacheHierarchy, HierarchyStats, HitLevel,
 };
 pub use stats::CacheStats;
-pub use trace::{
-    simulate, sweep, sweep_serial, sweep_with_policy, sweep_with_policy_serial, Access, AccessKind,
-    Trace,
-};
+pub use trace::{simulate, sweep, sweep_with_policy, Access, AccessKind, Trace};

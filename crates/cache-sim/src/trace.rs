@@ -1,7 +1,7 @@
 //! Memory-reference traces and simulation drivers.
 
 use crate::cache::Cache;
-use crate::config::{design_space, CacheConfig, DESIGN_SPACE_LEN};
+use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 
 /// Whether an access reads or writes memory.
@@ -169,6 +169,7 @@ impl AsRef<[Access]> for Trace {
 /// let stats = simulate(BASE_CONFIG, &trace);
 /// assert_eq!(stats.accesses(), 256);
 /// ```
+#[inline]
 pub fn simulate(config: CacheConfig, trace: &Trace) -> CacheStats {
     Cache::new(config).run(trace)
 }
@@ -177,29 +178,18 @@ pub fn simulate(config: CacheConfig, trace: &Trace) -> CacheStats {
 ///
 /// This is what the paper did offline with SimpleScalar ("we used
 /// SimpleScalar to record the benchmarks' cache accesses and miss rates for
-/// every cache configuration"). Results are in [`design_space`] order.
+/// every cache configuration"). Results are in [`design_space`](crate::design_space) order.
 ///
 /// Delegates to the single-pass [`sweep_fused`](crate::sweep_fused)
-/// engine; [`sweep_serial`] is the obviously-correct 18-replay reference
-/// the fused path is property-tested against.
+/// engine; `hetero_oracles::cache::sweep_serial` is the obviously-correct
+/// 18-replay reference the fused path is property-tested against.
 pub fn sweep(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
     crate::fused::sweep_fused(trace)
 }
 
-/// Reference implementation of [`sweep`]: one full [`simulate`] replay per
-/// configuration. Kept for the fused-equivalence property tests and as the
-/// timing baseline of the perf pipeline.
-pub fn sweep_serial(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
-    let mut results = Vec::with_capacity(DESIGN_SPACE_LEN);
-    for config in design_space() {
-        results.push((config, simulate(config, trace)));
-    }
-    results
-}
-
 /// Like [`sweep`], but with an explicit replacement policy (the
 /// replacement-policy ablation; [`sweep`] is the paper's LRU). Fused,
-/// single-pass; [`sweep_with_policy_serial`] is the per-config reference.
+/// single-pass; its per-config reference is in `hetero_oracles::cache`.
 pub fn sweep_with_policy(
     trace: &Trace,
     policy: crate::ReplacementPolicy,
@@ -207,21 +197,10 @@ pub fn sweep_with_policy(
     crate::fused::sweep_fused_with_policy(trace, policy)
 }
 
-/// Reference implementation of [`sweep_with_policy`]: one replay per
-/// configuration.
-pub fn sweep_with_policy_serial(
-    trace: &Trace,
-    policy: crate::ReplacementPolicy,
-) -> Vec<(CacheConfig, CacheStats)> {
-    design_space()
-        .map(|config| (config, crate::Cache::with_policy(config, policy).run(trace)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BASE_CONFIG;
+    use crate::config::{BASE_CONFIG, DESIGN_SPACE_LEN};
 
     fn strided(n: u64, stride: u64) -> Trace {
         (0..n).map(|i| Access::read(i * stride)).collect()

@@ -5,10 +5,10 @@
 //! obviously-correct reference model.
 
 use cache_sim::{
-    design_space, simulate, sweep_fused, sweep_fused_with_policy, sweep_hierarchy_fused,
-    sweep_hierarchy_serial, sweep_serial, sweep_with_policy_serial, Access, Cache, CacheConfig,
-    Geometry, ReplacementPolicy, Trace,
+    design_space, simulate, sweep_fused, sweep_fused_with_policy, sweep_hierarchy_fused, Access,
+    Cache, CacheConfig, Geometry, ReplacementPolicy, Trace,
 };
+use hetero_oracles::cache::{sweep_hierarchy_serial, sweep_serial, sweep_with_policy_serial};
 use proptest::prelude::*;
 
 /// An intentionally naive reference cache: per-set `Vec` of tags ordered by
@@ -208,4 +208,81 @@ proptest! {
             }
         }
     }
+}
+
+/// A conflict-heavy mixed read/write trace touching a few address
+/// regions, long enough to exercise evictions in every lane and to
+/// span multiple tiles.
+fn mixed_trace(len: u64) -> Trace {
+    (0..len)
+        .map(|i| {
+            let addr = (i.wrapping_mul(2654435761) ^ (i << 7)) % 262_144;
+            if i % 5 == 0 {
+                Access::write(addr)
+            } else {
+                Access::read(addr)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn fused_matches_serial_lru() {
+    let trace = mixed_trace(20_000);
+    assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
+}
+
+#[test]
+fn fused_matches_serial_for_every_policy() {
+    let trace = mixed_trace(8_000);
+    for policy in [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random { seed: 0xDEAD_BEEF },
+    ] {
+        assert_eq!(
+            sweep_fused_with_policy(&trace, policy),
+            sweep_with_policy_serial(&trace, policy),
+            "{policy:?}"
+        );
+    }
+}
+
+#[test]
+fn fused_hierarchy_matches_serial() {
+    let trace = mixed_trace(12_000);
+    assert_eq!(
+        sweep_hierarchy_fused(Geometry::typical_l2(), &trace),
+        sweep_hierarchy_serial(Geometry::typical_l2(), &trace)
+    );
+}
+
+#[test]
+fn fused_hierarchy_matches_serial_on_an_odd_l2() {
+    // A non-power-of-two set count exercises the modulo indexing path.
+    let l2 = Geometry::new(3, 2, 32).unwrap();
+    let trace = mixed_trace(4_000);
+    assert_eq!(
+        sweep_hierarchy_fused(l2, &trace),
+        sweep_hierarchy_serial(l2, &trace)
+    );
+}
+
+#[test]
+fn tile_boundaries_are_invisible() {
+    // Lengths straddling the block size: 0, 1, BLOCK-1, BLOCK,
+    // BLOCK+1, several blocks plus a remainder.
+    for len in [0, 1, 1023, 1024, 1025, 5000] {
+        let trace = mixed_trace(len as u64);
+        assert_eq!(sweep_fused(&trace), sweep_serial(&trace), "len {len}");
+    }
+}
+
+#[test]
+fn sentinel_tags_survive_extreme_addresses() {
+    // Addresses near u64::MAX must still be representable tags.
+    let trace: Trace = (0..64u64)
+        .map(|i| Access::read(u64::MAX - i * 16))
+        .collect();
+    assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
 }

@@ -73,7 +73,7 @@ impl SuiteOracle {
     /// count shards benchmarks across scoped threads and merges results
     /// by index, producing byte-identical output.
     pub fn build_with_threads(suite: &Suite, model: &EnergyModel, workers: usize) -> Self {
-        Self::build_inner(suite, workers, |run| {
+        Self::build_with(suite, workers, |run| {
             let sweep = cache_sim::sweep(&run.trace);
             sweep
                 .into_iter()
@@ -98,20 +98,6 @@ impl SuiteOracle {
         })
     }
 
-    /// Reference implementation of [`build`](Self::build): the serial
-    /// 18-replay characterisation on a single thread. Kept as the
-    /// obviously-correct baseline for equivalence tests and as the
-    /// "before" timing of the perf pipeline.
-    pub fn build_reference(suite: &Suite, model: &EnergyModel) -> Self {
-        Self::build_inner(suite, 1, |run| {
-            let sweep = cache_sim::sweep_serial(&run.trace);
-            sweep
-                .into_iter()
-                .map(|(config, stats)| (stats, model.execution(config, &stats, run.cpu_cycles)))
-                .unzip()
-        })
-    }
-
     /// Like [`build`](Self::build), but with every L1 configuration backed
     /// by a private L2 (the paper's future-work hierarchy extension; see
     /// `energy-model::l2`). The per-configuration `stats` remain the L1
@@ -129,7 +115,7 @@ impl SuiteOracle {
         l2: &energy_model::L2Params,
         workers: usize,
     ) -> Self {
-        Self::build_inner(suite, workers, |run| {
+        Self::build_with(suite, workers, |run| {
             let sweep = cache_sim::sweep_hierarchy(l2.geometry, &run.trace);
             sweep
                 .into_iter()
@@ -143,7 +129,11 @@ impl SuiteOracle {
         })
     }
 
-    fn build_inner(
+    /// Build the table with `characterise` mapping each kernel run to its
+    /// stats and costs in [`design_space`] order, sharded across `workers`
+    /// as in [`build_with_threads`](Self::build_with_threads). The other
+    /// constructors pass fused sweeps; `hetero-oracles` passes the serial one.
+    pub fn build_with(
         suite: &Suite,
         workers: usize,
         characterise: impl Fn(&workloads::KernelRun) -> (Vec<CacheStats>, Vec<ExecutionCost>) + Sync,
@@ -403,15 +393,6 @@ mod tests {
         let one = SuiteOracle::build_with_threads(&suite, &model, 1);
         let four = SuiteOracle::build_with_threads(&suite, &model, 4);
         assert_bit_identical(&one, &four, "workers 1 vs 4");
-    }
-
-    #[test]
-    fn fused_build_is_bit_identical_to_the_serial_reference() {
-        let suite = Suite::eembc_like_small();
-        let model = EnergyModel::default();
-        let fused = SuiteOracle::build_with_threads(&suite, &model, 1);
-        let reference = SuiteOracle::build_reference(&suite, &model);
-        assert_bit_identical(&fused, &reference, "fused vs 18-replay reference");
     }
 
     #[test]

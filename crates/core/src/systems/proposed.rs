@@ -147,11 +147,6 @@ impl<'a> ProposedSystem<'a> {
         self
     }
 
-    /// The active decision policy.
-    pub fn decision_policy(&self) -> DecisionPolicy {
-        self.policy
-    }
-
     /// Instrumentation counters.
     pub fn stats(&self) -> SystemStats {
         self.shared.stats

@@ -88,15 +88,6 @@ where
         .collect()
 }
 
-/// [`map_indexed`] with the worker count taken from [`worker_count`].
-pub fn map_auto<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_indexed(n, worker_count(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,7 +54,6 @@ mod core_index;
 pub mod faults;
 mod job;
 mod metrics;
-mod reference;
 mod scheduler;
 mod simulator;
 mod trace;

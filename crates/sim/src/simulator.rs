@@ -293,14 +293,14 @@ impl WaitClasses {
 /// Every entry point — [`run`](Self::run),
 /// [`run_with_sink`](Self::run_with_sink), [`run_stream`](Self::run_stream)
 /// and [`run_with_faults`](Self::run_with_faults) — drives one indexed
-/// event loop; the linear-scan [`run_reference`](Self::run_reference) is
+/// event loop; the linear-scan `hetero_oracles::sim::run_reference` is
 /// its bit-identity oracle.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    pub(crate) num_cores: usize,
-    pub(crate) discipline: QueueDiscipline,
+    num_cores: usize,
+    discipline: QueueDiscipline,
 }
 
 impl Simulator {
@@ -338,8 +338,7 @@ impl Simulator {
     /// Equivalent to [`run_with_sink`](Self::run_with_sink) with the
     /// zero-overhead [`NullSink`]: the sink is monomorphised away and the
     /// hot path carries no tracing cost (guarded by the perf gate's
-    /// `sim_trace_overhead` stage against
-    /// [`run_reference`](Self::run_reference)).
+    /// `sim_trace_overhead` stage against the reference loop).
     ///
     /// # Panics
     ///
@@ -421,7 +420,7 @@ impl Simulator {
     /// An empty plan ([`FaultPlan::is_empty`]) runs the loop on a
     /// zero-sized fault source whose hooks are constants, so every fault
     /// branch compiles out: the metrics are **bit-identical** to
-    /// [`run_reference`](Self::run_reference) (property-tested) and the
+    /// `hetero_oracles::sim::run_reference` (property-tested) and the
     /// cost is perf-gated within 2 % of it by the `sim_fault_overhead`
     /// stage.
     ///
@@ -1880,45 +1879,6 @@ mod tests {
     }
 
     #[test]
-    fn run_and_run_reference_agree_bit_for_bit() {
-        for discipline in [
-            QueueDiscipline::Fifo,
-            QueueDiscipline::Priority,
-            QueueDiscipline::PreemptivePriority,
-        ] {
-            let plan = ArrivalPlan::uniform_with_priorities(40, 3_000, 3, 3, 7);
-            let sim = Simulator::new(2).with_discipline(discipline);
-            let traced = sim.run(
-                &plan,
-                &mut SingleCore {
-                    duration: 100,
-                    completions_seen: Vec::new(),
-                },
-            );
-            let reference = sim.run_reference(
-                &plan,
-                &mut SingleCore {
-                    duration: 100,
-                    completions_seen: Vec::new(),
-                },
-            );
-            assert_eq!(traced, reference, "{discipline:?}");
-            assert_eq!(
-                traced.energy.idle_nj.to_bits(),
-                reference.energy.idle_nj.to_bits()
-            );
-            assert_eq!(
-                traced.energy.dynamic_nj.to_bits(),
-                reference.energy.dynamic_nj.to_bits()
-            );
-            assert_eq!(
-                traced.energy.static_nj.to_bits(),
-                reference.energy.static_nj.to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn recorded_trace_passes_the_ledger_audit() {
         use crate::trace::{LedgerAuditor, RecordingSink};
         for discipline in [
@@ -1939,45 +1899,6 @@ mod tests {
                 .unwrap_or_else(|problems| {
                     panic!("{discipline:?} audit failed:\n{}", problems.join("\n"))
                 });
-        }
-    }
-
-    #[test]
-    fn empty_fault_plan_matches_reference_bit_for_bit() {
-        use crate::faults::{FaultPlan, FaultStats};
-        for discipline in [
-            QueueDiscipline::Fifo,
-            QueueDiscipline::Priority,
-            QueueDiscipline::PreemptivePriority,
-        ] {
-            let plan = ArrivalPlan::uniform_with_priorities(40, 3_000, 3, 3, 7);
-            let sim = Simulator::new(2).with_discipline(discipline);
-            let faulted = sim.run_with_faults(
-                &plan,
-                &mut SingleCore {
-                    duration: 100,
-                    completions_seen: Vec::new(),
-                },
-                &FaultPlan::empty(),
-                &mut NullSink,
-            );
-            let reference = sim.run_reference(
-                &plan,
-                &mut SingleCore {
-                    duration: 100,
-                    completions_seen: Vec::new(),
-                },
-            );
-            assert_eq!(faulted.metrics, reference, "{discipline:?}");
-            assert_eq!(
-                faulted.metrics.energy.idle_nj.to_bits(),
-                reference.energy.idle_nj.to_bits()
-            );
-            assert_eq!(
-                faulted.metrics.energy.dynamic_nj.to_bits(),
-                reference.energy.dynamic_nj.to_bits()
-            );
-            assert_eq!(faulted.faults, FaultStats::default());
         }
     }
 

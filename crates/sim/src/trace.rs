@@ -2063,93 +2063,6 @@ mod tests {
         checked.assert_pure();
     }
 
-    /// Every core idles at `base + 0.25 * placements`: a placement on
-    /// one core moves every other core's idle power, which breaks the
-    /// idle-power contract.
-    struct DriftingIdlePower {
-        placements: u64,
-        broken: bool,
-    }
-
-    impl Scheduler for DriftingIdlePower {
-        fn schedule(&mut self, _job: &Job, cores: &CoreIndex, _now: u64) -> Decision {
-            match cores.first_idle() {
-                Some(core) => {
-                    self.placements += 1;
-                    Decision::run(
-                        core,
-                        crate::JobExecution {
-                            cycles: 100,
-                            energy: EnergyBreakdown::new(),
-                        },
-                    )
-                }
-                None => Decision::Stall,
-            }
-        }
-
-        fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
-            let drift = if self.broken { self.placements } else { 0 };
-            1.0 + core.0 as f64 + 0.25 * drift as f64
-        }
-
-        fn state_fingerprint(&self) -> u64 {
-            self.placements
-        }
-    }
-
-    fn check_idle_power(broken: bool) -> (StallPurityChecked<DriftingIdlePower>, RunMetrics) {
-        use workloads::{Arrival, ArrivalPlan};
-        // Staggered arrivals on four cores: each placement leaves other
-        // cores idle, and the earlier placements already read them.
-        let plan = ArrivalPlan::from_arrivals(
-            [0, 10, 20, 30, 200, 210]
-                .into_iter()
-                .map(|t| Arrival::new(t, BenchmarkId(0)))
-                .collect(),
-        );
-        let mut checked = StallPurityChecked::new(DriftingIdlePower {
-            placements: 0,
-            broken,
-        });
-        let metrics = crate::Simulator::new(4).run(&plan, &mut checked);
-        assert_eq!(metrics.jobs_completed, 6);
-        (checked, metrics)
-    }
-
-    #[test]
-    fn idle_power_kept_per_core_passes_the_checker() {
-        let (checked, _) = check_idle_power(false);
-        assert!(checked.idle_power_checks() > 0);
-        checked.assert_pure();
-    }
-
-    #[test]
-    fn idle_power_moved_by_another_cores_placement_is_a_violation() {
-        let (checked, metrics) = check_idle_power(true);
-        let violations = checked.violations();
-        assert!(!violations.is_empty());
-        assert!(
-            violations.iter().all(|v| v.contains("moved idle")),
-            "{violations:?}"
-        );
-        // The loop trusts the contract and charges its cached powers, so
-        // the reference loop, which asks on every advance, disagrees.
-        let reference = crate::Simulator::new(4).run_reference(
-            &workloads::ArrivalPlan::from_arrivals(
-                [0, 10, 20, 30, 200, 210]
-                    .into_iter()
-                    .map(|t| workloads::Arrival::new(t, BenchmarkId(0)))
-                    .collect(),
-            ),
-            &mut DriftingIdlePower {
-                placements: 0,
-                broken: true,
-            },
-        );
-        assert_ne!(metrics.energy.idle_nj, reference.energy.idle_nj);
-    }
-
     fn announced(core: usize, at: u64, power: f64) -> TraceEvent {
         TraceEvent::IdlePower {
             core: CoreId(core),

@@ -1,6 +1,7 @@
 //! Property-based tests for the discrete-event simulator.
 
 use energy_model::EnergyBreakdown;
+use hetero_oracles::sim::run_reference;
 use multicore_sim::{
     CoreId, CoreIndex, Decision, FaultConfig, FaultPlan, FaultStats, Job, JobExecution,
     LedgerAuditor, NullSink, QueueDiscipline, RecordingSink, Scheduler, Simulator,
@@ -193,7 +194,7 @@ proptest! {
         ][discipline_index];
         let sim = Simulator::new(cores).with_discipline(discipline);
         let traced = sim.run(&plan, &mut FirstIdle);
-        let reference = sim.run_reference(&plan, &mut FirstIdle);
+        let reference = run_reference(&sim, &plan, &mut FirstIdle);
         prop_assert_eq!(&traced, &reference);
         prop_assert_eq!(
             traced.energy.idle_nj.to_bits(),
@@ -230,7 +231,7 @@ proptest! {
             &FaultPlan::empty(),
             &mut NullSink,
         );
-        let reference = sim.run_reference(&plan, &mut FirstIdle);
+        let reference = run_reference(&sim, &plan, &mut FirstIdle);
         prop_assert_eq!(&faulted.metrics, &reference);
         prop_assert_eq!(
             faulted.metrics.energy.idle_nj.to_bits(),

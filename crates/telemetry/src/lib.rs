@@ -11,7 +11,7 @@
 //!   simulator's typed event stream into per-core time-series windows,
 //!   run-wide latency/energy/stall histograms, and run totals, without
 //!   retaining the raw events. Attaching it never changes a run's
-//!   `RunMetrics` (property-tested bit-identical to `run_reference`).
+//!   `RunMetrics` (property-tested bit-identical to the reference loop).
 //! * [`SpanRecorder`] / [`Span`] — RAII wall-clock profiling of the
 //!   offline pipeline stages (characterisation, oracle build, ensemble
 //!   training, prediction), pluggable into

@@ -19,7 +19,7 @@
 //!
 //! The sink is passive: it never influences the simulation, so a run
 //! with a `MetricsSink` attached returns `RunMetrics` bit-identical to
-//! [`Simulator::run_reference`](multicore_sim::Simulator) — enforced by
+//! the reference loop `hetero_oracles::sim::run_reference` — enforced by
 //! property tests in `crates/bench/tests/telemetry_properties.rs` and
 //! held within a gated cost budget by the `sim_metrics_overhead` stage
 //! of `perf_pipeline`.

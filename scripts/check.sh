@@ -28,6 +28,19 @@ cargo test --workspace --offline --quiet
 echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline"
 cargo test --manifest-path benchmark/Cargo.toml --offline --quiet
 
+# The retained reference implementations live in hetero-oracles. Only the
+# experiment harness may link them; every other crate takes them as a
+# dev-dependency at most.
+echo "==> oracle boundary (hetero-oracles in no production crate's normal dependency tree)"
+for crate in hetero-sched multicore-sim hetero-core hetero-engine hetero-telemetry tinyann \
+    cache-sim energy-model workloads hetero-parallel; do
+    tree="$(cargo tree -e normal --offline -p "$crate")"
+    if grep -q "hetero-oracles" <<<"$tree"; then
+        echo "error: $crate depends on hetero-oracles outside its dev-dependencies" >&2
+        exit 1
+    fi
+done
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
@@ -66,6 +79,18 @@ cmp "$pin_tmp/table1.txt" results/table1.txt
 cmp "$pin_tmp/results/figure6.json" results/figure6.json
 cmp "$pin_tmp/results/figure7.json" results/figure7.json
 cmp "$pin_tmp/results/BENCH_chaos.json" results/BENCH_chaos.json
+
+echo "==> pinned results/*.txt (nine experiment bins' stdout at default arguments)"
+# Each committed text file is its bin's stdout at default arguments; the
+# bins also write under ./results/, so they run in their own scratch
+# directory. The nine take about two minutes on a 2-vCPU host, ablations
+# most of it.
+mkdir -p "$pin_tmp/txt/results"
+for bin in figure6 figure7 l2_extension per_benchmark replacement scaling sensitivity \
+    overheads ablations; do
+    (cd "$pin_tmp/txt" && "$repo_root/target/release/$bin" >"$bin.txt")
+    cmp "$pin_tmp/txt/$bin.txt" "results/$bin.txt"
+done
 
 echo "==> telemetry --smoke (span profiler + metrics sink across all systems)"
 ./target/release/telemetry --smoke
