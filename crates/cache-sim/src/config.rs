@@ -376,11 +376,16 @@ impl CacheConfig {
         CacheConfig { line, ..self }
     }
 
-    /// Index of this configuration within [`design_space`] order.
+    /// Index of this configuration within [`design_space`] order: the
+    /// 3 + 6 configurations of the smaller sizes come first, then three
+    /// lines per associativity.
     pub fn design_space_index(self) -> usize {
-        design_space()
-            .position(|c| c == self)
-            .expect("constructible configs are in the space")
+        let offset = match self.size {
+            CacheSizeKb::K2 => 0,
+            CacheSizeKb::K4 => 3,
+            CacheSizeKb::K8 => 9,
+        };
+        offset + 3 * self.associativity as usize + self.line as usize
     }
 }
 
@@ -607,6 +612,26 @@ mod tests {
         for (i, config) in design_space().enumerate() {
             assert_eq!(config.design_space_index(), i);
         }
+    }
+
+    #[test]
+    fn closed_form_index_matches_the_design_space_scan() {
+        for config in design_space() {
+            assert_eq!(
+                Some(config.design_space_index()),
+                design_space().position(|c| c == config),
+                "{config}"
+            );
+        }
+    }
+
+    #[test]
+    fn design_space_order_is_display_order() {
+        // Tables indexed by design_space_index iterate in the same order
+        // as a map keyed by the configuration's name.
+        let mut by_name: Vec<CacheConfig> = design_space().collect();
+        by_name.sort_by_key(|c| c.to_string());
+        assert_eq!(by_name, design_space().collect::<Vec<_>>());
     }
 
     #[test]

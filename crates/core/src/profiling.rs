@@ -8,9 +8,8 @@
 //! tuning heuristic to operate across multiple application executions."
 
 use crate::tuning::{TuningExplorer, TuningStatus};
-use cache_sim::{CacheConfig, CacheSizeKb};
+use cache_sim::{design_space, CacheConfig, CacheSizeKb, DESIGN_SPACE_LEN};
 use energy_model::ExecutionCost;
-use std::collections::BTreeMap;
 use workloads::{BenchmarkId, ExecutionStatistics};
 
 /// Everything the scheduler has learned about one application.
@@ -23,10 +22,11 @@ pub struct ProfileEntry {
     pub base_cost: ExecutionCost,
     /// The ANN's best-cache-size prediction for this application.
     pub predicted_best_size: CacheSizeKb,
-    /// Energy/performance of every configuration physically executed.
-    explored: BTreeMap<String, (CacheConfig, ExecutionCost)>,
-    /// Per-core-size tuning cursors (Figure 5 state).
-    tuners: BTreeMap<u32, TuningExplorer>,
+    /// Energy/performance of every configuration physically executed,
+    /// indexed by [`CacheConfig::design_space_index`].
+    explored: [Option<ExecutionCost>; DESIGN_SPACE_LEN],
+    /// Per-core-size tuning cursors (Figure 5 state), indexed by size.
+    tuners: [Option<TuningExplorer>; 3],
 }
 
 impl ProfileEntry {
@@ -40,8 +40,8 @@ impl ProfileEntry {
             statistics,
             base_cost,
             predicted_best_size,
-            explored: BTreeMap::new(),
-            tuners: BTreeMap::new(),
+            explored: [None; DESIGN_SPACE_LEN],
+            tuners: Default::default(),
         }
     }
 
@@ -49,11 +49,8 @@ impl ProfileEntry {
     /// Also advances the tuning explorer for `config.size()` when that
     /// explorer asked for this configuration.
     pub fn record_execution(&mut self, config: CacheConfig, cost: ExecutionCost) {
-        self.explored.insert(config.to_string(), (config, cost));
-        let tuner = self
-            .tuners
-            .entry(config.size().kilobytes())
-            .or_insert_with(|| TuningExplorer::new(config.size()));
+        self.explored[config.design_space_index()] = Some(cost);
+        let tuner = self.tuner_mut(config.size());
         if let TuningStatus::Explore(wanted) = tuner.status() {
             if wanted == config {
                 tuner.record(config, cost.total_nj());
@@ -64,31 +61,30 @@ impl ProfileEntry {
     /// The stored cost of `config`, if this configuration has ever been
     /// executed.
     pub fn known_cost(&self, config: CacheConfig) -> Option<ExecutionCost> {
-        self.explored
-            .get(&config.to_string())
-            .map(|(_, cost)| *cost)
+        self.explored[config.design_space_index()]
     }
 
     /// Number of distinct configurations executed so far.
     pub fn explored_count(&self) -> usize {
-        self.explored.len()
+        self.explored.iter().flatten().count()
     }
 
-    /// Iterate over all explored `(configuration, cost)` pairs.
+    /// Iterate over all explored `(configuration, cost)` pairs in
+    /// design-space order (which is also the order of their names).
     pub fn explored(&self) -> impl Iterator<Item = (CacheConfig, ExecutionCost)> + '_ {
-        self.explored.values().copied()
+        design_space()
+            .zip(&self.explored)
+            .filter_map(|(config, cost)| Some((config, (*cost)?)))
     }
 
     /// The tuning cursor for cores of `size`, creating it on first use.
     pub fn tuner_mut(&mut self, size: CacheSizeKb) -> &mut TuningExplorer {
-        self.tuners
-            .entry(size.kilobytes())
-            .or_insert_with(|| TuningExplorer::new(size))
+        self.tuners[size as usize].get_or_insert_with(|| TuningExplorer::new(size))
     }
 
     /// The tuning cursor for cores of `size`, if exploration has begun.
     pub fn tuner(&self, size: CacheSizeKb) -> Option<&TuningExplorer> {
-        self.tuners.get(&size.kilobytes())
+        self.tuners[size as usize].as_ref()
     }
 
     /// `true` once the best configuration on cores of `size` is known
@@ -123,7 +119,7 @@ impl ProfileEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProfilingTable {
-    entries: BTreeMap<usize, ProfileEntry>,
+    entries: Vec<Option<ProfileEntry>>,
 }
 
 impl ProfilingTable {
@@ -134,40 +130,44 @@ impl ProfilingTable {
 
     /// `true` if `benchmark` has been profiled.
     pub fn contains(&self, benchmark: BenchmarkId) -> bool {
-        self.entries.contains_key(&benchmark.0)
+        self.get(benchmark).is_some()
     }
 
     /// Insert the result of a profiling execution. Returns the previous
     /// entry if the benchmark had somehow been profiled before.
     pub fn insert(&mut self, benchmark: BenchmarkId, entry: ProfileEntry) -> Option<ProfileEntry> {
-        self.entries.insert(benchmark.0, entry)
+        if self.entries.len() <= benchmark.0 {
+            self.entries.resize_with(benchmark.0 + 1, || None);
+        }
+        self.entries[benchmark.0].replace(entry)
     }
 
     /// Look up a benchmark's profile.
     pub fn get(&self, benchmark: BenchmarkId) -> Option<&ProfileEntry> {
-        self.entries.get(&benchmark.0)
+        self.entries.get(benchmark.0)?.as_ref()
     }
 
     /// Mutable profile access (tuning updates).
     pub fn get_mut(&mut self, benchmark: BenchmarkId) -> Option<&mut ProfileEntry> {
-        self.entries.get_mut(&benchmark.0)
+        self.entries.get_mut(benchmark.0)?.as_mut()
     }
 
     /// Number of profiled benchmarks.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().count()
     }
 
     /// `true` when nothing has been profiled yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterate over `(benchmark, entry)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (BenchmarkId, &ProfileEntry)> {
         self.entries
             .iter()
-            .map(|(&id, entry)| (BenchmarkId(id), entry))
+            .enumerate()
+            .filter_map(|(id, entry)| Some((BenchmarkId(id), entry.as_ref()?)))
     }
 }
 
@@ -269,5 +269,36 @@ mod tests {
         table.insert(BenchmarkId(1), entry());
         let ids: Vec<usize> = table.iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![1, 5]);
+    }
+
+    #[test]
+    fn iteration_skips_gaps_in_ascending_id_order() {
+        let mut table = ProfilingTable::new();
+        for id in [9, 0, 4, 2] {
+            table.insert(BenchmarkId(id), entry());
+        }
+        let ids: Vec<usize> = table.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, vec![0, 2, 4, 9]);
+        assert_eq!(table.len(), 4);
+        assert!(!table.contains(BenchmarkId(3)), "a gap below the last id");
+        assert!(table.get(BenchmarkId(10)).is_none(), "past the last id");
+        assert!(table.insert(BenchmarkId(4), entry()).is_some());
+        assert_eq!(table.len(), 4);
+    }
+
+    #[test]
+    fn explored_walks_configurations_in_name_order() {
+        let mut e = entry();
+        for (i, name) in ["8KB_2W_32B", "2KB_1W_64B", "4KB_1W_16B", "8KB_1W_64B"]
+            .into_iter()
+            .enumerate()
+        {
+            e.record_execution(config(name), cost(i as f64, 1));
+        }
+        let names: Vec<String> = e.explored().map(|(c, _)| c.to_string()).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(names, sorted);
+        assert_eq!(e.explored_count(), 4);
     }
 }

@@ -7,7 +7,6 @@ use crate::profiling::{ProfileEntry, ProfilingTable};
 use cache_sim::{CacheConfig, CacheSizeKb, BASE_CONFIG};
 use energy_model::{EnergyModel, ExecutionCost};
 use multicore_sim::{CoreId, CoreIndex, Decision, Fingerprint, Job, JobExecution};
-use std::collections::HashMap;
 use workloads::BenchmarkId;
 
 /// Instrumentation counters exposed by every system, backing the paper's
@@ -76,13 +75,15 @@ pub struct Shared<'a> {
     pub core_config: Vec<CacheConfig>,
     pub table: ProfilingTable,
     pub stats: SystemStats,
-    /// Pending profiling-table updates keyed by job sequence number.
-    pub pending: HashMap<u64, Pending>,
+    /// Pending profiling-table updates keyed by core index, each with
+    /// the sequence number of the job it belongs to.
+    pub pending: Vec<Option<(u64, Pending)>>,
     /// Occupancy records keyed by core index.
     pub running: Vec<Option<Running>>,
-    /// Benchmarks whose profiling execution is in flight: further
-    /// instances must wait (no information exists yet).
-    pub profiling_in_flight: HashMap<BenchmarkId, u64>,
+    /// The sequence number of each benchmark's in-flight profiling
+    /// execution, keyed by benchmark id: further instances must wait (no
+    /// information exists yet).
+    pub profiling_in_flight: Vec<Option<u64>>,
 }
 
 impl<'a> Shared<'a> {
@@ -96,9 +97,9 @@ impl<'a> Shared<'a> {
             core_config,
             table: ProfilingTable::new(),
             stats: SystemStats::default(),
-            pending: HashMap::new(),
+            pending: vec![None; arch.num_cores()],
             running: vec![None; arch.num_cores()],
-            profiling_in_flight: HashMap::new(),
+            profiling_in_flight: vec![None; oracle.len()],
         }
     }
 
@@ -120,9 +121,9 @@ impl<'a> Shared<'a> {
         let cost = self.oracle.cost(job.benchmark, config);
         self.core_config[core.0] = config;
         self.running[core.0] = Some(Running { cost });
-        self.pending.insert(job.seq, pending);
+        self.pending[core.0] = Some((job.seq, pending));
         if let Pending::Profile { benchmark } = pending {
-            self.profiling_in_flight.insert(benchmark, job.seq);
+            self.profiling_in_flight[benchmark.0] = Some(job.seq);
             self.stats.profiling_runs += 1;
             self.stats.profiling_energy_nj += cost.total_nj();
         }
@@ -139,24 +140,24 @@ impl<'a> Shared<'a> {
     /// secondary) profiling core; stall when both are busy or when this
     /// benchmark's profile is already being gathered.
     pub fn try_profile(&mut self, job: &Job, cores: &CoreIndex) -> Decision {
-        if self.profiling_in_flight.contains_key(&job.benchmark) {
+        if self.profiling_in_flight[job.benchmark.0].is_some() {
             return Decision::Stall;
         }
-        let mut candidates = vec![self.arch.primary_profiling_core()];
-        candidates.extend(self.arch.secondary_profiling_core());
-        for core in candidates {
-            if cores.is_idle(core) {
-                return self.launch(
-                    job,
-                    core,
-                    BASE_CONFIG,
-                    Pending::Profile {
-                        benchmark: job.benchmark,
-                    },
-                );
-            }
-        }
-        Decision::Stall
+        let primary = self.arch.primary_profiling_core();
+        let Some(core) = std::iter::once(primary)
+            .chain(self.arch.secondary_profiling_core())
+            .find(|&core| cores.is_idle(core))
+        else {
+            return Decision::Stall;
+        };
+        self.launch(
+            job,
+            core,
+            BASE_CONFIG,
+            Pending::Profile {
+                benchmark: job.benchmark,
+            },
+        )
     }
 
     /// Apply the profiling-table effects of a completed job. The caller
@@ -169,9 +170,12 @@ impl<'a> Shared<'a> {
         predict: impl FnOnce(&Self) -> CacheSizeKb,
     ) {
         self.running[core.0] = None;
-        match self.pending.remove(&job.seq) {
+        let pending = self.pending[core.0]
+            .take()
+            .filter(|&(seq, _)| seq == job.seq);
+        match pending.map(|(_, pending)| pending) {
             Some(Pending::Profile { benchmark }) => {
-                self.profiling_in_flight.remove(&benchmark);
+                self.profiling_in_flight[benchmark.0] = None;
                 let statistics = self.oracle.execution_statistics(benchmark);
                 let base_cost = self.oracle.cost(benchmark, BASE_CONFIG);
                 let predicted = predict(self);
@@ -192,14 +196,18 @@ impl<'a> Shared<'a> {
     /// Discard the bookkeeping of a preempted (never-completed) execution:
     /// the pending profiling-table update is dropped — the scheduler never
     /// observed the run finish — and an interrupted profiling execution is
-    /// un-marked so the benchmark can be profiled again.
+    /// un-marked so the benchmark can be profiled again. The energy was
+    /// (partially) spent but the statistics were lost: profiling_runs and
+    /// its energy stay as-charged counters of attempts, which is what the
+    /// overhead experiment reports.
     pub fn abort(&mut self, job: &Job, core: CoreId) {
         self.running[core.0] = None;
-        if let Some(Pending::Profile { benchmark }) = self.pending.remove(&job.seq) {
-            self.profiling_in_flight.remove(&benchmark);
-            // The energy was (partially) spent but the statistics were
-            // lost; keep profiling_runs/energy as-charged counters of
-            // attempts, which is what the overhead experiment reports.
+        if self.pending[core.0].is_some_and(|(seq, _)| seq == job.seq) {
+            self.pending[core.0] = None;
+        }
+        let in_flight = &mut self.profiling_in_flight[job.benchmark.0];
+        if *in_flight == Some(job.seq) {
+            *in_flight = None;
         }
     }
 
@@ -212,10 +220,8 @@ impl<'a> Shared<'a> {
     /// Digest of every piece of observable policy state, backing
     /// [`Scheduler::state_fingerprint`](multicore_sim::Scheduler::state_fingerprint)
     /// for the stall-purity checker: two `Shared` values that differ in any
-    /// decision-relevant field must fingerprint differently.
-    ///
-    /// `HashMap` fields are folded order-independently (XOR of per-entry
-    /// sub-digests); `BTreeMap`-backed state iterates deterministically.
+    /// decision-relevant field must fingerprint differently. Every field
+    /// is an indexed array, folded in index order.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_u64(self.stats.profiling_runs);
@@ -239,32 +245,25 @@ impl<'a> Shared<'a> {
                 None => fp.write_u64(0),
             }
         }
-        let mut pending_digest = 0u64;
-        for (&seq, pending) in &self.pending {
-            let mut sub = Fingerprint::new();
-            sub.write_u64(seq);
-            match pending {
-                Pending::Profile { benchmark } => {
-                    sub.write_u64(1);
-                    sub.write_usize(benchmark.0);
+        for slot in &self.pending {
+            match slot {
+                Some((seq, Pending::Profile { benchmark })) => {
+                    fp.write_u64(1);
+                    fp.write_u64(*seq);
+                    fp.write_usize(benchmark.0);
                 }
-                Pending::Execution { benchmark, config } => {
-                    sub.write_u64(2);
-                    sub.write_usize(benchmark.0);
-                    sub.write_usize(config.design_space_index());
+                Some((seq, Pending::Execution { benchmark, config })) => {
+                    fp.write_u64(2);
+                    fp.write_u64(*seq);
+                    fp.write_usize(benchmark.0);
+                    fp.write_usize(config.design_space_index());
                 }
+                None => fp.write_u64(0),
             }
-            pending_digest ^= sub.finish();
         }
-        fp.write_u64(pending_digest);
-        let mut in_flight_digest = 0u64;
-        for (&benchmark, &seq) in &self.profiling_in_flight {
-            let mut sub = Fingerprint::new();
-            sub.write_usize(benchmark.0);
-            sub.write_u64(seq);
-            in_flight_digest ^= sub.finish();
+        for seq in &self.profiling_in_flight {
+            fp.write_u64(seq.map_or(0, |seq| seq + 1));
         }
-        fp.write_u64(in_flight_digest);
         for (benchmark, entry) in self.table.iter() {
             fp.write_usize(benchmark.0);
             fp.write_u64(u64::from(entry.predicted_best_size.kilobytes()));
@@ -361,7 +360,7 @@ mod tests {
         }
         assert!(shared.running[0].is_some());
         assert_eq!(shared.core_config[0], config);
-        assert!(shared.pending.contains_key(&0));
+        assert!(shared.pending[0].is_some_and(|(seq, _)| seq == 0));
     }
 
     #[test]
@@ -375,10 +374,10 @@ mod tests {
             "profiling must start on the primary profiling core"
         );
         assert_eq!(shared.stats.profiling_runs, 1);
-        assert!(shared.profiling_in_flight.contains_key(&BenchmarkId(2)));
+        assert_eq!(shared.profiling_in_flight[2], Some(7));
 
         shared.complete(&job, CoreId(3), |_| cache_sim::CacheSizeKb::K4);
-        assert!(!shared.profiling_in_flight.contains_key(&BenchmarkId(2)));
+        assert_eq!(shared.profiling_in_flight[2], None);
         let entry = shared.table.get(BenchmarkId(2)).expect("profiled");
         assert_eq!(entry.predicted_best_size, cache_sim::CacheSizeKb::K4);
         assert!(entry.known_cost(cache_sim::BASE_CONFIG).is_some());
@@ -417,7 +416,7 @@ mod tests {
         let _ = shared.try_profile(&job, &all_idle(4));
         shared.abort(&job, CoreId(3));
         assert!(shared.running[3].is_none());
-        assert!(!shared.profiling_in_flight.contains_key(&BenchmarkId(4)));
+        assert_eq!(shared.profiling_in_flight[4], None);
         assert!(
             !shared.table.contains(BenchmarkId(4)),
             "no entry from an aborted profile"

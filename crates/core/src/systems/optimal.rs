@@ -73,11 +73,8 @@ impl OptimalSystem<'_> {
         core: CoreId,
     ) -> Option<cache_sim::CacheConfig> {
         let entry = self.shared.table.get(benchmark)?;
-        self.shared
-            .arch
-            .configs_for_core(core)
-            .into_iter()
-            .find(|&c| entry.known_cost(c).is_none())
+        let size = self.shared.arch.core_size(core);
+        cache_sim::design_space().find(|&c| c.size() == size && entry.known_cost(c).is_none())
     }
 
     /// Whether the benchmark has executed all 18 configurations.
@@ -126,11 +123,10 @@ impl Scheduler for OptimalSystem<'_> {
         // Exploration phase: physically execute every configuration once.
         // Prefer an idle core that still has unexplored configurations.
         if !self.fully_explored(job.benchmark) {
-            let idle: Vec<CoreId> = cores.idle_cores().collect();
-            if idle.is_empty() {
+            let Some(first_idle) = Shared::first_idle(cores) else {
                 return Decision::Stall;
-            }
-            for &core in &idle {
+            };
+            for core in cores.idle_cores() {
                 if let Some(config) = self.unexplored_on(job.benchmark, core) {
                     self.shared.stats.tuning_runs += 1;
                     return self.shared.launch(
@@ -146,11 +142,10 @@ impl Scheduler for OptimalSystem<'_> {
             }
             // Every idle core's subset is done but a busy core's is not:
             // run the best known configuration on the first idle core.
-            let core = idle[0];
-            let config = self.learned_best_on(job.benchmark, core);
+            let config = self.learned_best_on(job.benchmark, first_idle);
             return self.shared.launch(
                 job,
-                core,
+                first_idle,
                 config,
                 Pending::Execution {
                     benchmark: job.benchmark,
