@@ -56,12 +56,17 @@ pub enum Pending {
     },
 }
 
-/// A record of what currently occupies a core, for the remaining-energy
-/// estimate of the Section IV.E decision.
+/// A record of what currently occupies a core: its cost feeds the
+/// remaining-energy estimate of the Section IV.E decision, its pending
+/// update the profiling table once it completes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Running {
+    /// Sequence number of the occupying job.
+    pub seq: u64,
     /// Total cost of the occupying execution.
     pub cost: ExecutionCost,
+    /// What its completion teaches the profiling table.
+    pub pending: Pending,
 }
 
 /// Mutable state common to the profiled systems.
@@ -75,9 +80,6 @@ pub struct Shared<'a> {
     pub core_config: Vec<CacheConfig>,
     pub table: ProfilingTable,
     pub stats: SystemStats,
-    /// Pending profiling-table updates keyed by core index, each with
-    /// the sequence number of the job it belongs to.
-    pub pending: Vec<Option<(u64, Pending)>>,
     /// Occupancy records keyed by core index.
     pub running: Vec<Option<Running>>,
     /// The sequence number of each benchmark's in-flight profiling
@@ -97,7 +99,6 @@ impl<'a> Shared<'a> {
             core_config,
             table: ProfilingTable::new(),
             stats: SystemStats::default(),
-            pending: vec![None; arch.num_cores()],
             running: vec![None; arch.num_cores()],
             profiling_in_flight: vec![None; oracle.len()],
         }
@@ -120,8 +121,11 @@ impl<'a> Shared<'a> {
     ) -> Decision {
         let cost = self.oracle.cost(job.benchmark, config);
         self.core_config[core.0] = config;
-        self.running[core.0] = Some(Running { cost });
-        self.pending[core.0] = Some((job.seq, pending));
+        self.running[core.0] = Some(Running {
+            seq: job.seq,
+            cost,
+            pending,
+        });
         if let Pending::Profile { benchmark } = pending {
             self.profiling_in_flight[benchmark.0] = Some(job.seq);
             self.stats.profiling_runs += 1;
@@ -169,11 +173,8 @@ impl<'a> Shared<'a> {
         core: CoreId,
         predict: impl FnOnce(&Self) -> CacheSizeKb,
     ) {
-        self.running[core.0] = None;
-        let pending = self.pending[core.0]
-            .take()
-            .filter(|&(seq, _)| seq == job.seq);
-        match pending.map(|(_, pending)| pending) {
+        let running = self.running[core.0].take().filter(|r| r.seq == job.seq);
+        match running.map(|r| r.pending) {
             Some(Pending::Profile { benchmark }) => {
                 self.profiling_in_flight[benchmark.0] = None;
                 let statistics = self.oracle.execution_statistics(benchmark);
@@ -194,16 +195,17 @@ impl<'a> Shared<'a> {
     }
 
     /// Discard the bookkeeping of a preempted (never-completed) execution:
-    /// the pending profiling-table update is dropped — the scheduler never
-    /// observed the run finish — and an interrupted profiling execution is
-    /// un-marked so the benchmark can be profiled again. The energy was
+    /// its occupancy record and pending profiling-table update are dropped
+    /// — the scheduler never observed the run finish — and an interrupted
+    /// profiling execution is un-marked so the benchmark can be profiled
+    /// again. A granted preemption has already launched the preempting job
+    /// onto `core`, so only the victim's own record is cleared. The energy was
     /// (partially) spent but the statistics were lost: profiling_runs and
     /// its energy stay as-charged counters of attempts, which is what the
     /// overhead experiment reports.
     pub fn abort(&mut self, job: &Job, core: CoreId) {
-        self.running[core.0] = None;
-        if self.pending[core.0].is_some_and(|(seq, _)| seq == job.seq) {
-            self.pending[core.0] = None;
+        if self.running[core.0].is_some_and(|r| r.seq == job.seq) {
+            self.running[core.0] = None;
         }
         let in_flight = &mut self.profiling_in_flight[job.benchmark.0];
         if *in_flight == Some(job.seq) {
@@ -235,30 +237,24 @@ impl<'a> Shared<'a> {
             fp.write_usize(config.design_space_index());
         }
         for slot in &self.running {
-            match slot {
-                Some(running) => {
+            let Some(running) = slot else {
+                fp.write_u64(0);
+                continue;
+            };
+            fp.write_u64(running.seq + 1);
+            fp.write_u64(running.cost.cycles);
+            fp.write_f64(running.cost.energy.dynamic_nj);
+            fp.write_f64(running.cost.energy.static_nj);
+            match running.pending {
+                Pending::Profile { benchmark } => {
                     fp.write_u64(1);
-                    fp.write_u64(running.cost.cycles);
-                    fp.write_f64(running.cost.energy.dynamic_nj);
-                    fp.write_f64(running.cost.energy.static_nj);
-                }
-                None => fp.write_u64(0),
-            }
-        }
-        for slot in &self.pending {
-            match slot {
-                Some((seq, Pending::Profile { benchmark })) => {
-                    fp.write_u64(1);
-                    fp.write_u64(*seq);
                     fp.write_usize(benchmark.0);
                 }
-                Some((seq, Pending::Execution { benchmark, config })) => {
+                Pending::Execution { benchmark, config } => {
                     fp.write_u64(2);
-                    fp.write_u64(*seq);
                     fp.write_usize(benchmark.0);
                     fp.write_usize(config.design_space_index());
                 }
-                None => fp.write_u64(0),
             }
         }
         for seq in &self.profiling_in_flight {
@@ -360,7 +356,7 @@ mod tests {
         }
         assert!(shared.running[0].is_some());
         assert_eq!(shared.core_config[0], config);
-        assert!(shared.pending[0].is_some_and(|(seq, _)| seq == 0));
+        assert!(shared.running[0].is_some_and(|running| running.seq == 0));
     }
 
     #[test]
@@ -432,6 +428,40 @@ mod tests {
             shared.try_profile(&again, &all_idle(4)),
             Decision::Run { .. }
         ));
+    }
+
+    #[test]
+    fn granted_preemption_keeps_the_preempting_jobs_records() {
+        // A granted preemption launches the urgent job onto the victim's
+        // core (through `schedule`) before it reports the victim with
+        // `on_preempt`: the victim's abort must not wipe the urgent job's
+        // occupancy record or its pending table update.
+        let (arch, oracle, model) = fixture();
+        let mut shared = Shared::new(arch, oracle, model);
+        let profile = job(0, 5);
+        let _ = shared.try_profile(&profile, &all_idle(4));
+        shared.complete(&profile, CoreId(3), |_| cache_sim::CacheSizeKb::K2);
+
+        let config = arch.default_config(CoreId(0));
+        let execution = |benchmark| Pending::Execution {
+            benchmark: BenchmarkId(benchmark),
+            config,
+        };
+        let (victim, urgent) = (job(1, 3), job(2, 5));
+        let _ = shared.launch(&victim, CoreId(0), config, execution(3));
+        let _ = shared.launch(&urgent, CoreId(0), config, execution(5));
+        shared.abort(&victim, CoreId(0));
+        let urgent_cost = oracle.cost(urgent.benchmark, config);
+        assert_eq!(
+            shared.running[0].map(|running| running.cost),
+            Some(urgent_cost),
+            "the preempting job occupies core 0"
+        );
+
+        shared.complete(&urgent, CoreId(0), |_| unreachable!("profiled"));
+        assert!(shared.running[0].is_none());
+        let entry = shared.table.get(urgent.benchmark).expect("profiled");
+        assert_eq!(entry.known_cost(config), Some(urgent_cost));
     }
 
     #[test]
