@@ -59,7 +59,10 @@
 //! two, `engine_manycore_256` and `engine_manycore_1024`, are absolute
 //! gates rather than ratios: the base system through `hetero_engine::run`
 //! at 256 and 1024 cores must reach a jobs/s floor and emit at most ten
-//! simulator events per job, counted exactly. The binary exits non-zero
+//! simulator events per job, counted exactly. `sim_proposed_paper` is
+//! the policy's own absolute floor: the proposed system alone through
+//! `Simulator::run` on the paper testbed's 5000-job plan must reach a
+//! jobs/s floor. The binary exits non-zero
 //! when the guard fails, so it can serve as a CI perf gate. The artifact
 //! records the commit, build profile and host parallelism it was
 //! measured with.
@@ -78,7 +81,7 @@
 use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_bench::json::Json;
 use hetero_bench::perf::{bench_paired, Sample};
-use hetero_bench::Testbed;
+use hetero_bench::{SystemKind, Testbed};
 use hetero_core::{
     BaseSystem, BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle,
 };
@@ -100,7 +103,7 @@ use workloads::{ArrivalPlan, SplitMix64, Suite};
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
 /// Stages whose speedup the gate checks (each must clear its threshold).
-const GATED_STAGES: [&str; 15] = [
+const GATED_STAGES: [&str; 16] = [
     "oracle_build_paper",
     "bagging_train",
     "ensemble_predict",
@@ -111,6 +114,7 @@ const GATED_STAGES: [&str; 15] = [
     "sim_metrics_overhead",
     "sim_manycore",
     "sim_stall_backlog",
+    "sim_proposed_paper",
     "engine_stream",
     "engine_overload",
     "engine_observe",
@@ -118,8 +122,21 @@ const GATED_STAGES: [&str; 15] = [
     "engine_manycore_1024",
 ];
 
-/// Jobs per run of `sim_stall_backlog`: the paper's Sec. V arrival count.
+/// Jobs per run of `sim_stall_backlog` and `sim_proposed_paper`: the
+/// paper's Sec. V arrival count.
 const STALL_BACKLOG_JOBS: usize = 5000;
+
+/// `sim_proposed_paper` is an absolute floor on the scheduling policy
+/// itself: the proposed system alone through `Simulator::run` on the
+/// paper testbed (full suite, paper predictor, quad) over the Sec. V plan
+/// of [`STALL_BACKLOG_JOBS`] arrivals in 700M cycles, with no sink. It
+/// must reach this many jobs/s: no more than half the median of repeated
+/// runs on a 2-vCPU x86-64 host (11 runs, min-of-7 each: 3.3–6.3 M,
+/// median 4.4 M), and twice the best run of the profiling table keyed by
+/// configuration name that preceded the indexed one (0.52–0.96 M). The
+/// stage reuses the `Stage` schema with the floor as its reference side,
+/// so `speedup` is measured jobs/s over the floor, gated at 1.0.
+const PROPOSED_PAPER_FLOOR_JOBS_PER_S: f64 = 2_000_000.0;
 
 /// `sim_trace_overhead` and `sim_fault_overhead` are no-regression bars,
 /// not speedup bars: the NullSink-instrumented loop and the
@@ -217,7 +234,7 @@ const ENGINE_MANYCORE_MAX_EVENTS_PER_JOB: f64 = 10.0;
 /// The gate bar for one stage at the given CLI threshold.
 fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
     match name {
-        "engine_manycore_256" | "engine_manycore_1024" => 1.0,
+        "engine_manycore_256" | "engine_manycore_1024" | "sim_proposed_paper" => 1.0,
         "sim_trace_overhead" | "sim_fault_overhead" => TRACE_OVERHEAD_MIN_RATIO,
         "sim_metrics_overhead" => METRICS_OVERHEAD_MIN_RATIO,
         "sim_manycore" => MANYCORE_MIN_SPEEDUP,
@@ -233,7 +250,7 @@ fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
 /// artifact entry then also reports both sides in jobs/s.
 fn stage_jobs(name: &str) -> Option<usize> {
     match name {
-        "sim_stall_backlog" => Some(STALL_BACKLOG_JOBS),
+        "sim_stall_backlog" | "sim_proposed_paper" => Some(STALL_BACKLOG_JOBS),
         _ => engine_manycore_cores(name).map(|cores| cores * ENGINE_MANYCORE_JOBS_PER_CORE),
     }
 }
@@ -821,6 +838,46 @@ fn measure_stall_backlog(iters: u32) -> Stage {
     }
 }
 
+/// The `sim_proposed_paper` stage (see
+/// [`PROPOSED_PAPER_FLOOR_JOBS_PER_S`]).
+fn measure_proposed_paper(iters: u32) -> Stage {
+    let name = "sim_proposed_paper";
+    let testbed = Testbed::paper();
+    let plan = testbed.plan(STALL_BACKLOG_JOBS, 700_000_000, 20190325);
+    let sim = Simulator::new(testbed.arch.num_cores());
+    let fused = hetero_bench::perf::bench(name, iters, || {
+        let mut system = testbed.system(SystemKind::Proposed);
+        let metrics = sim.run(&plan, &mut system);
+        assert_eq!(metrics.jobs_completed, STALL_BACKLOG_JOBS as u64);
+        metrics.jobs_completed
+    });
+    let floor = PROPOSED_PAPER_FLOOR_JOBS_PER_S;
+    println!(
+        "{name}: {:.0} jobs/s (floor {floor:.0})",
+        STALL_BACKLOG_JOBS as f64 / (fused.min_ns / 1e9)
+    );
+    Stage {
+        name,
+        reference: floor_sample(name, STALL_BACKLOG_JOBS, floor),
+        fused,
+        events_per_job: None,
+    }
+}
+
+/// The reference side of an absolute stage: one pseudo-sample that takes
+/// exactly as long as `jobs` jobs at `floor` jobs/s.
+fn floor_sample(name: &str, jobs: usize, floor: f64) -> Sample {
+    let floor_ns = jobs as f64 / floor * 1e9;
+    Sample {
+        label: format!("{name}_floor"),
+        iters: 1,
+        mean_ns: floor_ns,
+        min_ns: floor_ns,
+        p50_ns: floor_ns,
+        p95_ns: floor_ns,
+    }
+}
+
 /// Resident set size from `/proc/self/status`, in MB. Returns 0.0 when
 /// the file is unavailable (non-Linux), which makes the memory gate pass
 /// vacuously rather than fail spuriously.
@@ -1113,17 +1170,9 @@ fn measure_engine_manycore(name: &'static str, iters: u32) -> Stage {
          (budget {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0})",
         jobs as f64 / (fused.min_ns / 1e9)
     );
-    let floor_ns = jobs as f64 / floor * 1e9;
     Stage {
         name,
-        reference: Sample {
-            label: format!("{name}_floor"),
-            iters: 1,
-            mean_ns: floor_ns,
-            min_ns: floor_ns,
-            p50_ns: floor_ns,
-            p95_ns: floor_ns,
-        },
+        reference: floor_sample(name, jobs, floor),
         fused,
         events_per_job: Some(events_per_job),
     }
@@ -1149,6 +1198,7 @@ fn measure_stage(name: &str, iters: u32) -> Stage {
         "sim_metrics_overhead" => measure_metrics_overhead(iters),
         "sim_manycore" => measure_manycore(iters),
         "sim_stall_backlog" => measure_stall_backlog(iters),
+        "sim_proposed_paper" => measure_proposed_paper(iters),
         "engine_stream" => measure_engine_stream(iters),
         "engine_overload" => measure_engine_overload(iters),
         "engine_observe" => measure_engine_observe(iters),
@@ -1214,6 +1264,8 @@ fn main() -> ExitCode {
              loop at 256 cores;\n\
              sim_stall_backlog must be >= {min_speedup:.1}x the loop offering \
              energy-centric's whole backlog;\n\
+             sim_proposed_paper must reach {PROPOSED_PAPER_FLOOR_JOBS_PER_S:.0} jobs/s \
+             on the paper testbed's 5000-job plan;\n\
              engine_stream must keep a 10M-job streaming run within \
              {STREAM_RSS_BUDGET_MB:.0} MB of rss growth;\n\
              engine_manycore_256/_1024 must reach their jobs/s floors and emit \
@@ -1235,6 +1287,7 @@ fn main() -> ExitCode {
         "sim_metrics_overhead",
         "sim_manycore",
         "sim_stall_backlog",
+        "sim_proposed_paper",
         "engine_stream",
         "engine_overload",
         "engine_observe",

@@ -26,7 +26,7 @@ pub struct ProfileEntry {
     /// indexed by [`CacheConfig::design_space_index`].
     explored: [Option<ExecutionCost>; DESIGN_SPACE_LEN],
     /// Per-core-size tuning cursors (Figure 5 state), indexed by size.
-    tuners: [Option<TuningExplorer>; 3],
+    tuners: [Option<TuningExplorer>; CacheSizeKb::ALL.len()],
 }
 
 impl ProfileEntry {
