@@ -59,7 +59,9 @@
 //! two, `engine_manycore_256` and `engine_manycore_1024`, are absolute
 //! gates rather than ratios: the base system through `hetero_engine::run`
 //! at 256 and 1024 cores must reach a jobs/s floor and emit at most ten
-//! simulator events per job, counted exactly. `sim_proposed_paper` is
+//! simulator events per job, counted exactly; `engine_proposed_256`
+//! holds the proposed system on the 256-core tiling to the same kind of
+//! floor and the same event budget. `sim_proposed_paper` is
 //! the policy's own absolute floor: the proposed system alone through
 //! `Simulator::run` on the paper testbed's 5000-job plan must reach a
 //! jobs/s floor. The binary exits non-zero
@@ -81,10 +83,8 @@
 use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_bench::json::Json;
 use hetero_bench::perf::{bench_paired, Sample};
-use hetero_bench::{SystemKind, Testbed};
-use hetero_core::{
-    BaseSystem, BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle,
-};
+use hetero_bench::{tiled_architecture, SystemKind, Testbed};
+use hetero_core::{BestCorePredictor, EnergyCentricSystem, PredictorConfig, SuiteOracle};
 use hetero_engine::{Outcome, RunSpec};
 use hetero_oracles::ann::RefBagging;
 use hetero_oracles::core::build_reference;
@@ -103,7 +103,7 @@ use workloads::{ArrivalPlan, SplitMix64, Suite};
 const DEFAULT_MIN_SPEEDUP: f64 = 2.0;
 
 /// Stages whose speedup the gate checks (each must clear its threshold).
-const GATED_STAGES: [&str; 16] = [
+const GATED_STAGES: [&str; 17] = [
     "oracle_build_paper",
     "bagging_train",
     "ensemble_predict",
@@ -120,6 +120,7 @@ const GATED_STAGES: [&str; 16] = [
     "engine_observe",
     "engine_manycore_256",
     "engine_manycore_1024",
+    "engine_proposed_256",
 ];
 
 /// Jobs per run of `sim_stall_backlog` and `sim_proposed_paper`: the
@@ -221,6 +222,26 @@ const ENGINE_OBSERVE_MIN_RATIO: f64 = 0.95;
 /// is measured jobs/s over the floor, gated at 1.0.
 const ENGINE_MANYCORE_FLOORS: [(usize, f64); 2] = [(256, 140_000.0), (1024, 40_000.0)];
 
+/// `engine_proposed` is `engine_manycore` with the proposed system: the
+/// same plain `hetero_engine::run`, offered load and exact event budget,
+/// on [`tiled_architecture`] at 256 cores with the small testbed's oracle
+/// and predictor, over [`ENGINE_PROPOSED_JOBS_PER_CORE`] jobs per core.
+/// It times the policy's decisions and the `EngineSink`'s per-core idle
+/// folds together at a core count where both used to grow per core.
+/// Floor: no more than half the median of repeated runs on a 2-vCPU
+/// x86-64 host (three series of 7 runs, min-of-7 each: 0.46–0.91 M
+/// jobs/s, medians 0.53–0.55 M; with the sink that replayed the ledger
+/// per idle core, 0.28–0.44 M).
+const ENGINE_PROPOSED_FLOORS: [(usize, f64); 1] = [(256, 250_000.0)];
+
+/// Jobs per core of one `engine_proposed` run. While the proposed system
+/// profiles the suite's benchmarks one at a time on the profiling core,
+/// every waiting job is re-offered on each pass: 63,333 stall events at
+/// 256 cores whatever the run's length. Over 100 jobs per core that
+/// warm-up adds ~2.5 events per job to the ~5 of steady state; over the
+/// 20 of `engine_manycore` it would add 12.4 and break the budget.
+const ENGINE_PROPOSED_JOBS_PER_CORE: usize = 100;
+
 /// Offered load of `engine_manycore`, in jobs per mega-cycle per core.
 const ENGINE_MANYCORE_RATE_PER_CORE: f64 = 2.5;
 
@@ -234,7 +255,10 @@ const ENGINE_MANYCORE_MAX_EVENTS_PER_JOB: f64 = 10.0;
 /// The gate bar for one stage at the given CLI threshold.
 fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
     match name {
-        "engine_manycore_256" | "engine_manycore_1024" | "sim_proposed_paper" => 1.0,
+        "engine_manycore_256"
+        | "engine_manycore_1024"
+        | "engine_proposed_256"
+        | "sim_proposed_paper" => 1.0,
         "sim_trace_overhead" | "sim_fault_overhead" => TRACE_OVERHEAD_MIN_RATIO,
         "sim_metrics_overhead" => METRICS_OVERHEAD_MIN_RATIO,
         "sim_manycore" => MANYCORE_MIN_SPEEDUP,
@@ -251,13 +275,24 @@ fn stage_threshold(name: &str, min_speedup: f64) -> f64 {
 fn stage_jobs(name: &str) -> Option<usize> {
     match name {
         "sim_stall_backlog" | "sim_proposed_paper" => Some(STALL_BACKLOG_JOBS),
-        _ => engine_manycore_cores(name).map(|cores| cores * ENGINE_MANYCORE_JOBS_PER_CORE),
+        _ => engine_floor_stage(name).map(|(_, _, jobs)| jobs),
     }
 }
 
-/// The core count of an `engine_manycore` stage name.
-fn engine_manycore_cores(name: &str) -> Option<usize> {
-    name.strip_prefix("engine_manycore_")?.parse().ok()
+/// The system, core count and jobs per run of an absolute engine stage
+/// name: `engine_manycore_<cores>` runs base, `engine_proposed_<cores>`
+/// proposed.
+fn engine_floor_stage(name: &str) -> Option<(SystemKind, usize, usize)> {
+    let (kind, cores, jobs_per_core) = match name.strip_prefix("engine_manycore_") {
+        Some(cores) => (SystemKind::Base, cores, ENGINE_MANYCORE_JOBS_PER_CORE),
+        None => (
+            SystemKind::Proposed,
+            name.strip_prefix("engine_proposed_")?,
+            ENGINE_PROPOSED_JOBS_PER_CORE,
+        ),
+    };
+    let cores: usize = cores.parse().ok()?;
+    Some((kind, cores, cores * jobs_per_core))
 }
 
 /// One stage's before/after measurement.
@@ -1134,25 +1169,42 @@ impl<T: TraceSink> TraceSink for CountingSink<'_, T> {
     }
 }
 
-/// The `engine_manycore` stage at `cores` cores (see
-/// [`ENGINE_MANYCORE_FLOORS`]): times `hetero_engine::run` of the base
-/// system, then counts the events one run emits into the same sink.
-fn measure_engine_manycore(name: &'static str, iters: u32) -> Stage {
-    let cores = engine_manycore_cores(name).expect("an engine_manycore stage");
-    let floor = ENGINE_MANYCORE_FLOORS
+/// An absolute engine stage (see [`ENGINE_MANYCORE_FLOORS`] and
+/// [`ENGINE_PROPOSED_FLOORS`]): times `hetero_engine::run` of the stage's
+/// system on the paper quad tiled to its core count, then counts the
+/// events one run emits into the same sink.
+fn measure_engine_floor(name: &'static str, iters: u32) -> Stage {
+    let (kind, cores, jobs) = engine_floor_stage(name).expect("an absolute engine stage");
+    let floors: &[(usize, f64)] = match kind {
+        SystemKind::Base => &ENGINE_MANYCORE_FLOORS,
+        _ => &ENGINE_PROPOSED_FLOORS,
+    };
+    let floor = floors
         .iter()
         .find_map(|&(size, floor)| (size == cores).then_some(floor))
         .expect("a floor per size");
-    let jobs = cores * ENGINE_MANYCORE_JOBS_PER_CORE;
-    let testbed = Testbed::small();
+    let Testbed {
+        suite,
+        model,
+        oracle,
+        predictor,
+        ..
+    } = Testbed::small();
+    let testbed = Testbed {
+        suite,
+        model,
+        oracle,
+        arch: tiled_architecture(cores),
+        predictor,
+    };
     let sim = Simulator::new(cores);
     let stream = || {
         let rate = ENGINE_MANYCORE_RATE_PER_CORE * cores as f64;
         workloads::OpenLoop::poisson(rate, testbed.suite.len(), 7).take(jobs)
     };
-    let base = || BaseSystem::new(&testbed.oracle, testbed.model, cores);
+    let system = || testbed.system(kind);
     let fused = hetero_bench::perf::bench(name, iters, || {
-        let outcome = hetero_engine::run(&sim, stream(), &mut base(), &RunSpec::default())
+        let outcome = hetero_engine::run(&sim, stream(), &mut system(), &RunSpec::default())
             .expect("a plain run binds nothing");
         assert_eq!(outcome.metrics.jobs_completed, jobs as u64);
         outcome.metrics.jobs_completed
@@ -1163,7 +1215,7 @@ fn measure_engine_manycore(name: &'static str, iters: u32) -> Stage {
         inner: &mut engine,
         events: 0,
     };
-    let _ = sim.run_stream(stream(), &mut base(), &mut counting);
+    let _ = sim.run_stream(stream(), &mut system(), &mut counting);
     let events_per_job = counting.events as f64 / jobs as f64;
     println!(
         "{name}: {:.0} jobs/s (floor {floor:.0}), {events_per_job:.3} events/job \
@@ -1181,8 +1233,9 @@ fn measure_engine_manycore(name: &'static str, iters: u32) -> Stage {
 /// (Re-)measure one stage by name, at the given iteration count.
 fn measure_stage(name: &str, iters: u32) -> Stage {
     match name {
-        "engine_manycore_256" => measure_engine_manycore("engine_manycore_256", iters),
-        "engine_manycore_1024" => measure_engine_manycore("engine_manycore_1024", iters),
+        "engine_manycore_256" => measure_engine_floor("engine_manycore_256", iters),
+        "engine_manycore_1024" => measure_engine_floor("engine_manycore_1024", iters),
+        "engine_proposed_256" => measure_engine_floor("engine_proposed_256", iters),
         "oracle_build_small" => {
             measure_oracle("oracle_build_small", &Suite::eembc_like_small(), iters)
         }
@@ -1268,8 +1321,9 @@ fn main() -> ExitCode {
              on the paper testbed's 5000-job plan;\n\
              engine_stream must keep a 10M-job streaming run within \
              {STREAM_RSS_BUDGET_MB:.0} MB of rss growth;\n\
-             engine_manycore_256/_1024 must reach their jobs/s floors and emit \
-             <= {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0} simulator events per job\n"
+             engine_manycore_256/_1024 and engine_proposed_256 must reach their \
+             jobs/s floors and emit <= {ENGINE_MANYCORE_MAX_EVENTS_PER_JOB:.0} simulator \
+             events per job\n"
         );
     }
 
@@ -1294,6 +1348,7 @@ fn main() -> ExitCode {
         "engine_observe_spans",
         "engine_manycore_256",
         "engine_manycore_1024",
+        "engine_proposed_256",
     ];
     let mut stages: Vec<Stage> = all_stages
         .iter()

@@ -42,9 +42,14 @@ pub fn event_to_json(event: &TraceEvent) -> Json {
                 Json::Num(idle_power_nj_per_cycle),
             ));
         }
-        TraceEvent::IdleAdvance { from, to } => {
+        TraceEvent::IdleAdvance {
+            from,
+            to,
+            idle_total_nj,
+        } => {
             pairs.push(("from", Json::UInt(from)));
             pairs.push(("to", Json::UInt(to)));
+            pairs.push(("idle_total_nj", Json::Num(idle_total_nj)));
         }
         TraceEvent::IdlePower {
             core,

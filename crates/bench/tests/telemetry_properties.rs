@@ -7,7 +7,7 @@
 //! to the bit, the latency histogram's exact sum equal to the ledger's
 //! turnaround total).
 
-use hetero_bench::{SystemKind, Testbed};
+use hetero_bench::{tiled_architecture, SystemKind, Testbed};
 use hetero_oracles::sim::run_reference;
 use hetero_telemetry::{MetricsSink, SpanAssembler};
 use multicore_sim::{
@@ -15,6 +15,7 @@ use multicore_sim::{
     TraceSink,
 };
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use workloads::ArrivalPlan;
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
@@ -25,6 +26,22 @@ const DISCIPLINES: [QueueDiscipline; 3] = [
 
 /// Interval chosen so sparse runs span many windows and dense runs a few.
 const INTERVAL: u64 = 500_000;
+
+/// The small testbed's suite, oracle and predictor on the paper quad
+/// tiled to 256 cores: four idle-mask words.
+fn shared_tiled_256() -> &'static Testbed {
+    static TESTBED: OnceLock<Testbed> = OnceLock::new();
+    TESTBED.get_or_init(|| {
+        let small = Testbed::shared_small();
+        Testbed {
+            suite: small.suite.clone(),
+            model: small.model,
+            oracle: small.oracle.clone(),
+            arch: tiled_architecture(256),
+            predictor: small.predictor.clone(),
+        }
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -122,7 +139,11 @@ proptest! {
     /// `IdleSpan` per idle core (ascending, at its announced power)
     /// gives a `MetricsSink` report with the same windows — per-core idle
     /// cycles and idle energy included — and the same totals, and a
-    /// `SpanAssembler` the same core spans. Faulted runs cover outages.
+    /// `SpanAssembler` the same core spans. Every case runs on the paper
+    /// quad and on the quad tiled to 256 cores, where the sink's dense
+    /// per-core charge spans four mask words and a denser plan keeps
+    /// cores busy past the first word; faulted runs cover outages
+    /// (offline cores are vacant but not idle).
     #[test]
     fn idle_advances_fold_like_per_core_idle_spans(
         system_index in 0usize..4,
@@ -132,56 +153,89 @@ proptest! {
         sparse in 0usize..2,
         faulted in 0usize..2,
     ) {
-        let t = Testbed::shared_small();
-        let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
-        let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
-        let num_cores = t.arch.num_cores();
-        let fault_plan = if faulted == 1 {
-            FaultPlan::build(&FaultConfig::chaos(0.3, seed, horizon), num_cores)
-        } else {
-            FaultPlan::empty()
-        };
-        let mut recording = RecordingSink::new();
-        let _ = Simulator::new(num_cores)
-            .with_discipline(DISCIPLINES[discipline_index])
-            .run_with_faults(&plan, &mut t.system(SystemKind::ALL[system_index]), &fault_plan, &mut recording);
-        let events = recording.into_events();
-
-        let mut idle = IdleCores::new(num_cores);
-        let mut expanded = Vec::with_capacity(events.len());
-        for event in &events {
-            match *event {
-                TraceEvent::IdleAdvance { from, to } => {
-                    expanded.extend(idle.iter().map(|(core, power)| TraceEvent::IdleSpan {
-                        core,
-                        from,
-                        to,
-                        idle_power_nj_per_cycle: power,
-                    }));
-                }
-                TraceEvent::IdlePower { .. } => {}
-                other => expanded.push(other),
-            }
-            idle.observe(event);
+        for t in [Testbed::shared_small(), shared_tiled_256()] {
+            advances_fold_like_spans(
+                t,
+                SystemKind::ALL[system_index],
+                DISCIPLINES[discipline_index],
+                jobs,
+                seed,
+                sparse == 1,
+                faulted == 1,
+            );
         }
-        let fold = |stream: &[TraceEvent]| {
-            let mut sink = MetricsSink::new(num_cores, INTERVAL);
-            let mut spans = SpanAssembler::new();
-            for &event in stream {
-                sink.record(event);
-                spans.record(event);
-            }
-            spans.finish(sink.last_event_at());
-            (sink.report(), spans)
-        };
-        let (advanced, advanced_spans) = fold(&events);
-        let (per_core, per_core_spans) = fold(&expanded);
-        prop_assert_eq!(format!("{:?}", advanced.points), format!("{:?}", per_core.points));
-        prop_assert_eq!(advanced.totals, per_core.totals);
-        prop_assert_eq!(
-            advanced.totals.idle_energy_nj.to_bits(),
-            per_core.totals.idle_energy_nj.to_bits()
-        );
-        prop_assert_eq!(advanced_spans.core_spans(), per_core_spans.core_spans());
     }
+}
+
+/// The body of `idle_advances_fold_like_per_core_idle_spans` for one
+/// testbed.
+fn advances_fold_like_spans(
+    t: &Testbed,
+    kind: SystemKind,
+    discipline: QueueDiscipline,
+    jobs: usize,
+    seed: u64,
+    sparse: bool,
+    faulted: bool,
+) {
+    let num_cores = t.arch.num_cores();
+    let horizon = if sparse { 80_000_000 } else { 4_000_000 };
+    // On the tiled machine four times the jobs arrive 256x closer
+    // together, so busy cores reach past the first mask words.
+    let (jobs, horizon) = if num_cores > 4 {
+        (jobs * 4, horizon / 256)
+    } else {
+        (jobs, horizon)
+    };
+    let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
+    let fault_plan = if faulted {
+        FaultPlan::build(&FaultConfig::chaos(0.3, seed, horizon), num_cores)
+    } else {
+        FaultPlan::empty()
+    };
+    let mut recording = RecordingSink::new();
+    let _ = Simulator::new(num_cores)
+        .with_discipline(discipline)
+        .run_with_faults(&plan, &mut t.system(kind), &fault_plan, &mut recording);
+    let events = recording.into_events();
+
+    let mut idle = IdleCores::new(num_cores);
+    let mut expanded = Vec::with_capacity(events.len());
+    for event in &events {
+        match *event {
+            TraceEvent::IdleAdvance { from, to, .. } => {
+                expanded.extend(idle.iter().map(|(core, power)| TraceEvent::IdleSpan {
+                    core,
+                    from,
+                    to,
+                    idle_power_nj_per_cycle: power,
+                }));
+            }
+            TraceEvent::IdlePower { .. } => {}
+            other => expanded.push(other),
+        }
+        idle.observe(event);
+    }
+    let fold = |stream: &[TraceEvent]| {
+        let mut sink = MetricsSink::new(num_cores, INTERVAL);
+        let mut spans = SpanAssembler::new();
+        for &event in stream {
+            sink.record(event);
+            spans.record(event);
+        }
+        spans.finish(sink.last_event_at());
+        (sink.report(), spans)
+    };
+    let (advanced, advanced_spans) = fold(&events);
+    let (per_core, per_core_spans) = fold(&expanded);
+    prop_assert_eq!(
+        format!("{:?}", advanced.points),
+        format!("{:?}", per_core.points)
+    );
+    prop_assert_eq!(advanced.totals, per_core.totals);
+    prop_assert_eq!(
+        advanced.totals.idle_energy_nj.to_bits(),
+        per_core.totals.idle_energy_nj.to_bits()
+    );
+    prop_assert_eq!(advanced_spans.core_spans(), per_core_spans.core_spans());
 }

@@ -50,7 +50,8 @@ impl EngineConfig {
 /// event), so all snapshot boundaries at or before the previous
 /// timestamp can be closed — their windows drained, folded, and freed.
 /// Windowed latency histograms are kept per open span (at most two are
-/// live, because completions carry non-decreasing timestamps).
+/// live, because completions carry non-decreasing timestamps) and reused
+/// once their span closes.
 #[derive(Debug)]
 pub struct EngineSink {
     metrics: MetricsSink,
@@ -60,6 +61,8 @@ pub struct EngineSink {
     /// Latency histograms of spans that are still open, keyed by span
     /// index (`at / snapshot_cycles`), oldest first.
     open_latency: VecDeque<(u64, Histogram)>,
+    /// Histograms of closed spans, emptied for the next span to open.
+    spare_latency: Vec<Histogram>,
     snapshots: VecDeque<Snapshot>,
     max_snapshots: usize,
     snapshots_emitted: u64,
@@ -81,6 +84,7 @@ impl EngineSink {
             snapshot_cycles: config.snapshot_cycles(),
             next_snapshot: config.snapshot_cycles(),
             open_latency: VecDeque::new(),
+            spare_latency: Vec::new(),
             snapshots: VecDeque::new(),
             max_snapshots: config.max_snapshots.max(1),
             snapshots_emitted: 0,
@@ -120,8 +124,10 @@ impl EngineSink {
         let start = boundary - self.snapshot_cycles;
         let span_index = start / self.snapshot_cycles;
         let points = self.metrics.drain_points(boundary);
-        let latency = self.take_open_latency(span_index);
+        let mut latency = self.take_open_latency(span_index);
         self.push_snapshot(start, boundary, &points, &latency);
+        latency.reset();
+        self.spare_latency.push(latency);
     }
 
     /// Pop the windowed latency histogram of `span_index` (empty if no
@@ -131,7 +137,7 @@ impl EngineSink {
             Some((index, _)) if *index == span_index => {
                 self.open_latency.pop_front().expect("peeked").1
             }
-            _ => Histogram::new(),
+            _ => self.spare_latency.pop().unwrap_or_default(),
         }
     }
 
@@ -217,7 +223,7 @@ impl TraceSink for EngineSink {
                         self.open_latency.back().is_none_or(|(i, _)| *i < span),
                         "completions must carry non-decreasing spans"
                     );
-                    let mut hist = Histogram::new();
+                    let mut hist = self.spare_latency.pop().unwrap_or_default();
                     hist.record(latency);
                     self.open_latency.push_back((span, hist));
                 }

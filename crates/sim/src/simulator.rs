@@ -511,21 +511,23 @@ impl Simulator {
             // (vacant ∧ online: offline cores burn nothing) at each core's
             // cached idle power — O(1) when no core is idle, and the
             // reference's per-core f64 operations in its ascending core
-            // order, so the energy is bit-identical. A sink sees one
-            // `IdleAdvance`, after an `IdlePower` for each idle core whose
-            // cached power it has not been told yet.
+            // order, so the energy is bit-identical. A sink then sees one
+            // `IdleAdvance` carrying the accrued total, after an
+            // `IdlePower` for each idle core whose cached power it has not
+            // been told yet.
             debug_assert!(now >= m.clock, "time must not run backwards");
             let span = now - m.clock;
             if span > 0 && m.cores.idle_count() > 0 {
+                for core in m.cores.idle_cores() {
+                    m.metrics.energy.idle_nj += span as f64 * m.idle_power[core.0];
+                }
                 if sink.enabled() {
                     m.announce_idle_power(now, sink);
                     sink.record(TraceEvent::IdleAdvance {
                         from: m.clock,
                         to: now,
+                        idle_total_nj: m.metrics.energy.idle_nj,
                     });
-                }
-                for core in m.cores.idle_cores() {
-                    m.metrics.energy.idle_nj += span as f64 * m.idle_power[core.0];
                 }
             }
             m.clock = now;

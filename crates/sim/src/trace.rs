@@ -15,9 +15,11 @@
 //! * Idle accrual costs one event per clock advance, not one per idle
 //!   core: an [`IdleAdvance`](TraceEvent::IdleAdvance) says the clock
 //!   moved, and an [`IdlePower`](TraceEvent::IdlePower) announces a core's
-//!   idle power when it first matters and whenever it changes. A consumer
-//!   rebuilds which cores were idle from the occupancy events with
-//!   [`IdleCores`] and charges them in ascending order.
+//!   idle power when it first matters and whenever it changes. The
+//!   advance carries the ledger's running idle total, so a consumer that
+//!   needs only the run total reads it; one that needs per-core idle
+//!   time rebuilds which cores were idle from the occupancy events with
+//!   [`IdleCores`].
 //! * [`LedgerAuditor`] replays a recorded stream, enforcing structural
 //!   conservation invariants (every arrival completes exactly once, no
 //!   double-booked cores, evictions refund exactly the unexecuted
@@ -99,12 +101,20 @@ pub enum TraceEvent {
     /// ascending core order, at the power its last
     /// [`IdlePower`](TraceEvent::IdlePower) announced. Which cores were
     /// idle follows from the occupancy events before it; [`IdleCores`]
-    /// rebuilds that set. Emitted only when some core is idle.
+    /// rebuilds that set. Emitted only when some core is idle, after the
+    /// simulator has accrued the advance, so `idle_total_nj` already
+    /// includes it.
     IdleAdvance {
         /// First cycle of the advance.
         from: u64,
         /// One past the last cycle of the advance.
         to: u64,
+        /// The run's cumulative idle energy (the ledger's
+        /// `energy.idle_nj`) after this advance, in nJ. A consumer that
+        /// needs only the run total reads it here instead of replaying
+        /// the per-core sum; [`LedgerAuditor`] checks it against its own
+        /// replay, bit for bit.
+        idle_total_nj: f64,
     },
     /// From here on, idle `core` burns `idle_power_nj_per_cycle`. The
     /// simulator announces a core before the first advance that charges
@@ -413,6 +423,8 @@ impl TraceSink for RecordingSink {
 /// it has not seen. [`iter`](Self::iter) walks the idle cores in
 /// ascending order — the order the simulator charges them in — so a
 /// consumer that replays the simulator's f64 operations gets its bits.
+/// [`charge`](Self::charge) adds an advance's idle cycles and energy to
+/// per-core accumulators in one dense pass over every core.
 #[derive(Debug, Clone, Default)]
 pub struct IdleCores {
     cores: Vec<IdleState>,
@@ -421,6 +433,10 @@ pub struct IdleCores {
     /// Bit `i` set ⇔ core `i` is vacant and online but has no announced
     /// idle power.
     unannounced: Vec<u64>,
+    /// Per core: `u64::MAX` when idle, 0 otherwise.
+    idle_mask: Vec<u64>,
+    /// Per core: the announced idle power when idle, `0.0` otherwise.
+    idle_power: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -460,6 +476,8 @@ impl IdleCores {
             set_bit(&mut self.unannounced, self.cores.len(), true);
             self.cores.push(IdleState::default());
         }
+        self.idle_mask.resize(self.cores.len(), 0);
+        self.idle_power.resize(self.cores.len(), 0.0);
     }
 
     /// Apply `event` to the occupancy, availability and announced power.
@@ -495,8 +513,11 @@ impl IdleCores {
         change(state);
         let available = !state.busy && !state.offline;
         let announced = state.announced;
-        set_bit(&mut self.idle, core.0, available && announced);
+        let idle = available && announced;
+        set_bit(&mut self.idle, core.0, idle);
         set_bit(&mut self.unannounced, core.0, available && !announced);
+        self.idle_mask[core.0] = if idle { u64::MAX } else { 0 };
+        self.idle_power[core.0] = if idle { state.power } else { 0.0 };
     }
 
     /// The idle cores with their announced idle power, in ascending
@@ -504,6 +525,27 @@ impl IdleCores {
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (CoreId, f64)> + '_ {
         BitIter::new(&self.idle).map(|i| (CoreId(i), self.cores[i].power))
+    }
+
+    /// Charge `chunk` idle cycles to every idle core: `cycles[i] +=
+    /// chunk` and `energy[i] += power * chunk as f64`, at core `i`'s
+    /// announced power, for each core `i` the slices cover.
+    ///
+    /// One branch-free pass over all cores, idle or not: a core that is
+    /// not idle adds 0 cycles and `0.0 * chunk = +0.0` nJ, which leaves
+    /// any accumulator that is not `-0.0` unchanged. An accumulator that
+    /// starts at `+0.0` and only ever gains products never becomes
+    /// `-0.0`, so each idle core's energy has the bits of the same sum
+    /// taken over the idle cores alone.
+    #[inline]
+    pub fn charge(&self, chunk: u64, cycles: &mut [u64], energy: &mut [f64]) {
+        let span = chunk as f64;
+        let slots = cycles.iter_mut().zip(energy.iter_mut());
+        let cores = self.idle_mask.iter().zip(&self.idle_power);
+        for ((cycles, energy), (mask, power)) in slots.zip(cores) {
+            *cycles += chunk & mask;
+            *energy += power * span;
+        }
     }
 
     /// The lowest-numbered vacant, online core that has no idle power
@@ -874,11 +916,13 @@ impl LedgerAuditor {
         let mut sheds = 0u64;
 
         // Idle-advance state: the idle cores and their announced power,
-        // where the last advance ended, and the first announcement not
-        // yet charged by an advance.
+        // where the last advance ended, the first announcement not yet
+        // charged by an advance, and whether a carried idle total has
+        // already diverged from the replay.
         let mut idle = IdleCores::new(self.num_cores);
         let mut advanced_to = 0u64;
         let mut uncharged: Option<(usize, CoreId)> = None;
+        let mut total_diverged = false;
 
         for (index, event) in events.iter().enumerate() {
             let at = event.at();
@@ -973,7 +1017,11 @@ impl LedgerAuditor {
                     // Same operation, same order as the simulator.
                     energy.idle_nj += to.saturating_sub(from) as f64 * idle_power_nj_per_cycle;
                 }
-                TraceEvent::IdleAdvance { from, to } => {
+                TraceEvent::IdleAdvance {
+                    from,
+                    to,
+                    idle_total_nj,
+                } => {
                     if from >= to {
                         violations
                             .push(format!("empty idle advance [{from}, {to}) (event {index})"));
@@ -995,6 +1043,16 @@ impl LedgerAuditor {
                     let span = to.saturating_sub(from) as f64;
                     for (_, power) in idle.iter() {
                         energy.idle_nj += span * power;
+                    }
+                    // One divergence shifts every later total too: report
+                    // the first.
+                    if idle_total_nj.to_bits() != energy.idle_nj.to_bits() && !total_diverged {
+                        total_diverged = true;
+                        violations.push(format!(
+                            "idle advance [{from}, {to}) carries idle total {idle_total_nj:?} nJ \
+                             but the replayed ledger reads {:?} nJ (event {index})",
+                            energy.idle_nj
+                        ));
                     }
                     uncharged = None;
                 }
@@ -2110,6 +2168,21 @@ mod tests {
             priority: 0,
         });
         assert_eq!(idle.iter().collect::<Vec<_>>(), vec![(CoreId(3), 1.0)]);
+
+        // The dense charge touches exactly the idle cores, and leaves
+        // every other accumulator at `+0.0`.
+        let (mut cycles, mut energy) = (vec![0u64; 71], vec![0.0f64; 71]);
+        idle.charge(10, &mut cycles, &mut energy);
+        idle.charge(5, &mut cycles, &mut energy);
+        for core in 0..71 {
+            let (want_cycles, want_energy) = if core == 3 { (15, 15.0) } else { (0, 0.0) };
+            assert_eq!(cycles[core], want_cycles, "core {core}");
+            assert_eq!(
+                energy[core].to_bits(),
+                f64::to_bits(want_energy),
+                "core {core}"
+            );
+        }
     }
 
     #[test]
@@ -2117,7 +2190,11 @@ mod tests {
         let events = vec![
             announced(0, 10, 1.5),
             announced(1, 10, 0.5),
-            TraceEvent::IdleAdvance { from: 0, to: 10 },
+            TraceEvent::IdleAdvance {
+                from: 0,
+                to: 10,
+                idle_total_nj: 10.0 * 1.5 + 10.0 * 0.5,
+            },
             TraceEvent::Arrival {
                 seq: 0,
                 benchmark: BenchmarkId(0),
@@ -2134,7 +2211,11 @@ mod tests {
                 static_nj: 0.0,
                 kind: PlacementKind::Pass,
             },
-            TraceEvent::IdleAdvance { from: 10, to: 15 },
+            TraceEvent::IdleAdvance {
+                from: 10,
+                to: 15,
+                idle_total_nj: 10.0 * 1.5 + 10.0 * 0.5 + 5.0 * 0.5,
+            },
             TraceEvent::Completion {
                 seq: 0,
                 benchmark: BenchmarkId(0),
@@ -2154,6 +2235,29 @@ mod tests {
             violations
                 .iter()
                 .any(|v| v.contains("no idle power announced")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_doctored_idle_total_is_a_violation() {
+        let advance = |to: u64, idle_total_nj: f64| TraceEvent::IdleAdvance {
+            from: to - 10,
+            to,
+            idle_total_nj,
+        };
+        let honest = [announced(0, 10, 1.5), advance(10, 15.0), advance(20, 30.0)];
+        let metrics = LedgerAuditor::new(1).replay(&honest).unwrap();
+        assert_eq!(metrics.energy.idle_nj, 30.0);
+
+        // One ulp off on the first advance: the replayed ledger still
+        // matches, the carried total does not.
+        let mut doctored = honest;
+        doctored[1] = advance(10, f64::from_bits(15.0f64.to_bits() + 1));
+        let violations = LedgerAuditor::new(1).replay(&doctored).unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("carries idle total") && violations[0].contains("event 1"),
             "{violations:?}"
         );
     }
@@ -2208,8 +2312,16 @@ mod tests {
         let violations = LedgerAuditor::new(1)
             .replay(&[
                 announced(0, 10, 1.0),
-                TraceEvent::IdleAdvance { from: 0, to: 10 },
-                TraceEvent::IdleAdvance { from: 5, to: 10 },
+                TraceEvent::IdleAdvance {
+                    from: 0,
+                    to: 10,
+                    idle_total_nj: 10.0,
+                },
+                TraceEvent::IdleAdvance {
+                    from: 5,
+                    to: 10,
+                    idle_total_nj: 15.0,
+                },
             ])
             .unwrap_err();
         assert!(

@@ -565,7 +565,7 @@ impl TraceSink for SpanAssembler {
                     kind: CoreSpanKind::Idle,
                 });
             }
-            TraceEvent::IdleAdvance { from, to } => {
+            TraceEvent::IdleAdvance { from, to, .. } => {
                 // One idle span per idle core, in ascending core order.
                 self.core_spans
                     .extend(self.idle.iter().map(|(core, _)| CoreSpan {

@@ -24,14 +24,16 @@
 //! held within a gated cost budget by the `sim_metrics_overhead` stage
 //! of `perf_pipeline`.
 //!
-//! Idle time folds from [`TraceEvent::IdleAdvance`]: the sink tracks the
-//! idle cores and their announced idle power itself ([`IdleCores`], fed
-//! by placements, completions, evictions, faults, core transitions and
-//! [`TraceEvent::IdlePower`]) and, per advance, replays the simulator's
-//! ascending per-core operations in one tight loop — so its idle energy
-//! matches the ledger to the bit without an event per idle core. The
-//! per-core [`TraceEvent::IdleSpan`] folds the same way, one core at a
-//! time.
+//! Idle time folds from [`TraceEvent::IdleAdvance`]: the run total is
+//! the simulator's own ledger sum, which the advance carries, so the
+//! sink's idle energy matches the ledger to the bit without re-deriving
+//! it. For the per-core window slots the sink tracks the idle cores and
+//! their announced idle power itself ([`IdleCores`], fed by placements,
+//! completions, evictions, faults, core transitions and
+//! [`TraceEvent::IdlePower`]) and charges each window the advance
+//! overlaps in one dense pass over every core ([`IdleCores::charge`]).
+//! The per-core [`TraceEvent::IdleSpan`] folds one core at a time and
+//! adds its own product to the total.
 //!
 //! Windows are addressed by index (`at / interval`), which makes the
 //! out-of-order back-fill of idle advances and spans (stamped at span
@@ -72,15 +74,9 @@ impl Default for JobSlot {
     }
 }
 
-/// One core's share of one time window.
-#[derive(Debug, Clone, Copy, Default)]
-struct CoreAcc {
-    idle_cycles: u64,
-    offline_cycles: u64,
-    idle_energy_nj: f64,
-}
-
-/// Accumulator for one time window.
+/// Accumulator for one time window. The per-core slots are parallel
+/// arrays indexed by core, so an idle advance charges a window in one
+/// dense pass.
 #[derive(Debug, Clone, Default)]
 struct WindowAcc {
     arrivals: u64,
@@ -96,10 +92,46 @@ struct WindowAcc {
     sheds: u64,
     dynamic_nj: f64,
     static_nj: f64,
-    cores: Vec<CoreAcc>,
+    /// Per core: cycles sat idle.
+    idle_cycles: Vec<u64>,
+    /// Per core: cycles offline, back-filled at recovery.
+    offline_cycles: Vec<u64>,
+    /// Per core: idle-leakage energy, in nJ.
+    idle_energy_nj: Vec<f64>,
     /// Ready-queue depth at the window's end boundary, recorded
     /// chronologically; `None` until the stream passes the boundary.
     ready_depth_end: Option<u64>,
+}
+
+impl WindowAcc {
+    /// This accumulator emptied for reuse, with zeroed slots for
+    /// `num_cores` cores (allocating only if its slots were never sized).
+    fn recycled(self, num_cores: usize) -> WindowAcc {
+        let (mut idle_cycles, mut offline_cycles, mut idle_energy_nj) =
+            (self.idle_cycles, self.offline_cycles, self.idle_energy_nj);
+        idle_cycles.clear();
+        idle_cycles.resize(num_cores, 0);
+        offline_cycles.clear();
+        offline_cycles.resize(num_cores, 0);
+        idle_energy_nj.clear();
+        idle_energy_nj.resize(num_cores, 0.0);
+        WindowAcc {
+            idle_cycles,
+            offline_cycles,
+            idle_energy_nj,
+            ..WindowAcc::default()
+        }
+    }
+
+    /// Core `core`'s `(idle cycles, offline cycles, idle energy)`; zero
+    /// for a window that was never written.
+    fn core(&self, core: usize) -> (u64, u64, f64) {
+        (
+            self.idle_cycles.get(core).copied().unwrap_or(0),
+            self.offline_cycles.get(core).copied().unwrap_or(0),
+            self.idle_energy_nj.get(core).copied().unwrap_or(0.0),
+        )
+    }
 }
 
 /// Run-wide event totals (the counters of every window summed).
@@ -347,6 +379,9 @@ pub struct MetricsSink {
     /// `window_base + i`. Windows below `window_base` were handed out by
     /// [`drain_points`](Self::drain_points) and may no longer be written.
     windows: VecDeque<WindowAcc>,
+    /// Drained windows kept for reuse, so steady-state folding does not
+    /// allocate window slots.
+    spare: Vec<WindowAcc>,
     /// Global index of the first retained window (0 until drained).
     window_base: usize,
     /// Windows `[0, depth_recorded)` have their boundary depth sampled.
@@ -391,6 +426,7 @@ impl MetricsSink {
             interval: interval_cycles,
             num_cores,
             windows: VecDeque::new(),
+            spare: Vec::new(),
             window_base: 0,
             depth_recorded: 0,
             next_boundary: interval_cycles,
@@ -413,7 +449,7 @@ impl MetricsSink {
 
     /// Forget everything and prepare for another run (buffers are kept).
     pub fn reset(&mut self) {
-        self.windows.clear();
+        self.spare.extend(self.windows.drain(..));
         self.window_base = 0;
         self.depth_recorded = 0;
         self.next_boundary = self.interval;
@@ -487,20 +523,19 @@ impl MetricsSink {
             let span = end - start;
             let mut cores = Vec::with_capacity(self.num_cores);
             for core in 0..self.num_cores {
-                let slot = acc.cores.get(core).copied().unwrap_or_default();
+                let (idle_cycles, mut offline, idle_energy_nj) = acc.core(core);
                 // A core still offline at the end of the stream has no
                 // recovery event to back-fill its outage span; overlay it.
-                let mut offline = slot.offline_cycles;
                 if let Some(since) = self.core_offline_since[core] {
                     offline += overlap(since, self.last_at, start, end);
                 }
-                let accounted = slot.idle_cycles + offline;
+                let accounted = idle_cycles + offline;
                 let busy = span.saturating_sub(accounted);
                 cores.push(CorePoint {
                     busy_cycles: busy,
-                    idle_cycles: slot.idle_cycles,
+                    idle_cycles,
                     offline_cycles: offline,
-                    idle_energy_nj: slot.idle_energy_nj,
+                    idle_energy_nj,
                     utilisation: if span == 0 {
                         0.0
                     } else {
@@ -552,13 +587,20 @@ impl MetricsSink {
         );
         let rel = idx - self.window_base;
         if rel >= self.windows.len() {
-            let num_cores = self.num_cores;
-            self.windows.resize_with(rel + 1, || WindowAcc {
-                cores: vec![CoreAcc::default(); num_cores],
-                ..WindowAcc::default()
-            });
+            self.grow_windows(rel + 1);
         }
         &mut self.windows[rel]
+    }
+
+    /// Retain `len` windows, taking new ones from the spare (drained)
+    /// windows first. Kept out of line so the per-event lookup stays
+    /// small enough to inline.
+    #[inline(never)]
+    fn grow_windows(&mut self, len: usize) {
+        while self.windows.len() < len {
+            let acc = self.spare.pop().unwrap_or_default();
+            self.windows.push_back(acc.recycled(self.num_cores));
+        }
     }
 
     /// Emit and discard every *finished* window strictly before cycle
@@ -566,7 +608,8 @@ impl MetricsSink {
     /// [`report`](Self::report)'s series. Totals and histograms are
     /// untouched, so cumulative statistics survive; only the per-window
     /// series memory is released. This is what bounds a long run's sink
-    /// to O(in-flight) state.
+    /// to O(in-flight) state. The drained accumulators are kept and
+    /// reused for later windows.
     ///
     /// The caller must guarantee that every event timestamped before the
     /// drained boundary has already been recorded — in a simulator run
@@ -597,8 +640,7 @@ impl MetricsSink {
             let end = start + self.interval;
             let mut cores = Vec::with_capacity(self.num_cores);
             for core in 0..self.num_cores {
-                let slot = acc.cores.get(core).copied().unwrap_or_default();
-                let mut offline = slot.offline_cycles;
+                let (idle_cycles, mut offline, idle_energy_nj) = acc.core(core);
                 // A core still offline has no recovery event yet: overlay
                 // its outage over this window and advance the outage start
                 // past it, so the recovery back-fill stays in retained
@@ -607,13 +649,13 @@ impl MetricsSink {
                     offline += overlap(since, end, start, end);
                     self.core_offline_since[core] = Some(since.max(end));
                 }
-                let accounted = slot.idle_cycles + offline;
+                let accounted = idle_cycles + offline;
                 let busy = self.interval.saturating_sub(accounted);
                 cores.push(CorePoint {
                     busy_cycles: busy,
-                    idle_cycles: slot.idle_cycles,
+                    idle_cycles,
                     offline_cycles: offline,
-                    idle_energy_nj: slot.idle_energy_nj,
+                    idle_energy_nj,
                     utilisation: busy as f64 / self.interval as f64,
                 });
             }
@@ -637,6 +679,7 @@ impl MetricsSink {
                 static_nj: acc.static_nj,
                 cores,
             });
+            self.spare.push(acc);
         }
         points
     }
@@ -721,30 +764,22 @@ impl MetricsSink {
     }
 
     /// Charge every idle core over `[from, to)`: per window overlapped,
-    /// each idle core's slot gains the chunk's cycles and energy, and with
-    /// the last window the run total gains each core's `power * span` in
-    /// ascending core order, as the simulator's ledger does. Window lookup
-    /// goes through the cached bounds (an advance usually sits inside one
-    /// window, so one pass over the idle cores does both).
-    fn add_idle_advance(&mut self, from: u64, to: u64) {
-        let span = (to - from) as f64;
+    /// one dense pass gives each idle core's slot the chunk's cycles and
+    /// energy. The run total is the simulator's, carried by the advance.
+    /// Window lookup goes through the cached bounds (an advance usually
+    /// sits inside one window).
+    fn add_idle_advance(&mut self, from: u64, to: u64, idle_total_nj: f64) {
         let mut cursor = from;
         while cursor < to {
             let idx = self.window_index(cursor);
             let chunk = to.min(self.cur_hi) - cursor;
-            let last = cursor + chunk == to;
             self.window_mut(idx);
             let window = &mut self.windows[idx - self.window_base];
-            for (core, power) in self.idle.iter() {
-                let slot = &mut window.cores[core.0];
-                slot.idle_cycles += chunk;
-                slot.idle_energy_nj += power * chunk as f64;
-                if last {
-                    self.totals.idle_energy_nj += power * span;
-                }
-            }
+            self.idle
+                .charge(chunk, &mut window.idle_cycles, &mut window.idle_energy_nj);
             cursor += chunk;
         }
+        self.totals.idle_energy_nj = idle_total_nj;
     }
 
     /// Clip the span `[from, to)` into windows, attributing idle cycles
@@ -754,9 +789,9 @@ impl MetricsSink {
         while cursor < to {
             let idx = self.window_index(cursor);
             let chunk = to.min(self.cur_hi) - cursor;
-            let slot = &mut self.window_mut(idx).cores[core];
-            slot.idle_cycles += chunk;
-            slot.idle_energy_nj += power * chunk as f64;
+            let window = self.window_mut(idx);
+            window.idle_cycles[core] += chunk;
+            window.idle_energy_nj[core] += power * chunk as f64;
             cursor += chunk;
         }
         self.totals.idle_energy_nj += power * (to - from) as f64;
@@ -768,7 +803,7 @@ impl MetricsSink {
         while cursor < to {
             let idx = self.window_index(cursor);
             let chunk = to.min(self.cur_hi) - cursor;
-            self.window_mut(idx).cores[core].offline_cycles += chunk;
+            self.window_mut(idx).offline_cycles[core] += chunk;
             cursor += chunk;
         }
     }
@@ -790,7 +825,11 @@ impl TraceSink for MetricsSink {
         // window clipping, and an idle-power announcement only updates
         // the idle table: skip the shared lookup.
         match event {
-            TraceEvent::IdleAdvance { from, to } => return self.add_idle_advance(from, to),
+            TraceEvent::IdleAdvance {
+                from,
+                to,
+                idle_total_nj,
+            } => return self.add_idle_advance(from, to, idle_total_nj),
             TraceEvent::IdleSpan {
                 core,
                 from,
