@@ -1,10 +1,9 @@
-//! Wall-clock measurement helpers shared by the `cargo bench` harnesses
-//! and the `perf_pipeline` regression-guard binary.
+//! Wall-clock measurement helpers for the `perf_pipeline` regression-guard
+//! binary, and the provenance every perf artifact records.
 //!
-//! The real criterion crate lives behind the network-locked registry, so
-//! the bench targets are plain `main()`s built on these std-only probes:
-//! warm-up, repeated timed runs, and `std::hint::black_box` to keep the
-//! optimiser honest. Per-iteration timings feed a
+//! Std-only probes (the build is offline, so no criterion): warm-up,
+//! repeated timed runs, and `std::hint::black_box` to keep the optimiser
+//! honest. Per-iteration timings feed a
 //! [`hetero_telemetry::Histogram`], so every [`Sample`] carries tail
 //! percentiles alongside the mean and the exact minimum (the gate
 //! statistic).
@@ -175,20 +174,6 @@ fn git_rev() -> String {
             })
         })
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Measure and print one line in a stable `label  mean  min  p95` format.
-pub fn bench_report<R>(label: &str, iters: u32, f: impl FnMut() -> R) -> Sample {
-    let sample = bench(label, iters, f);
-    println!(
-        "{:<44} {:>12.3} ms/iter   (min {:>10.3} ms, p95 {:>10.3} ms, {} iters)",
-        sample.label,
-        sample.mean_ns / 1e6,
-        sample.min_ns / 1e6,
-        sample.p95_ns / 1e6,
-        sample.iters
-    );
-    sample
 }
 
 #[cfg(test)]

@@ -204,15 +204,14 @@ impl<'a> ProposedSystem<'a> {
     }
 }
 
-/// The best-core occupant with the earliest release, for the
-/// remaining-cycles estimate.
-fn earliest_release(best_cores: &CoreSet, cores: &CoreIndex, now: u64) -> Option<(u64, f64)> {
+/// Cycles until the earliest best-core occupant releases its core, for
+/// the remaining-cycles estimate.
+fn earliest_release(best_cores: &CoreSet, cores: &CoreIndex, now: u64) -> Option<u64> {
     best_cores
         .iter()
         .filter_map(|c| cores.view(c).busy)
         .map(|busy| busy.busy_until.saturating_sub(now))
         .min()
-        .map(|remaining| (remaining, 0.0))
 }
 
 impl Scheduler for ProposedSystem<'_> {
@@ -266,7 +265,7 @@ impl Scheduler for ProposedSystem<'_> {
         let Some((_, b_on_best)) = entry.best_known_for_size(best_size) else {
             return Decision::Stall;
         };
-        let Some((remaining, _)) = earliest_release(best_cores, cores, now) else {
+        let Some(remaining) = earliest_release(best_cores, cores, now) else {
             return Decision::Stall; // no busy best core found (defensive)
         };
 

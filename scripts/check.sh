@@ -55,7 +55,7 @@ else
     echo "==> cargo clippy not installed; skipping"
 fi
 
-echo "==> perf_pipeline --smoke (release; every stage end to end, no gate)"
+echo "==> perf_pipeline --smoke (release; every stage end to end, event budgets only)"
 cargo build --release --offline -p hetero-bench
 ./target/release/perf_pipeline --smoke
 
