@@ -4,7 +4,7 @@
 //! Unlike the batch experiment binaries (which materialise an
 //! [`ArrivalPlan`](workloads::ArrivalPlan) and retain every per-job
 //! metric), this driver feeds the simulator from a lazy
-//! [`OpenLoop`](workloads::OpenLoop) arrival process and folds the run
+//! [`OpenLoop`] arrival process and folds the run
 //! through the engine's snapshot ring — memory stays bounded no matter
 //! how many jobs flow through.
 //!

@@ -32,13 +32,6 @@ pub struct Sample {
     pub p95_ns: f64,
 }
 
-impl Sample {
-    /// Mean wall-clock per iteration in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns / 1e6
-    }
-}
-
 /// Per-iteration timing accumulator: one histogram observation per run,
 /// with the mean/min/percentiles distilled into a [`Sample`].
 struct Timings {
@@ -97,7 +90,7 @@ pub fn bench<R>(label: &str, iters: u32, mut f: impl FnMut() -> R) -> Sample {
 /// Measure two alternatives over interleaved iterations (`a`, `b`, `a`,
 /// `b`, …) after one warm-up call of each.
 ///
-/// A ratio of two [`bench`] results is only as stable as the host: when
+/// A ratio of two [`bench()`] results is only as stable as the host: when
 /// its effective speed drifts (frequency scaling, steal time on shared
 /// machines), the phase measured second sees a different regime and the
 /// ratio absorbs the difference. Pairing exposes both alternatives to

@@ -3,7 +3,7 @@
 //! Every experiment binary can persist its runs as JSON under `results/`,
 //! so downstream tooling (plots, regression checks across commits) never
 //! has to scrape stdout. Serialisation is hand-rolled through
-//! [`Json`](crate::json::Json) because the build environment is offline
+//! [`Json`] because the build environment is offline
 //! (no serde).
 
 use crate::json::Json;

@@ -2,7 +2,7 @@
 //!
 //! Converts a [`TelemetryReport`] — per-core time-series, run-wide
 //! histograms, run totals — and a span profile into the same hand-rolled
-//! [`Json`](crate::json::Json) documents the experiment binaries persist
+//! [`Json`] documents the experiment binaries persist
 //! under `results/`. The `telemetry` binary writes one document per
 //! system plus a cross-system summary.
 

@@ -2,7 +2,7 @@
 //!
 //! Converts the [`TraceEvent`] stream recorded by
 //! [`multicore_sim::RecordingSink`] into the same hand-rolled
-//! [`Json`](crate::json::Json) documents the experiment binaries persist
+//! [`Json`] documents the experiment binaries persist
 //! under `results/`, so traces can be inspected (or diffed across commits)
 //! without any external tooling. Events serialise with their exact `f64`
 //! operands — a trace file is sufficient to re-run the ledger audit.

@@ -1,12 +1,20 @@
 //! State shared by the profiled systems (optimal, energy-centric,
-//! proposed).
+//! proposed), and the predicted-best-core path the two predictive
+//! systems (energy-centric, proposed) hold in common.
 
 use crate::arch::Architecture;
+use crate::fallback::{FallbackChain, PredictionSource};
 use crate::oracle::SuiteOracle;
+use crate::predictor::BestCorePredictor;
 use crate::profiling::{ProfileEntry, ProfilingTable};
+use crate::tuning::TuningStatus;
 use cache_sim::{CacheConfig, CacheSizeKb, BASE_CONFIG};
 use energy_model::{EnergyModel, ExecutionCost};
-use multicore_sim::{CoreId, CoreIndex, Decision, Fingerprint, Job, JobExecution};
+use multicore_sim::{
+    CoreId, CoreIndex, Decision, FaultPlan, Fingerprint, Job, JobExecution, PredictorHealth,
+    ServingTier, TierCell,
+};
+use std::ops::ControlFlow;
 use workloads::BenchmarkId;
 
 /// Instrumentation counters exposed by every system, backing the paper's
@@ -287,6 +295,201 @@ impl<'a> Shared<'a> {
             }
         }
         fp.finish()
+    }
+}
+
+/// The predicted-best-core path of the two predictive systems. Both
+/// profile on the profiling core, predict the best core with the ANN, tune
+/// there with the Figure 5 heuristic, and degrade the same way under
+/// faults and brownout; they differ only in what they do once every
+/// predicted best core is busy, which
+/// [`place_on_best_core`](Self::place_on_best_core) leaves to the caller.
+#[derive(Debug, Clone)]
+pub struct Predictive<'a> {
+    pub shared: Shared<'a>,
+    predictor: BestCorePredictor,
+    /// Injected fault schedule; `None` outside chaos experiments.
+    pub faults: Option<&'a FaultPlan>,
+    /// Degraded-prediction stages, trained only when faults are injected
+    /// or a serving tier is subscribed.
+    fallback: Option<FallbackChain>,
+    /// Brownout serving tier shared with an overload governor; `None`
+    /// keeps the full-service path untouched.
+    tier: Option<TierCell>,
+    /// Distilled f32 student serving brownout tier 1; `None` means tier 1
+    /// degrades no further than the primary.
+    distilled: Option<BestCorePredictor>,
+}
+
+impl<'a> Predictive<'a> {
+    /// Fresh state with a trained best-core predictor and no faults or
+    /// serving tier.
+    pub fn new(
+        arch: &'a Architecture,
+        oracle: &'a SuiteOracle,
+        model: EnergyModel,
+        predictor: BestCorePredictor,
+    ) -> Self {
+        Predictive {
+            shared: Shared::new(arch, oracle, model),
+            predictor,
+            faults: None,
+            fallback: None,
+            tier: None,
+            distilled: None,
+        }
+    }
+
+    /// Subscribe to an injected fault schedule, degrading through `chain`.
+    pub fn with_faults(mut self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
+        self.faults = Some(plan);
+        self.fallback = Some(chain);
+        self
+    }
+
+    /// Subscribe to a brownout serving tier, training the fallback chain
+    /// if no fault plan supplied one.
+    pub fn with_serving_tier(
+        mut self,
+        cell: TierCell,
+        distilled: Option<BestCorePredictor>,
+    ) -> Self {
+        if self.fallback.is_none() {
+            self.fallback = Some(FallbackChain::train(self.shared.oracle));
+        }
+        self.tier = Some(cell);
+        self.distilled = distilled;
+        self
+    }
+
+    /// Phases 0–2 of the Figure 2 flow. Phase 0: under a full predictor
+    /// blackout no stage of the fallback chain can predict, so degrade to
+    /// the base system's behaviour (profiling would gather information
+    /// nothing can consume). Phase 1: profile an unprofiled benchmark.
+    /// Phase 2: run on an idle predicted best core. Every outcome is
+    /// `Break`, except that a profiled benchmark whose predicted best
+    /// cores are all busy comes back as `Continue(best_size)` with no
+    /// state changed.
+    #[inline]
+    pub fn place_on_best_core(
+        &mut self,
+        job: &Job,
+        cores: &CoreIndex,
+        now: u64,
+    ) -> ControlFlow<Decision, CacheSizeKb> {
+        if let Some(plan) = self.faults {
+            if plan.predictor_health(now) == PredictorHealth::AllDown {
+                return ControlFlow::Break(self.schedule_degraded(job, cores));
+            }
+        }
+
+        if !self.shared.table.contains(job.benchmark) {
+            return ControlFlow::Break(self.shared.try_profile(job, cores));
+        }
+
+        let arch = self.shared.arch;
+        let entry = self.shared.table.get(job.benchmark).expect("profiled");
+        let best_size = arch.nearest_available_size(entry.predicted_best_size);
+
+        // One masked trailing-zeros scan over the size set ∩ idle words.
+        match cores.first_idle_in(arch.core_set(best_size)) {
+            Some(core) => ControlFlow::Break(self.run_with_tuning(job, core)),
+            None => ControlFlow::Continue(best_size),
+        }
+    }
+
+    /// Dispatch to `core`, choosing directly-configured best configuration
+    /// when known, or the next Figure 5 exploration step otherwise.
+    #[inline]
+    pub fn run_with_tuning(&mut self, job: &Job, core: CoreId) -> Decision {
+        let shared = &mut self.shared;
+        let size = shared.arch.core_size(core);
+        let entry = shared.table.get_mut(job.benchmark).expect("profiled");
+        let config = match entry.best_known_for_size(size) {
+            Some((config, _)) => config,
+            None => match entry.tuner_mut(size).status() {
+                TuningStatus::Explore(config) => {
+                    shared.stats.tuning_runs += 1;
+                    config
+                }
+                TuningStatus::Done(config) => config,
+            },
+        };
+        shared.launch(
+            job,
+            core,
+            config,
+            Pending::Execution {
+                benchmark: job.benchmark,
+                config,
+            },
+        )
+    }
+
+    /// Predictor-blackout mode: with no prediction available at any chain
+    /// stage, behave exactly like the base system — first idle core, base
+    /// configuration, no profiling. Stall-returning calls stay pure.
+    #[inline]
+    fn schedule_degraded(&mut self, job: &Job, cores: &CoreIndex) -> Decision {
+        let Some(core) = Shared::first_idle(cores) else {
+            return Decision::Stall;
+        };
+        self.shared.stats.degraded_placements += 1;
+        self.shared.launch(
+            job,
+            core,
+            BASE_CONFIG,
+            Pending::Execution {
+                benchmark: job.benchmark,
+                config: BASE_CONFIG,
+            },
+        )
+    }
+
+    /// Apply a completion, serving a fresh profile's best-size prediction
+    /// through the worse of the fault plan's degradation and the serving
+    /// tier's, and count which stage served it.
+    pub fn complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        let benchmark = job.benchmark;
+        // The fault plan's pure per-completion query decides which chain
+        // stage serves — the same query the simulator stamps `Fallback`
+        // trace events from, so trace and behaviour agree by construction.
+        let level = self
+            .faults
+            .and_then(|plan| plan.fallback_level(job.seq, now));
+        let tier = self
+            .tier
+            .as_ref()
+            .map_or(ServingTier::Full, |cell| cell.get());
+        let predictor = &self.predictor;
+        let distilled = self.distilled.as_ref();
+        let fallback = self.fallback.as_ref();
+        let mut served = PredictionSource::Primary;
+        self.shared.complete(job, core, |shared| {
+            let statistics = shared.oracle.execution_statistics(benchmark);
+            match fallback {
+                Some(chain) => {
+                    let (size, source) = chain.resolve_tiered(
+                        predictor,
+                        distilled,
+                        benchmark,
+                        &statistics,
+                        level,
+                        tier,
+                    );
+                    served = source;
+                    size
+                }
+                None => predictor.predict_for(benchmark, &statistics),
+            }
+        });
+        match served {
+            PredictionSource::Primary => {}
+            PredictionSource::Distilled => {
+                self.shared.stats.distilled_predictions += 1;
+            }
+            _ => self.shared.stats.fallback_predictions += 1,
+        }
     }
 }
 

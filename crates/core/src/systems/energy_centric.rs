@@ -4,15 +4,11 @@ use crate::arch::Architecture;
 use crate::fallback::FallbackChain;
 use crate::oracle::SuiteOracle;
 use crate::predictor::BestCorePredictor;
-use crate::systems::common::{Pending, Shared, SystemStats};
-use crate::tuning::TuningStatus;
+use crate::systems::common::{Predictive, SystemStats};
 use crate::ProfilingTable;
-use cache_sim::BASE_CONFIG;
 use energy_model::EnergyModel;
-use multicore_sim::{
-    CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier,
-    TierCell,
-};
+use multicore_sim::{CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, Scheduler, TierCell};
+use std::ops::ControlFlow;
 
 /// The paper's *energy-centric* system (Sec. V): profiles on the profiling
 /// core, predicts the best core with the ANN, and "only scheduled
@@ -44,17 +40,7 @@ use multicore_sim::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnergyCentricSystem<'a> {
-    shared: Shared<'a>,
-    predictor: BestCorePredictor,
-    /// Injected fault schedule; `None` outside chaos experiments.
-    faults: Option<&'a FaultPlan>,
-    /// Degraded-prediction stages, trained only when faults are injected
-    /// or a serving tier is subscribed.
-    fallback: Option<FallbackChain>,
-    /// Brownout serving tier shared with an overload governor.
-    tier: Option<TierCell>,
-    /// Distilled f32 student serving brownout tier 1.
-    distilled: Option<BestCorePredictor>,
+    predictive: Predictive<'a>,
 }
 
 impl<'a> EnergyCentricSystem<'a> {
@@ -66,12 +52,7 @@ impl<'a> EnergyCentricSystem<'a> {
         predictor: BestCorePredictor,
     ) -> Self {
         EnergyCentricSystem {
-            shared: Shared::new(arch, oracle, model),
-            predictor,
-            faults: None,
-            fallback: None,
-            tier: None,
-            distilled: None,
+            predictive: Predictive::new(arch, oracle, model, predictor),
         }
     }
 
@@ -80,102 +61,39 @@ impl<'a> EnergyCentricSystem<'a> {
     /// primary predictor is down, base-system behaviour under a full
     /// blackout. The always-stall policy applies only while a best-core
     /// prediction exists to stall *for*.
-    pub fn with_faults(mut self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
-        self.faults = Some(plan);
-        self.fallback = Some(chain);
-        self
+    pub fn with_faults(self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
+        EnergyCentricSystem {
+            predictive: self.predictive.with_faults(plan, chain),
+        }
     }
 
     /// Subscribe to a brownout serving tier — see
     /// [`ProposedSystem::with_serving_tier`](crate::ProposedSystem::with_serving_tier);
     /// the semantics are identical.
-    pub fn with_serving_tier(
-        mut self,
-        cell: TierCell,
-        distilled: Option<BestCorePredictor>,
-    ) -> Self {
-        if self.fallback.is_none() {
-            self.fallback = Some(FallbackChain::train(self.shared.oracle));
+    pub fn with_serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self {
+        EnergyCentricSystem {
+            predictive: self.predictive.with_serving_tier(cell, distilled),
         }
-        self.tier = Some(cell);
-        self.distilled = distilled;
-        self
     }
 
     /// Instrumentation counters.
     pub fn stats(&self) -> SystemStats {
-        self.shared.stats
+        self.predictive.shared.stats
     }
 
     /// The accumulated profiling table.
     pub fn table(&self) -> &ProfilingTable {
-        &self.shared.table
+        &self.predictive.shared.table
     }
 }
 
 impl Scheduler for EnergyCentricSystem<'_> {
     fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
-        // Full predictor blackout: no best core can be predicted, so
-        // degrade to the base system's behaviour rather than stalling
-        // forever for a prediction that cannot come.
-        if let Some(plan) = self.faults {
-            if plan.predictor_health(now) == PredictorHealth::AllDown {
-                let Some(core) = Shared::first_idle(cores) else {
-                    return Decision::Stall;
-                };
-                self.shared.stats.degraded_placements += 1;
-                return self.shared.launch(
-                    job,
-                    core,
-                    BASE_CONFIG,
-                    Pending::Execution {
-                        benchmark: job.benchmark,
-                        config: BASE_CONFIG,
-                    },
-                );
-            }
+        match self.predictive.place_on_best_core(job, cores, now) {
+            ControlFlow::Break(decision) => decision,
+            // Only the predicted best core(s) are acceptable: stall.
+            ControlFlow::Continue(_) => Decision::Stall,
         }
-
-        let shared = &mut self.shared;
-
-        if !shared.table.contains(job.benchmark) {
-            return shared.try_profile(job, cores);
-        }
-        let entry = shared.table.get(job.benchmark).expect("checked above");
-        let best_size = shared
-            .arch
-            .nearest_available_size(entry.predicted_best_size);
-
-        // Only the predicted best core(s) are acceptable; stall otherwise.
-        let target = cores.first_idle_in(shared.arch.core_set(best_size));
-        let Some(core) = target else {
-            return Decision::Stall;
-        };
-
-        // Best configuration if tuned; otherwise one Figure 5 exploration
-        // step on this (best) core.
-        let config = match entry.best_known_for_size(best_size) {
-            Some((config, _)) => config,
-            None => {
-                let entry = shared.table.get_mut(job.benchmark).expect("checked above");
-                match entry.tuner_mut(best_size).status() {
-                    TuningStatus::Explore(config) => {
-                        shared.stats.tuning_runs += 1;
-                        config
-                    }
-                    TuningStatus::Done(config) => config,
-                }
-            }
-        };
-        shared.launch(
-            job,
-            core,
-            config,
-            Pending::Execution {
-                benchmark: job.benchmark,
-                config,
-            },
-        )
     }
 
     /// A profiled benchmark stalls exactly while its predicted best cores
@@ -184,64 +102,29 @@ impl Scheduler for EnergyCentricSystem<'_> {
     /// slot instead, and under a fault plan a predictor blackout runs on
     /// any idle core: neither promises anything.
     fn waits_for(&self, job: &Job) -> Option<&CoreSet> {
-        if self.faults.is_some() {
+        if self.predictive.faults.is_some() {
             return None;
         }
-        let entry = self.shared.table.get(job.benchmark)?;
-        let arch = self.shared.arch;
+        let shared = &self.predictive.shared;
+        let entry = shared.table.get(job.benchmark)?;
+        let arch = shared.arch;
         Some(arch.core_set(arch.nearest_available_size(entry.predicted_best_size)))
     }
 
     fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
-        self.shared.idle_power(core)
+        self.predictive.shared.idle_power(core)
     }
 
     fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
-        let benchmark = job.benchmark;
-        let level = self
-            .faults
-            .and_then(|plan| plan.fallback_level(job.seq, now));
-        let tier = self
-            .tier
-            .as_ref()
-            .map_or(ServingTier::Full, |cell| cell.get());
-        let predictor = &self.predictor;
-        let distilled = self.distilled.as_ref();
-        let fallback = self.fallback.as_ref();
-        let mut served = crate::fallback::PredictionSource::Primary;
-        self.shared.complete(job, core, |shared| {
-            let statistics = shared.oracle.execution_statistics(benchmark);
-            match fallback {
-                Some(chain) => {
-                    let (size, source) = chain.resolve_tiered(
-                        predictor,
-                        distilled,
-                        benchmark,
-                        &statistics,
-                        level,
-                        tier,
-                    );
-                    served = source;
-                    size
-                }
-                None => predictor.predict_for(benchmark, &statistics),
-            }
-        });
-        match served {
-            crate::fallback::PredictionSource::Primary => {}
-            crate::fallback::PredictionSource::Distilled => {
-                self.shared.stats.distilled_predictions += 1;
-            }
-            _ => self.shared.stats.fallback_predictions += 1,
-        }
+        self.predictive.complete(job, core, now);
     }
 
     fn on_preempt(&mut self, job: &Job, core: CoreId, _now: u64) {
-        self.shared.abort(job, core);
+        self.predictive.shared.abort(job, core);
     }
 
     fn state_fingerprint(&self) -> u64 {
-        self.shared.fingerprint()
+        self.predictive.shared.fingerprint()
     }
 }
 

@@ -5,15 +5,12 @@ use crate::decision::StallDecision;
 use crate::fallback::FallbackChain;
 use crate::oracle::SuiteOracle;
 use crate::predictor::BestCorePredictor;
-use crate::systems::common::{Pending, Shared, SystemStats};
-use crate::tuning::TuningStatus;
+use crate::systems::common::{Pending, Predictive, SystemStats};
 use crate::ProfilingTable;
-use cache_sim::{CacheConfig, BASE_CONFIG};
+use cache_sim::CacheConfig;
 use energy_model::{EnergyModel, ExecutionCost};
-use multicore_sim::{
-    CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier,
-    TierCell,
-};
+use multicore_sim::{CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, Scheduler, TierCell};
+use std::ops::ControlFlow;
 
 /// The paper's proposed scheduler (Figure 2):
 ///
@@ -50,20 +47,8 @@ use multicore_sim::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProposedSystem<'a> {
-    shared: Shared<'a>,
-    predictor: BestCorePredictor,
+    predictive: Predictive<'a>,
     policy: DecisionPolicy,
-    /// Injected fault schedule; `None` outside chaos experiments.
-    faults: Option<&'a FaultPlan>,
-    /// Degraded-prediction stages, trained only when faults are injected
-    /// or a serving tier is subscribed.
-    fallback: Option<FallbackChain>,
-    /// Brownout serving tier shared with an overload governor; `None`
-    /// keeps the full-service path untouched.
-    tier: Option<TierCell>,
-    /// Distilled f32 student serving brownout tier 1; `None` means tier 1
-    /// degrades no further than the primary.
-    distilled: Option<BestCorePredictor>,
 }
 
 /// How the proposed system resolves a busy best core once every idle
@@ -100,13 +85,8 @@ impl<'a> ProposedSystem<'a> {
         predictor: BestCorePredictor,
     ) -> Self {
         ProposedSystem {
-            shared: Shared::new(arch, oracle, model),
-            predictor,
+            predictive: Predictive::new(arch, oracle, model, predictor),
             policy: DecisionPolicy::Evaluate,
-            faults: None,
-            fallback: None,
-            tier: None,
-            distilled: None,
         }
     }
 
@@ -121,86 +101,35 @@ impl<'a> ProposedSystem<'a> {
     /// from the kNN stage; under a full predictor blackout (or corrupted
     /// profiling features) the system falls all the way back to the base
     /// system's behaviour — first idle core, base configuration.
-    pub fn with_faults(mut self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
-        self.faults = Some(plan);
-        self.fallback = Some(chain);
-        self
+    pub fn with_faults(self, plan: &'a FaultPlan, chain: FallbackChain) -> Self {
+        ProposedSystem {
+            predictive: self.predictive.with_faults(plan, chain),
+            ..self
+        }
     }
 
     /// Subscribe to a brownout serving tier (shared with an overload
     /// governor through `cell`): per completion the serving path honours
     /// the worse of the fault plan's degradation and the tier's, with tier
-    /// [`Distilled`](ServingTier::Distilled) served by `distilled` when
-    /// provided. Trains the fallback chain lazily if
+    /// [`Distilled`](multicore_sim::ServingTier::Distilled) served by
+    /// `distilled` when provided. Trains the fallback chain lazily if
     /// [`with_faults`](Self::with_faults) hasn't already supplied one, so
     /// tiers 2 and 3 always have their kNN/static stages available.
-    pub fn with_serving_tier(
-        mut self,
-        cell: TierCell,
-        distilled: Option<BestCorePredictor>,
-    ) -> Self {
-        if self.fallback.is_none() {
-            self.fallback = Some(FallbackChain::train(self.shared.oracle));
+    pub fn with_serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self {
+        ProposedSystem {
+            predictive: self.predictive.with_serving_tier(cell, distilled),
+            ..self
         }
-        self.tier = Some(cell);
-        self.distilled = distilled;
-        self
     }
 
     /// Instrumentation counters.
     pub fn stats(&self) -> SystemStats {
-        self.shared.stats
+        self.predictive.shared.stats
     }
 
     /// The accumulated profiling table.
     pub fn table(&self) -> &ProfilingTable {
-        &self.shared.table
-    }
-
-    /// Dispatch to `core`, choosing directly-configured best configuration
-    /// when known, or the next Figure 5 exploration step otherwise.
-    fn run_with_tuning(&mut self, job: &Job, core: CoreId) -> Decision {
-        let shared = &mut self.shared;
-        let size = shared.arch.core_size(core);
-        let entry = shared.table.get_mut(job.benchmark).expect("profiled");
-        let config = match entry.best_known_for_size(size) {
-            Some((config, _)) => config,
-            None => match entry.tuner_mut(size).status() {
-                TuningStatus::Explore(config) => {
-                    shared.stats.tuning_runs += 1;
-                    config
-                }
-                TuningStatus::Done(config) => config,
-            },
-        };
-        shared.launch(
-            job,
-            core,
-            config,
-            Pending::Execution {
-                benchmark: job.benchmark,
-                config,
-            },
-        )
-    }
-
-    /// Predictor-blackout mode: with no prediction available at any chain
-    /// stage, behave exactly like the base system — first idle core, base
-    /// configuration, no profiling. Stall-returning calls stay pure.
-    fn schedule_degraded(&mut self, job: &Job, cores: &CoreIndex) -> Decision {
-        let Some(core) = Shared::first_idle(cores) else {
-            return Decision::Stall;
-        };
-        self.shared.stats.degraded_placements += 1;
-        self.shared.launch(
-            job,
-            core,
-            BASE_CONFIG,
-            Pending::Execution {
-                benchmark: job.benchmark,
-                config: BASE_CONFIG,
-            },
-        )
+        &self.predictive.shared.table
     }
 }
 
@@ -216,35 +145,22 @@ fn earliest_release(best_cores: &CoreSet, cores: &CoreIndex, now: u64) -> Option
 
 impl Scheduler for ProposedSystem<'_> {
     fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
-        // Phase 0: full predictor blackout — no stage of the fallback
-        // chain can predict, so degrade to the base system's behaviour
-        // (profiling would gather information nothing can consume).
-        if let Some(plan) = self.faults {
-            if plan.predictor_health(now) == PredictorHealth::AllDown {
-                return self.schedule_degraded(job, cores);
-            }
-        }
-
-        // Phase 1: profiling (Figure 2, "profiling information?" == no).
-        if !self.shared.table.contains(job.benchmark) {
-            return self.shared.try_profile(job, cores);
-        }
-
-        let arch = self.shared.arch;
-        let entry = self.shared.table.get(job.benchmark).expect("profiled");
-        let best_size = arch.nearest_available_size(entry.predicted_best_size);
-        let best_cores = arch.core_set(best_size);
-
-        // Phase 2: the best core is idle — schedule there (one masked
-        // trailing-zeros scan over the size set ∩ idle words).
-        if let Some(core) = cores.first_idle_in(best_cores) {
-            return self.run_with_tuning(job, core);
-        }
+        // Phases 0–2: blackout degradation, profiling (Figure 2,
+        // "profiling information?" == no) and an idle best core.
+        let best_size = match self.predictive.place_on_best_core(job, cores, now) {
+            ControlFlow::Break(decision) => return decision,
+            ControlFlow::Continue(best_size) => best_size,
+        };
 
         // The best core is busy. Candidates are all idle (non-best) cores.
         if cores.idle_count() == 0 {
             return Decision::Stall;
         }
+
+        let shared = &self.predictive.shared;
+        let arch = shared.arch;
+        let entry = shared.table.get(job.benchmark).expect("profiled");
+        let best_cores = arch.core_set(best_size);
 
         // Phase 3: any idle core with an unknown best configuration gets
         // the job (information gathering; one tuning step executes there).
@@ -252,7 +168,7 @@ impl Scheduler for ProposedSystem<'_> {
             .idle_cores()
             .find(|&c| !entry.is_tuned(arch.core_size(c)))
         {
-            return self.run_with_tuning(job, core);
+            return self.predictive.run_with_tuning(job, core);
         }
 
         // Phase 4: all idle cores are tuned for this application —
@@ -272,7 +188,7 @@ impl Scheduler for ProposedSystem<'_> {
         // Occupant's average energy per cycle, from our own launch records.
         let occupant_rate = best_cores
             .iter()
-            .filter_map(|c| self.shared.running[c.0])
+            .filter_map(|c| shared.running[c.0])
             .map(|r| r.cost.total_nj() / r.cost.cycles.max(1) as f64)
             .next()
             .unwrap_or(0.0);
@@ -284,7 +200,7 @@ impl Scheduler for ProposedSystem<'_> {
         let mut evaluated = 0u64;
         let mut chosen: Option<(CoreId, CacheConfig, ExecutionCost)> = None;
         for candidate in cores.idle_cores() {
-            let size = self.shared.arch.core_size(candidate);
+            let size = arch.core_size(candidate);
             let Some((config, b_on_candidate)) = entry.best_known_for_size(size) else {
                 continue;
             };
@@ -292,7 +208,7 @@ impl Scheduler for ProposedSystem<'_> {
             let decision = StallDecision::evaluate(
                 b_on_best,
                 b_on_candidate,
-                self.shared.idle_power(candidate),
+                shared.idle_power(candidate),
                 remaining,
                 occupant_rate,
             );
@@ -312,9 +228,10 @@ impl Scheduler for ProposedSystem<'_> {
 
         match chosen {
             Some((core, config, _)) => {
-                self.shared.stats.decisions_evaluated += evaluated;
-                self.shared.stats.decisions_ran_non_best += 1;
-                self.shared.launch(
+                let shared = &mut self.predictive.shared;
+                shared.stats.decisions_evaluated += evaluated;
+                shared.stats.decisions_ran_non_best += 1;
+                shared.launch(
                     job,
                     core,
                     config,
@@ -329,58 +246,19 @@ impl Scheduler for ProposedSystem<'_> {
     }
 
     fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
-        self.shared.idle_power(core)
+        self.predictive.shared.idle_power(core)
     }
 
     fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
-        let benchmark = job.benchmark;
-        // The fault plan's pure per-completion query decides which chain
-        // stage serves — the same query the simulator stamps `Fallback`
-        // trace events from, so trace and behaviour agree by construction.
-        let level = self
-            .faults
-            .and_then(|plan| plan.fallback_level(job.seq, now));
-        let tier = self
-            .tier
-            .as_ref()
-            .map_or(ServingTier::Full, |cell| cell.get());
-        let predictor = &self.predictor;
-        let distilled = self.distilled.as_ref();
-        let fallback = self.fallback.as_ref();
-        let mut served = crate::fallback::PredictionSource::Primary;
-        self.shared.complete(job, core, |shared| {
-            let statistics = shared.oracle.execution_statistics(benchmark);
-            match fallback {
-                Some(chain) => {
-                    let (size, source) = chain.resolve_tiered(
-                        predictor,
-                        distilled,
-                        benchmark,
-                        &statistics,
-                        level,
-                        tier,
-                    );
-                    served = source;
-                    size
-                }
-                None => predictor.predict_for(benchmark, &statistics),
-            }
-        });
-        match served {
-            crate::fallback::PredictionSource::Primary => {}
-            crate::fallback::PredictionSource::Distilled => {
-                self.shared.stats.distilled_predictions += 1;
-            }
-            _ => self.shared.stats.fallback_predictions += 1,
-        }
+        self.predictive.complete(job, core, now);
     }
 
     fn on_preempt(&mut self, job: &Job, core: CoreId, _now: u64) {
-        self.shared.abort(job, core);
+        self.predictive.shared.abort(job, core);
     }
 
     fn state_fingerprint(&self) -> u64 {
-        self.shared.fingerprint()
+        self.predictive.shared.fingerprint()
     }
 }
 
@@ -389,6 +267,7 @@ mod tests {
     use super::*;
     use crate::predictor::PredictorConfig;
     use crate::systems::base::BaseSystem;
+    use crate::systems::energy_centric::EnergyCentricSystem;
     use multicore_sim::{RunMetrics, Simulator};
     use workloads::{ArrivalPlan, Suite};
 
@@ -493,12 +372,58 @@ mod tests {
         }
     }
 
+    /// The two systems that share the predicted-best-core path, built the
+    /// same way so that path's tests run over both.
+    trait PredictedBestCore: Scheduler + Sized {
+        const NAME: &'static str;
+        fn build(f: &Fixture, predictor: BestCorePredictor) -> Self;
+        fn faults(self, plan: &'static FaultPlan, chain: FallbackChain) -> Self;
+        fn serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self;
+        fn counters(&self) -> SystemStats;
+        fn profiles(&self) -> &ProfilingTable;
+    }
+
+    impl PredictedBestCore for ProposedSystem<'static> {
+        const NAME: &'static str = "proposed";
+        fn build(f: &Fixture, predictor: BestCorePredictor) -> Self {
+            ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor)
+        }
+        fn faults(self, plan: &'static FaultPlan, chain: FallbackChain) -> Self {
+            self.with_faults(plan, chain)
+        }
+        fn serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self {
+            self.with_serving_tier(cell, distilled)
+        }
+        fn counters(&self) -> SystemStats {
+            self.stats()
+        }
+        fn profiles(&self) -> &ProfilingTable {
+            self.table()
+        }
+    }
+
+    impl PredictedBestCore for EnergyCentricSystem<'static> {
+        const NAME: &'static str = "energy-centric";
+        fn build(f: &Fixture, predictor: BestCorePredictor) -> Self {
+            EnergyCentricSystem::new(f.arch, f.oracle, f.model, predictor)
+        }
+        fn faults(self, plan: &'static FaultPlan, chain: FallbackChain) -> Self {
+            self.with_faults(plan, chain)
+        }
+        fn serving_tier(self, cell: TierCell, distilled: Option<BestCorePredictor>) -> Self {
+            self.with_serving_tier(cell, distilled)
+        }
+        fn counters(&self) -> SystemStats {
+            self.stats()
+        }
+        fn profiles(&self) -> &ProfilingTable {
+            self.table()
+        }
+    }
+
     #[test]
     fn serving_tier_full_is_bit_identical_and_lower_tiers_change_serving() {
-        use multicore_sim::{tier_cell, ServingTier};
-
         let f = fixture();
-        let plan = ArrivalPlan::uniform(300, 30_000_000, f.suite.len(), 47);
         let predictor = BestCorePredictor::train(f.oracle, &PredictorConfig::fast());
         let distill = tinyann::DistillConfig {
             replicas: 2,
@@ -510,37 +435,47 @@ mod tests {
             ..tinyann::DistillConfig::default()
         };
         let student = predictor.distill(f.oracle, &distill);
+        serving_tiers::<ProposedSystem>(&f, &predictor, &student);
+        serving_tiers::<EnergyCentricSystem>(&f, &predictor, &student);
+    }
+
+    fn serving_tiers<S: PredictedBestCore>(
+        f: &Fixture,
+        predictor: &BestCorePredictor,
+        student: &Option<BestCorePredictor>,
+    ) {
+        use multicore_sim::{tier_cell, ServingTier};
+
+        let name = S::NAME;
+        let plan = ArrivalPlan::uniform(300, 30_000_000, f.suite.len(), 47);
 
         // Plain run: no tier cell at all.
-        let mut plain = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor.clone());
+        let mut plain = S::build(f, predictor.clone());
         let plain_metrics = Simulator::new(4).run(&plan, &mut plain);
 
         // Tier cell held at Full for the whole run: bit-identical.
         let cell = tier_cell();
-        let mut full = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor.clone())
-            .with_serving_tier(cell.clone(), student.clone());
+        let mut full = S::build(f, predictor.clone()).serving_tier(cell.clone(), student.clone());
         let full_metrics = Simulator::new(4).run(&plan, &mut full);
-        assert_eq!(plain_metrics, full_metrics);
-        assert_eq!(full.stats().fallback_predictions, 0);
-        assert_eq!(full.stats().distilled_predictions, 0);
+        assert_eq!(plain_metrics, full_metrics, "{name}");
+        assert_eq!(full.counters().fallback_predictions, 0, "{name}");
+        assert_eq!(full.counters().distilled_predictions, 0, "{name}");
 
         // Cell set to tier 1: completions are served by the student.
         let cell = tier_cell();
         cell.set(ServingTier::Distilled);
-        let mut browned = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor.clone())
-            .with_serving_tier(cell, student);
+        let mut browned = S::build(f, predictor.clone()).serving_tier(cell, student.clone());
         let _ = Simulator::new(4).run(&plan, &mut browned);
-        assert!(browned.stats().distilled_predictions > 0);
-        assert_eq!(browned.stats().fallback_predictions, 0);
+        assert!(browned.counters().distilled_predictions > 0, "{name}");
+        assert_eq!(browned.counters().fallback_predictions, 0, "{name}");
 
         // Cell set to tier 2: the kNN stage serves, counted as fallback.
         let cell = tier_cell();
         cell.set(ServingTier::Knn);
-        let mut knn = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor.clone())
-            .with_serving_tier(cell, None);
+        let mut knn = S::build(f, predictor.clone()).serving_tier(cell, None);
         let _ = Simulator::new(4).run(&plan, &mut knn);
-        assert!(knn.stats().fallback_predictions > 0);
-        assert_eq!(knn.stats().distilled_predictions, 0);
+        assert!(knn.counters().fallback_predictions > 0, "{name}");
+        assert_eq!(knn.counters().distilled_predictions, 0, "{name}");
     }
 
     #[test]
@@ -644,31 +579,34 @@ mod tests {
 
     #[test]
     fn predictor_blackout_degrades_to_base_system_placements() {
-        // Under a 100% predictor outage no chain stage can predict: the
-        // proposed system must fall back to the base system's behaviour —
-        // bit-identical placements (same cores, cycles, energies).
-        use crate::fallback::FallbackChain;
-        use multicore_sim::{FaultConfig, FaultPlan, RecordingSink, TraceEvent};
         let f = fixture();
-        let plan = ArrivalPlan::uniform(120, 12_000_000, f.suite.len(), 51);
-        let fault_plan = FaultPlan::build(&FaultConfig::predictor_blackout(7), 4);
-
         let predictor = BestCorePredictor::train(f.oracle, &PredictorConfig::fast());
+        blackout::<ProposedSystem>(&f, &predictor);
+        blackout::<EnergyCentricSystem>(&f, &predictor);
+    }
+
+    fn blackout<S: PredictedBestCore>(f: &Fixture, predictor: &BestCorePredictor) {
+        // Under a 100% predictor outage no chain stage can predict: the
+        // system must fall back to the base system's behaviour —
+        // bit-identical placements (same cores, cycles, energies).
+        use multicore_sim::{FaultConfig, RecordingSink, TraceEvent};
+        let name = S::NAME;
+        let plan = ArrivalPlan::uniform(120, 12_000_000, f.suite.len(), 51);
+        let fault_plan: &'static FaultPlan = Box::leak(Box::new(FaultPlan::build(
+            &FaultConfig::predictor_blackout(7),
+            4,
+        )));
+
         let chain = FallbackChain::train(f.oracle);
-        let mut proposed = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor)
-            .with_faults(&fault_plan, chain);
-        let mut proposed_sink = RecordingSink::new();
-        let proposed_run = Simulator::new(4).run_with_faults(
-            &plan,
-            &mut proposed,
-            &fault_plan,
-            &mut proposed_sink,
-        );
+        let mut system = S::build(f, predictor.clone()).faults(fault_plan, chain);
+        let mut system_sink = RecordingSink::new();
+        let system_run =
+            Simulator::new(4).run_with_faults(&plan, &mut system, fault_plan, &mut system_sink);
 
         let mut base = BaseSystem::new(f.oracle, f.model, 4);
         let mut base_sink = RecordingSink::new();
         let base_run =
-            Simulator::new(4).run_with_faults(&plan, &mut base, &fault_plan, &mut base_sink);
+            Simulator::new(4).run_with_faults(&plan, &mut base, fault_plan, &mut base_sink);
 
         let placements = |events: &[TraceEvent]| -> Vec<TraceEvent> {
             events
@@ -678,49 +616,56 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            placements(proposed_sink.events()),
+            placements(system_sink.events()),
             placements(base_sink.events()),
-            "blackout placements must equal the base system's"
+            "{name} blackout placements must equal the base system's"
         );
-        assert_eq!(proposed_run.metrics.jobs_completed, 120);
+        assert_eq!(system_run.metrics.jobs_completed, 120, "{name}");
         assert_eq!(base_run.metrics.jobs_completed, 120);
-        let stats = proposed.stats();
-        assert_eq!(stats.degraded_placements, 120);
-        assert_eq!(stats.profiling_runs, 0, "no profiling under blackout");
+        let stats = system.counters();
+        assert_eq!(stats.degraded_placements, 120, "{name}");
+        assert_eq!(
+            stats.profiling_runs, 0,
+            "{name}: no profiling under blackout"
+        );
     }
 
     #[test]
     fn corrupted_features_fall_back_to_static_predictions() {
+        let f = fixture();
+        let predictor = BestCorePredictor::train(f.oracle, &PredictorConfig::fast());
+        corrupted_features::<ProposedSystem>(&f, &predictor);
+        corrupted_features::<EnergyCentricSystem>(&f, &predictor);
+    }
+
+    fn corrupted_features<S: PredictedBestCore>(f: &Fixture, predictor: &BestCorePredictor) {
         // 100% feature corruption: every profile completion must skip both
         // learned predictors (the primary memoizes per benchmark, so
         // consulting it would silently return a clean cached answer) and
         // store the static 8 KB prediction.
-        use crate::fallback::FallbackChain;
-        use multicore_sim::{FaultConfig, FaultPlan, NullSink};
-        let f = fixture();
+        use multicore_sim::{FaultConfig, NullSink};
+        let name = S::NAME;
         let plan = ArrivalPlan::uniform(150, 30_000_000, f.suite.len(), 53);
         let config = FaultConfig {
             feature_corruption_rate: 1.0,
             ..FaultConfig::none()
         };
-        let fault_plan = FaultPlan::build(&config, 4);
+        let fault_plan: &'static FaultPlan = Box::leak(Box::new(FaultPlan::build(&config, 4)));
 
-        let predictor = BestCorePredictor::train(f.oracle, &PredictorConfig::fast());
         let chain = FallbackChain::train(f.oracle);
-        let mut system = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor)
-            .with_faults(&fault_plan, chain);
-        let run = Simulator::new(4).run_with_faults(&plan, &mut system, &fault_plan, &mut NullSink);
-        assert_eq!(run.metrics.jobs_completed, 150);
-        let stats = system.stats();
+        let mut system = S::build(f, predictor.clone()).faults(fault_plan, chain);
+        let run = Simulator::new(4).run_with_faults(&plan, &mut system, fault_plan, &mut NullSink);
+        assert_eq!(run.metrics.jobs_completed, 150, "{name}");
+        let stats = system.counters();
         assert_eq!(
             stats.fallback_predictions, stats.profiling_runs,
-            "every profile prediction must be served degraded"
+            "{name}: every profile prediction must be served degraded"
         );
-        for (benchmark, entry) in system.table().iter() {
+        for (benchmark, entry) in system.profiles().iter() {
             assert_eq!(
                 entry.predicted_best_size,
                 cache_sim::CacheSizeKb::K8,
-                "{benchmark} must carry the static fallback prediction"
+                "{name}: {benchmark} must carry the static fallback prediction"
             );
         }
     }

@@ -63,17 +63,6 @@ impl EnergyParams {
         self
     }
 
-    /// Override the CPU stall energy per cycle (nJ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nj` is not finite and non-negative.
-    pub fn cpu_stall_nj(mut self, nj: f64) -> Self {
-        assert!(nj.is_finite() && nj >= 0.0, "stall energy must be >= 0");
-        self.cpu_stall_nj_per_cycle = nj;
-        self
-    }
-
     /// Override the leakage fraction (paper: 10 %).
     ///
     /// # Panics

@@ -30,8 +30,9 @@
 //! and panic its drained-window assertions. [`OverloadSink`] therefore
 //! buffers sheds and flushes one only once the forwarded stream has
 //! provably advanced past its timestamp (`shed.at <= last_forwarded`,
-//! checked before each forward). The [`LedgerAuditor`] exempts `Shed`
-//! from its chronological watermark for exactly this reason.
+//! checked before each forward). The
+//! [`LedgerAuditor`](multicore_sim::LedgerAuditor) exempts `Shed` from
+//! its chronological watermark for exactly this reason.
 //!
 //! See DESIGN.md §15 for the full architecture.
 

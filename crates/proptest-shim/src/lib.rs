@@ -7,7 +7,7 @@
 //! real `proptest` crate cannot be downloaded. Rather than gating the
 //! property tests out of the tier-1 suite, this crate reimplements the
 //! subset of the `proptest` API those tests use — the [`proptest!`] macro,
-//! [`Strategy`] with `prop_map`, ranges, tuples, `prop::collection::vec`,
+//! [`Strategy`](strategy::Strategy) with `prop_map`, ranges, tuples, `prop::collection::vec`,
 //! `prop::sample::select`, `prop::bool::ANY`, and `ProptestConfig` — on top
 //! of a deterministic SplitMix64 generator, so the properties keep running
 //! in every offline `cargo test`.

@@ -135,7 +135,7 @@ pub mod prop {
         use super::super::{CaseRng, Strategy};
         use std::ops::Range;
 
-        /// Length specification for [`vec`]: an exact length or a range.
+        /// Length specification for [`vec()`]: an exact length or a range.
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             min: usize,
@@ -170,7 +170,7 @@ pub mod prop {
             }
         }
 
-        /// The result of [`vec`].
+        /// The result of [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

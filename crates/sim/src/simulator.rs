@@ -353,8 +353,8 @@ impl Simulator {
 
     /// Run the full arrival plan to completion under `scheduler`, emitting
     /// one [`TraceEvent`] per accounting action into `sink` (the flight
-    /// recorder). See [`crate::trace`] for the event schema and the
-    /// [`LedgerAuditor`](crate::trace::LedgerAuditor) that replays it.
+    /// recorder). See [`TraceEvent`] for the event schema and the
+    /// [`LedgerAuditor`](crate::LedgerAuditor) that replays it.
     ///
     /// # Panics
     ///

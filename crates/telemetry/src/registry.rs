@@ -63,7 +63,7 @@ impl Registry {
 
     /// Register a counter (monotone `u64`), returning its handle.
     /// The name and label names are sanitised to the Prometheus
-    /// identifier grammar (see [`sanitise_metric_name`]).
+    /// identifier grammar (see `sanitise_metric_name`).
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
         self.counters.push(Metric {
             name: sanitise_metric_name(name),

@@ -55,6 +55,11 @@ else
     echo "==> cargo clippy not installed; skipping"
 fi
 
+# Broken, ambiguous or private intra-doc links are rustdoc warnings; a
+# moved or renamed item must not leave a dead link behind.
+echo "==> cargo doc -D warnings (every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> perf_pipeline --smoke (release; every stage end to end, event budgets only)"
 cargo build --release --offline -p hetero-bench
 ./target/release/perf_pipeline --smoke
