@@ -249,17 +249,6 @@ impl Standardizer {
         }
     }
 
-    /// Per-feature means fitted on the training rows.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature scales (standard deviations; `1.0` for constant
-    /// features, which are centred but never divided).
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
-    }
-
     /// Undo [`transform`](Standardizer::transform): map a standardised row
     /// back to the original units.
     ///
@@ -418,7 +407,6 @@ mod tests {
         // the in-place transforms must centre (not divide) and invert
         // exactly.
         let s = Standardizer::fit(&[vec![4.0, -2.5, 0.0]]);
-        assert_eq!(s.scales(), &[1.0, 1.0, 1.0]);
         let mut buf = vec![0.0; 3];
         s.transform_into(&[4.0, -2.5, 0.0], &mut buf);
         assert_eq!(buf, vec![0.0, 0.0, 0.0]);
@@ -434,7 +422,6 @@ mod tests {
         // Zero features is degenerate but reachable (feature selection can
         // drop every column); nothing should panic or allocate.
         let s = Standardizer::fit(&[vec![], vec![]]);
-        assert!(s.means().is_empty());
         assert_eq!(s.transform(&[]), Vec::<f64>::new());
         let mut empty: [f64; 0] = [];
         s.transform_into(&[], &mut empty);

@@ -1,9 +1,9 @@
 //! Ensemble distillation: collapse the 30-member bagged ensemble into a
-//! single small student network for the serving hot path.
+//! single small student network.
 //!
 //! The paper's predictor averages 30 independently trained ANNs
-//! (Sec. IV.D) — great for accuracy, expensive per placement decision:
-//! every prediction is 30 forward passes through 30 standardizer pairs.
+//! (Sec. IV.D) — great for accuracy, expensive per prediction: every
+//! prediction is 30 forward passes through 30 standardizer pairs.
 //! Distillation fits **one** student net to the *teacher ensemble's
 //! outputs* (not the raw labels): the student learns the ensemble's
 //! already-variance-reduced function, which is smoother than the raw
@@ -18,18 +18,16 @@
 //! *neighbourhood* of each anchor — exactly where drifted or
 //! previously unseen jobs land.
 //!
-//! Like the f32 engine ([`crate::serve`]), the student is judged by
-//! **argmax agreement**, not bit-identity: `tests/serving.rs` and the
-//! `ann_accuracy` binary check that snapping the student's regression
-//! output to the paper's cache-size grid picks the same best
-//! configuration as the exact ensemble on ≥ 99 % of probes.
+//! The student is judged by **argmax agreement**, not bit-identity:
+//! `tests/serving.rs` and the `ann_accuracy` binary check that snapping
+//! the student's regression output to the paper's cache-size grid picks
+//! the same best configuration as the exact ensemble on ≥ 99 % of probes.
 
 use crate::activation::Activation;
 use crate::bagging::Bagging;
 use crate::data::Dataset;
 use crate::network::{Network, Workspace};
 use crate::rng::SplitMix64;
-use crate::serve::EnsembleF32;
 use crate::train::{TrainConfig, TrainedModel, Trainer};
 
 /// Hyper-parameters for [`Bagging::distill`].
@@ -100,17 +98,9 @@ impl Distilled {
             .collect()
     }
 
-    /// Convert the student to the f32 serving engine — the fastest path:
-    /// one f32 forward pass per prediction.
-    pub fn serving_f32(&self) -> EnsembleF32 {
-        EnsembleF32::from_model(&self.model)
-    }
-
     /// Incremental retraining of the student (see
     /// [`TrainedModel::refine`]): continue SGD over newly observed rows
-    /// through the existing standardizers. Any f32 engine previously
-    /// obtained from [`serving_f32`](Self::serving_f32) holds converted
-    /// *pre-refine* weights and must be re-converted.
+    /// through the existing standardizers.
     ///
     /// # Panics
     ///
@@ -256,33 +246,6 @@ mod tests {
             for (a, b) in row.iter().zip(&single) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn student_f32_path_tracks_student_f64_path() {
-        let teacher = teacher();
-        let student = teacher.distill(
-            &anchors(),
-            &DistillConfig {
-                replicas: 3,
-                train: TrainConfig {
-                    epochs: 80,
-                    ..TrainConfig::default()
-                },
-                ..DistillConfig::default()
-            },
-        );
-        let mut serving = student.serving_f32();
-        let mut out = Vec::new();
-        let probes = anchors();
-        serving.predict_batch_f32(&probes, &mut out);
-        for (probe, &fast) in probes.iter().zip(&out) {
-            let slow = student.predict(probe)[0];
-            assert!(
-                (slow - f64::from(fast)).abs() < 5e-3 * (1.0 + slow.abs()),
-                "{slow} vs {fast}"
-            );
         }
     }
 

@@ -34,16 +34,14 @@
 //! bit-identical across both engines (property-tested in
 //! `tests/flat_vs_ref.rs`, perf-gated in the `perf_pipeline` binary).
 //!
-//! # The serving path
+//! # Distillation and retraining
 //!
-//! A third surface exists purely for speed: [`EnsembleF32`] converts a
-//! trained ensemble once to `f32` and serves it through 8-wide unrolled
-//! kernels ([`NetworkF32`]); [`Bagging::distill`] collapses the whole
-//! ensemble into a single student net ([`Distilled`]); and
-//! [`TrainedModel::refine`] / [`Bagging::refine`] / [`KnnRegressor::absorb`]
-//! fold newly profiled jobs in without a full rebuild. The serving path is
-//! validated by best-core argmax *agreement* against the exact engine, not
-//! bit-identity — see the `crate::serve` module docs for the argument.
+//! [`Bagging::distill`] collapses the whole ensemble into a single
+//! student net ([`Distilled`]); [`TrainedModel::refine`] /
+//! [`Bagging::refine`] / [`KnnRegressor::absorb`] fold newly profiled
+//! jobs in without a full rebuild. The student is validated by best-core
+//! argmax *agreement* against the exact ensemble, not bit-identity: it is
+//! a different function that only has to pick the same configuration.
 //!
 //! # Example: learn `y = 2x` from samples
 //!
@@ -69,7 +67,6 @@ mod knn;
 mod linear;
 mod network;
 mod rng;
-mod serve;
 mod train;
 
 pub use activation::Activation;
@@ -80,5 +77,4 @@ pub use knn::KnnRegressor;
 pub use linear::RidgeRegression;
 pub use network::{Network, Workspace};
 pub use rng::SplitMix64;
-pub use serve::{EnsembleF32, MemberF32, NetworkF32, WorkspaceF32};
 pub use train::{TrainConfig, TrainReport, TrainedModel, Trainer};

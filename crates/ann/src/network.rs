@@ -25,16 +25,13 @@ use crate::rng::SplitMix64;
 /// (row-major `out_dim x in_dim`) and its biases
 /// `params[biases..biases + out_dim]`, with `biases == weights + in_dim *
 /// out_dim` by construction.
-///
-/// Crate-visible so the f32 serving engine (`crate::serve`) can convert
-/// the trained tensor layer by layer without re-deriving the layout.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Layer {
-    pub(crate) in_dim: usize,
-    pub(crate) out_dim: usize,
-    pub(crate) weights: usize,
-    pub(crate) biases: usize,
-    pub(crate) activation: Activation,
+struct Layer {
+    in_dim: usize,
+    out_dim: usize,
+    weights: usize,
+    biases: usize,
+    activation: Activation,
 }
 
 /// Monomorphised activation kernel: the per-layer inner loops are
@@ -397,11 +394,6 @@ impl Network {
     /// [`params`](Network::params)).
     pub fn velocity(&self) -> &[f64] {
         &self.velocity
-    }
-
-    /// The per-layer offset table (for the f32 serving-path conversion).
-    pub(crate) fn layer_table(&self) -> &[Layer] {
-        &self.layers
     }
 
     fn assert_workspace(&self, ws: &Workspace) {

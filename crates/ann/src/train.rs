@@ -108,17 +108,6 @@ impl TrainedModel {
         &self.network
     }
 
-    /// The input standardizer (fitted on the training partition). The f32
-    /// serving engine converts it once at build time.
-    pub fn input_standardizer(&self) -> &Standardizer {
-        &self.input_standardizer
-    }
-
-    /// The target standardizer (fitted on the training partition).
-    pub fn target_standardizer(&self) -> &Standardizer {
-        &self.target_standardizer
-    }
-
     /// Incremental retraining: fold newly profiled samples into the
     /// trained model **without a full rebuild** by continuing mini-batch
     /// SGD over the new rows only.

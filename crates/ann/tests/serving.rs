@@ -1,11 +1,11 @@
-//! Serving-path integration: the f32 engine and the distilled student
-//! must track the exact f64 ensemble within serving tolerance, and
-//! incremental retraining must be deterministic and actually adapt.
+//! Serving-path integration: the distilled student must track the exact
+//! f64 ensemble within serving tolerance, and incremental retraining must
+//! be deterministic and actually adapt.
 
-use tinyann::{Activation, Bagging, Dataset, DistillConfig, EnsembleF32, TrainConfig, Workspace};
+use tinyann::{Activation, Bagging, Dataset, DistillConfig, TrainConfig};
 
-/// A 2-D regression task with enough structure that a quantised or
-/// distilled model has real work to do: `y = sin(4 x0) + 0.5 x1`.
+/// A 2-D regression task with enough structure that a distilled model
+/// has real work to do: `y = sin(4 x0) + 0.5 x1`.
 fn dataset(n: usize) -> Dataset {
     let inputs: Vec<Vec<f64>> = (0..n)
         .map(|i| {
@@ -43,47 +43,6 @@ fn teacher() -> Bagging {
 }
 
 #[test]
-fn f32_batch_serving_stays_within_quantisation_tolerance_of_f64() {
-    let exact = teacher();
-    let mut serving = EnsembleF32::from_ensemble(&exact);
-    assert_eq!(serving.len(), exact.len());
-    let probes = probes(64);
-    let slow = exact.predict_batch(&probes);
-    let mut fast = Vec::new();
-    serving.predict_batch_f32(&probes, &mut fast);
-    assert_eq!(fast.len(), probes.len());
-    let mut worst = 0.0f64;
-    for (row, &flat) in slow.iter().zip(&fast) {
-        worst = worst.max((row[0] - f64::from(flat)).abs());
-    }
-    // Quantisation plus the fast polynomial tanh (|err| < 9e-4 per
-    // neuron) stays within a few e-3 end to end; the decision contract
-    // is the argmax-agreement property test, not this tolerance.
-    assert!(worst < 5e-3, "worst f32/f64 divergence {worst}");
-}
-
-#[test]
-fn f32_serving_is_deterministic_across_conversions_and_calls() {
-    let exact = teacher();
-    let probes = probes(16);
-    let mut a = EnsembleF32::from_ensemble(&exact);
-    let mut b = EnsembleF32::from_ensemble(&exact);
-    let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-    a.predict_batch_f32(&probes, &mut out_a);
-    b.predict_batch_f32(&probes, &mut out_b);
-    assert_eq!(out_a.len(), out_b.len());
-    for (x, y) in out_a.iter().zip(&out_b) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    // Re-serving through the same engine reuses warmed buffers and must
-    // reproduce itself exactly.
-    a.predict_batch_f32(&probes, &mut out_b);
-    for (x, y) in out_a.iter().zip(&out_b) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
-#[test]
 fn distilled_student_tracks_the_teacher_closely() {
     let exact = teacher();
     let anchors: Vec<Vec<f64>> = dataset(140).inputs().to_vec();
@@ -110,13 +69,6 @@ fn distilled_student_tracks_the_teacher_closely() {
         / probes.len() as f64)
         .sqrt();
     assert!(rmse < 0.08, "student RMSE vs teacher {rmse}");
-    // And the student's own f32 serving engine tracks the student.
-    let mut serving = student.serving_f32();
-    let mut fast = Vec::new();
-    serving.predict_batch_f32(&probes, &mut fast);
-    for (row, &flat) in student_out.iter().zip(&fast) {
-        assert!((row[0] - f64::from(flat)).abs() < 5e-3);
-    }
 }
 
 #[test]
@@ -173,59 +125,4 @@ fn refine_adapts_to_a_shifted_regime_without_full_rebuild() {
         after < before * 0.5,
         "refine must at least halve the drift error: {before} -> {after}"
     );
-}
-
-#[test]
-fn refined_model_reconverts_to_a_matching_f32_engine() {
-    let mut ensemble = teacher();
-    let stale = EnsembleF32::from_ensemble(&ensemble);
-    let new_inputs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 10.0, 1.0]).collect();
-    let new_targets: Vec<Vec<f64>> = new_inputs.iter().map(|_| vec![3.0]).collect();
-    ensemble.refine(
-        &new_inputs,
-        &new_targets,
-        &TrainConfig {
-            epochs: 40,
-            ..TrainConfig::default()
-        },
-    );
-    let mut fresh = EnsembleF32::from_ensemble(&ensemble);
-    let probes = probes(8);
-    let slow = ensemble.predict_batch(&probes);
-    let mut fast = Vec::new();
-    fresh.predict_batch_f32(&probes, &mut fast);
-    for (row, &flat) in slow.iter().zip(&fast) {
-        assert!(
-            (row[0] - f64::from(flat)).abs() < 5e-3,
-            "reconverted engine must track the refined ensemble"
-        );
-    }
-    // The pre-refine conversion is by design frozen at the old weights.
-    let mut stale = stale;
-    let mut stale_out = Vec::new();
-    stale.predict_batch_f32(&probes, &mut stale_out);
-    assert!(
-        stale_out
-            .iter()
-            .zip(&fast)
-            .any(|(s, f)| s.to_bits() != f.to_bits()),
-        "conversion snapshots weights; refine must not reach into it"
-    );
-}
-
-#[test]
-fn single_model_predict_with_and_f32_member_round_trip() {
-    // Cross-check the lowest-level serving pieces against the public f64
-    // API on a trained member.
-    let ensemble = teacher();
-    let model = &ensemble.models()[0];
-    let mut ws = Workspace::for_network(model.network());
-    let mut out = Vec::new();
-    let mut serving = EnsembleF32::from_model(model);
-    let mut fast = vec![0.0f32; 1];
-    for probe in probes(12) {
-        model.predict_with(&mut ws, &probe, &mut out);
-        serving.predict_into(&probe, &mut fast);
-        assert!((out[0] - f64::from(fast[0])).abs() < 5e-3);
-    }
 }

@@ -8,14 +8,13 @@
 //!   scheduler actually uses it), evaluated on every benchmark;
 //! * **leave-one-out** — each benchmark predicted by an ensemble that
 //!   never saw it, the honest generalisation measurement;
-//! * **serving agreement** — the f32 serving engine and the distilled
-//!   single-student path against the exact f64 ensemble: best-core argmax
-//!   agreement over every benchmark's feature vector plus jittered
-//!   replicas. The serving paths are quantised/collapsed, so they are held
-//!   to *decision agreement* (≥ 99 %), not bit-identity; the run exits
-//!   non-zero when either path falls under the bar, making this binary the
-//!   release-mode agreement gate (the debug-mode counterpart is
-//!   `crates/bench/tests/serving_properties.rs`).
+//! * **serving agreement** — the distilled single-student path against
+//!   the exact f64 ensemble: best-core argmax agreement over every
+//!   benchmark's feature vector plus jittered replicas. The student is a
+//!   collapsed model, so it is held to *decision agreement* (≥ 99 %), not
+//!   bit-identity; the run exits non-zero when it falls under the bar,
+//!   making this binary the release-mode agreement gate (the debug-mode
+//!   counterpart is `crates/bench/tests/serving_properties.rs`).
 //!
 //! ```sh
 //! cargo run --release -p hetero-bench --bin ann_accuracy [-- --smoke]
@@ -31,7 +30,7 @@ use std::process::ExitCode;
 use tinyann::{DistillConfig, TrainConfig};
 use workloads::{SplitMix64, Suite};
 
-/// The agreement bar both serving paths must clear in the gated run.
+/// The agreement bar the distilled student must clear in the gated run.
 const MIN_AGREEMENT: f64 = 0.99;
 
 /// Jittered replicas per benchmark in the agreement probe set.
@@ -58,30 +57,19 @@ fn probe_rows(oracle: &SuiteOracle, replicas: usize) -> Vec<Vec<f64>> {
     rows
 }
 
-/// Best-core argmax agreement of the f32 and distilled serving paths with
-/// the exact f64 ensemble, over the probe set. Returns
-/// `(f32_agreement, distilled_agreement, probe_count)`.
+/// Best-core argmax agreement of the distilled serving path with the
+/// exact f64 ensemble, over the probe set. Returns
+/// `(distilled_agreement, probe_count)`.
 fn serving_agreement(
     deployed: &BestCorePredictor,
     oracle: &SuiteOracle,
     distill_epochs: usize,
-) -> (f64, f64, usize) {
+) -> (f64, usize) {
     let probes = probe_rows(oracle, PROBE_REPLICAS);
     let exact: Vec<CacheSizeKb> = probes
         .iter()
         .map(|p| CacheSizeKb::nearest(deployed.predict_raw_features(p)))
         .collect();
-
-    let mut serving = deployed
-        .serving_f32()
-        .expect("deployed predictor is ANN-backed");
-    let mut out = Vec::new();
-    serving.predict_batch_f32(&probes, &mut out);
-    let f32_agree = out
-        .iter()
-        .zip(&exact)
-        .filter(|(&v, &e)| CacheSizeKb::nearest(f64::from(v)) == e)
-        .count();
 
     let student = deployed
         .distill(
@@ -103,11 +91,7 @@ fn serving_agreement(
         .filter(|(p, &e)| CacheSizeKb::nearest(student.predict_raw_features(p)) == e)
         .count();
 
-    (
-        f32_agree as f64 / probes.len() as f64,
-        distilled_agree as f64 / probes.len() as f64,
-        probes.len(),
-    )
+    (distilled_agree as f64 / probes.len() as f64, probes.len())
 }
 
 fn main() -> ExitCode {
@@ -194,21 +178,16 @@ fn main() -> ExitCode {
         );
     }
 
-    // Serving-path argmax agreement (the PR-7 serving engines).
+    // Serving-path argmax agreement of the distilled student.
     println!("\n== serving-path best-core argmax agreement ==\n");
     let distill_epochs = if smoke { 120 } else { 400 };
-    let (f32_agreement, distilled_agreement, probe_count) =
-        serving_agreement(&deployed, &oracle, distill_epochs);
+    let (distilled_agreement, probe_count) = serving_agreement(&deployed, &oracle, distill_epochs);
     println!(
         "probes: {} ({} benchmarks x (1 + {} jittered replicas @ {:.0}%))",
         probe_count,
         oracle.len(),
         PROBE_REPLICAS,
         PROBE_JITTER * 100.0
-    );
-    println!(
-        "f32 engine  vs f64 ensemble: {:.2}% argmax agreement",
-        f32_agreement * 100.0
     );
     println!(
         "distilled   vs f64 ensemble: {:.2}% argmax agreement",
@@ -220,19 +199,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let passed = f32_agreement >= MIN_AGREEMENT && distilled_agreement >= MIN_AGREEMENT;
-    if passed {
+    if distilled_agreement >= MIN_AGREEMENT {
         println!(
-            "\nPASS: both serving paths >= {:.0}% argmax agreement",
+            "\nPASS: distilled serving path >= {:.0}% argmax agreement",
             MIN_AGREEMENT * 100.0
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "\nFAIL: serving-path agreement under {:.0}% (f32 {:.2}%, distilled {:.2}%)",
-            MIN_AGREEMENT * 100.0,
-            f32_agreement * 100.0,
-            distilled_agreement * 100.0
+            "\nFAIL: distilled serving-path agreement {:.2}% under {:.0}%",
+            distilled_agreement * 100.0,
+            MIN_AGREEMENT * 100.0
         );
         ExitCode::FAILURE
     }

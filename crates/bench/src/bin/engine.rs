@@ -23,7 +23,7 @@
 //! * `--process` — the arrival process shape (default `poisson`); `mix`
 //!   composes a steady Poisson floor with a bursty overlay.
 //! * `--rate` — offered load in jobs per mega-cycle (default 7.1, the
-//!   paper's 5000 jobs / 700M cycles).
+//!   paper's 5000 jobs / 700M cycles); must be positive and finite.
 //! * `--slo-p99` / `--slo-energy` — optional budgets; when any budget
 //!   fails the process exits non-zero (fleet-check style).
 //! * `--export` — write a JSON artifact consumable by `engine compare`.
@@ -114,9 +114,13 @@ impl Options {
                         .map_err(|e| format!("--jobs: {e}"))?
                 }
                 "--rate" => {
-                    options.rate = value("--rate")?
+                    let rate: f64 = value("--rate")?
                         .parse()
-                        .map_err(|e| format!("--rate: {e}"))?
+                        .map_err(|e| format!("--rate: {e}"))?;
+                    if !(rate > 0.0 && rate.is_finite()) {
+                        return Err(format!("--rate must be positive and finite, got {rate}"));
+                    }
+                    options.rate = rate;
                 }
                 "--seed" => {
                     options.seed = value("--seed")?
@@ -808,4 +812,32 @@ fn main() -> ExitCode {
         options.jobs
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Options;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse(&args)
+    }
+
+    #[test]
+    fn a_positive_finite_rate_is_accepted() {
+        let options = parse(&["--smoke", "--rate", "2.5"]).expect("valid rate");
+        assert_eq!(options.rate, 2.5);
+    }
+
+    #[test]
+    fn a_non_positive_or_non_finite_rate_is_a_usage_error() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let problem = parse(&["--smoke", "--rate", bad])
+                .err()
+                .unwrap_or_else(|| panic!("--rate {bad} must be rejected"));
+            assert!(problem.starts_with("--rate"), "{bad}: {problem}");
+        }
+        assert!(parse(&["--rate", "fast"]).is_err());
+        assert!(parse(&["--rate"]).is_err());
+    }
 }

@@ -38,7 +38,7 @@ use multicore_sim::{
     Scheduler, Simulator, TraceEvent, TraceSink,
 };
 use std::process::ExitCode;
-use tinyann::{Activation, Bagging, Dataset, DistillConfig, EnsembleF32, TrainConfig};
+use tinyann::{Activation, Bagging, Dataset, TrainConfig};
 use workloads::{ArrivalPlan, SplitMix64, Suite};
 
 /// What a stage's `speedup` must reach.
@@ -134,7 +134,7 @@ const ENGINE_RATE_PER_CORE: f64 = 2.5;
 /// Every stage, in the order they run and are reported. Gated ratio
 /// stages time their fast path on one worker, so the engines alone carry
 /// the speedup (threads only help on multi-core hosts).
-const STAGES: [Row; 21] = [
+const STAGES: [Row; 19] = [
     // Fused single-pass cache sweep vs the serial 18-replay reference:
     // the small suite, recorded; the paper's suite, gated.
     Row::new(
@@ -158,15 +158,6 @@ const STAGES: [Row; 21] = [
         measure_ensemble_predict,
         7,
         Bar::Ratio(2.0),
-    ),
-    Row::new("predict_f32", measure_predict_f32, 7, Bar::Ratio(2.0)),
-    // 30 member forwards fold into one smaller net, so the bar is well
-    // above the engines' 2x.
-    Row::new(
-        "distilled_predict",
-        measure_distilled_predict,
-        7,
-        Bar::Ratio(8.0),
     ),
     // No-regression bars against the untraced reference loop: within 2%.
     Row::new(
@@ -597,94 +588,6 @@ fn measure_ensemble_predict(run: &Run) -> Stage {
         || {
             let memo = flat.predict_batch(&features);
             (0..jobs).map(|j| memo[j % n][0]).sum::<f64>()
-        },
-        run.iters,
-    );
-    run.stage(reference, fused)
-}
-
-/// A paper-topology ensemble (`{18, 10, 18, 5, 1}`, tanh, 30 members)
-/// trained briefly on the counter-shaped set: the serving stages compare
-/// inference *engines*, so weight quality is irrelevant — only the tensor
-/// shapes and member count the per-job hot path pays for.
-fn serving_ensemble() -> Bagging {
-    Bagging::train_with_threads(
-        &ensemble_dataset(),
-        30,
-        &[18, 10, 18, 5, 1],
-        Activation::Tanh,
-        TrainConfig {
-            epochs: 8,
-            batch_size: 16,
-            learning_rate: 0.05,
-            momentum: 0.9,
-            patience: 0,
-            seed: 0xC0FE,
-        },
-        hetero_parallel::worker_count(),
-    )
-}
-
-/// Counter-shaped probe rows standing in for per-job feature vectors.
-fn probe_rows(n: usize) -> Vec<Vec<f64>> {
-    let mut rng = SplitMix64::new(0xF337);
-    (0..n)
-        .map(|_| (0..18).map(|_| rng.next_f64() * 2.0 - 1.0).collect())
-        .collect()
-}
-
-/// The f32 serving-engine stage: the exact ensemble's batched f64 path
-/// (`Bagging::predict_batch`, already allocation-lean and memo-friendly)
-/// against the converted f32 engine's `predict_batch_f32` (8-wide
-/// unrolled kernels, preallocated workspaces, flat output buffer) on the
-/// same 30-member paper topology and the same probe rows.
-fn measure_predict_f32(run: &Run) -> Stage {
-    let ensemble = serving_ensemble();
-    let mut serving = EnsembleF32::from_ensemble(&ensemble);
-    let probes = probe_rows(512);
-    let mut out = Vec::new();
-    let (reference, fused) = bench_paired(
-        "ensemble_batch_f64",
-        || ensemble.predict_batch(&probes).len(),
-        "ensemble_batch_f32",
-        || {
-            serving.predict_batch_f32(&probes, &mut out);
-            out.len()
-        },
-        run.iters,
-    );
-    run.stage(reference, fused)
-}
-
-/// The distillation stage: the full 30-member exact ensemble's batched
-/// f64 path against the distilled student served through the f32 engine —
-/// the complete serving-path collapse (30 member forwards -> 1 smaller
-/// f32 forward).
-fn measure_distilled_predict(run: &Run) -> Stage {
-    let ensemble = serving_ensemble();
-    let anchors = probe_rows(96);
-    let student = ensemble.distill(
-        &anchors,
-        &DistillConfig {
-            replicas: 4,
-            jitter: 0.05,
-            hidden: vec![24],
-            train: TrainConfig {
-                epochs: 60,
-                ..TrainConfig::default()
-            },
-        },
-    );
-    let mut serving = student.serving_f32();
-    let probes = probe_rows(512);
-    let mut out = Vec::new();
-    let (reference, fused) = bench_paired(
-        "ensemble_batch_f64_full",
-        || ensemble.predict_batch(&probes).len(),
-        "distilled_f32",
-        || {
-            serving.predict_batch_f32(&probes, &mut out);
-            out.len()
         },
         run.iters,
     );

@@ -410,28 +410,78 @@ pub const PAPER_HORIZON: u64 = 700_000_000;
 /// Default arrival-plan seed (printed by every binary for reproduction).
 pub const PAPER_SEED: u64 = 20190325; // DATE 2019 conference date
 
-/// Parse `jobs horizon seed` from argv with defaults.
+/// Parse `[jobs] [horizon] [seed]` from argv, each defaulting to the
+/// paper's value when absent. A malformed or extra argument is a usage
+/// error: the process names it on stderr and exits with status 1.
 pub fn parse_plan_args() -> (usize, u64, u64) {
-    let mut args = std::env::args().skip(1);
-    let jobs = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(PAPER_JOBS);
-    let horizon = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(PAPER_HORIZON);
-    let seed = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(PAPER_SEED);
-    (jobs, horizon, seed)
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    plan_args(argv).unwrap_or_else(|problem| {
+        eprintln!("{problem}\nusage: {bin} [jobs] [horizon] [seed]");
+        std::process::exit(1)
+    })
+}
+
+/// `[jobs] [horizon] [seed]` from `args`, or the first argument that does
+/// not belong there.
+fn plan_args(args: impl IntoIterator<Item = String>) -> Result<(usize, u64, u64), String> {
+    fn arg<T: std::str::FromStr>(arg: Option<String>, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        arg.map_or(Ok(default), |arg| {
+            arg.parse()
+                .map_err(|e| format!("{name}: cannot parse {arg:?}: {e}"))
+        })
+    }
+    let mut args = args.into_iter();
+    let jobs = arg(args.next(), "jobs", PAPER_JOBS)?;
+    let horizon = arg(args.next(), "horizon", PAPER_HORIZON)?;
+    let seed = arg(args.next(), "seed", PAPER_SEED)?;
+    match args.next() {
+        Some(extra) => Err(format!("unexpected argument: {extra:?}")),
+        None => Ok((jobs, horizon, seed)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use multicore_sim::{ledger_divergences, QueueDiscipline, StallPurityChecked};
+
+    fn plan(args: &[&str]) -> Result<(usize, u64, u64), String> {
+        plan_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn plan_args_take_each_given_value_and_default_the_rest() {
+        assert_eq!(plan(&[]), Ok((PAPER_JOBS, PAPER_HORIZON, PAPER_SEED)));
+        assert_eq!(plan(&["500"]), Ok((500, PAPER_HORIZON, PAPER_SEED)));
+        assert_eq!(plan(&["500", "60000000", "7"]), Ok((500, 60_000_000, 7)));
+    }
+
+    #[test]
+    fn a_malformed_or_extra_plan_arg_is_named_in_the_error() {
+        for (args, named) in [
+            (
+                &["500", "6e7", "20190325"][..],
+                "horizon: cannot parse \"6e7\"",
+            ),
+            (&["-5"][..], "jobs: cannot parse \"-5\""),
+            (
+                &["500", "60000000", "seed"][..],
+                "seed: cannot parse \"seed\"",
+            ),
+            (
+                &["500", "60000000", "7", "8"][..],
+                "unexpected argument: \"8\"",
+            ),
+            (&["--smoke"][..], "jobs: cannot parse \"--smoke\""),
+        ] {
+            let problem = plan(args).expect_err("usage error");
+            assert!(problem.starts_with(named), "{args:?}: {problem}");
+        }
+    }
 
     /// A run under the stall-purity checker: the ledger, the final policy
     /// fingerprint, and the checker's stall, promise and idle-power

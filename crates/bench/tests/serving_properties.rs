@@ -1,11 +1,11 @@
-//! Serving-path agreement properties: the quantised f32 engine and the
-//! distilled student are *not* bit-identical to the exact f64 ensemble —
-//! by design — so the contract they are held to is decision agreement:
-//! snapping their regression output onto the {2, 4, 8} KB grid must pick
-//! the same best core as the exact engine on ≥ 99 % of probes, across
-//! training seeds and probe jitter, on the paper topology
-//! (`{18, 10, 18, 5, 1}`, tanh hidden). The release-mode `ann_accuracy`
-//! binary enforces the same bar on the full 30-member paper config.
+//! Serving-path agreement properties: the distilled student is *not*
+//! bit-identical to the exact f64 ensemble — by design — so the contract
+//! it is held to is decision agreement: snapping its regression output
+//! onto the {2, 4, 8} KB grid must pick the same best core as the exact
+//! engine on ≥ 99 % of probes, across training seeds and probe jitter, on
+//! the paper topology (`{18, 10, 18, 5, 1}`, tanh hidden). The
+//! release-mode `ann_accuracy` binary enforces the same bar on the full
+//! 30-member paper config.
 
 use cache_sim::CacheSizeKb;
 use hetero_core::{BestCorePredictor, PredictorConfig, SuiteOracle};
@@ -107,10 +107,10 @@ fn agreement(decisions: &[CacheSizeKb], reference: &[CacheSizeKb]) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// ≥ 99 % best-core argmax agreement for BOTH serving paths, across
+    /// ≥ 99 % best-core argmax agreement for the distilled student, across
     /// training seeds (predictor pairs) and probe jitter seeds.
     #[test]
-    fn f32_and_distilled_paths_agree_with_the_f64_ensemble(
+    fn distilled_path_agrees_with_the_f64_ensemble(
         pair_index in 0usize..2,
         probe_seed in 0u64..1_000,
     ) {
@@ -121,19 +121,6 @@ proptest! {
             .iter()
             .map(|p| CacheSizeKb::nearest(teacher.predict_raw_features(p)))
             .collect();
-
-        let mut serving = teacher.serving_f32().expect("ANN predictor serves f32");
-        let mut out = Vec::new();
-        serving.predict_batch_f32(&probes, &mut out);
-        let quantised: Vec<CacheSizeKb> = out
-            .iter()
-            .map(|&v| CacheSizeKb::nearest(f64::from(v)))
-            .collect();
-        let f32_agreement = agreement(&quantised, &exact);
-        prop_assert!(
-            f32_agreement >= 0.99,
-            "f32 argmax agreement {f32_agreement} below 0.99 (pair {pair_index}, seed {probe_seed})"
-        );
 
         let distilled: Vec<CacheSizeKb> = probes
             .iter()

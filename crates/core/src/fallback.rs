@@ -32,7 +32,7 @@ use workloads::{BenchmarkId, ExecutionStatistics};
 pub enum PredictionSource {
     /// The primary (ANN ensemble) predictor.
     Primary,
-    /// The distilled f32 student (brownout tier 1 serving).
+    /// The distilled f64 student (brownout tier 1 serving).
     Distilled,
     /// The kNN stand-in.
     Knn,

@@ -10,8 +10,8 @@
 use crate::oracle::SuiteOracle;
 use cache_sim::CacheSizeKb;
 use tinyann::{
-    Activation, Bagging, Dataset, DistillConfig, Distilled, EnsembleF32, KnnRegressor,
-    RidgeRegression, TrainConfig,
+    Activation, Bagging, Dataset, DistillConfig, Distilled, KnnRegressor, RidgeRegression,
+    TrainConfig,
 };
 use workloads::{BenchmarkId, ExecutionStatistics, SplitMix64, FEATURE_COUNT};
 
@@ -275,7 +275,7 @@ impl BestCorePredictor {
     }
 
     /// The backing ANN ensemble, when this predictor is ANN-backed (the
-    /// serving-path conversions and the distillation teacher start here).
+    /// distillation teacher).
     pub fn ensemble(&self) -> Option<&Bagging> {
         match &self.model {
             Model::Ann(ensemble) => Some(ensemble),
@@ -289,21 +289,6 @@ impl BestCorePredictor {
         match &self.model {
             Model::Distilled(student) => Some(student),
             _ => None,
-        }
-    }
-
-    /// Convert the learned model to the f32 serving engine: weights
-    /// quantised once, preallocated workspaces, 8-wide unrolled kernels.
-    /// `None` for families with no network to convert (ridge, kNN).
-    ///
-    /// The serving engine snaps to the same {2, 4, 8} grid, so it is
-    /// validated by best-core argmax *agreement* with this predictor (the
-    /// property tests and `ann_accuracy` enforce ≥ 99 %), not bit-identity.
-    pub fn serving_f32(&self) -> Option<EnsembleF32> {
-        match &self.model {
-            Model::Ann(ensemble) => Some(EnsembleF32::from_ensemble(ensemble)),
-            Model::Distilled(student) => Some(student.serving_f32()),
-            Model::Ridge(_) | Model::Knn(_) => None,
         }
     }
 
@@ -801,18 +786,11 @@ mod tests {
     }
 
     #[test]
-    fn serving_f32_exists_exactly_for_network_backed_families() {
+    fn only_the_ann_family_exposes_an_ensemble_to_distill() {
         let oracle = oracle();
         let ann = BestCorePredictor::train(&oracle, &PredictorConfig::fast());
-        assert!(ann.serving_f32().is_some());
         assert!(ann.ensemble().is_some());
         assert!(ann.distilled().is_none());
-        assert!(BestCorePredictor::train_ridge(&oracle, &[], 1.0)
-            .serving_f32()
-            .is_none());
-        assert!(BestCorePredictor::train_knn(&oracle, &[], 3)
-            .serving_f32()
-            .is_none());
         assert!(BestCorePredictor::train_knn(&oracle, &[], 3)
             .distill(&oracle, &tinyann::DistillConfig::default())
             .is_none());

@@ -316,7 +316,7 @@ pub struct Predictive<'a> {
     /// Brownout serving tier shared with an overload governor; `None`
     /// keeps the full-service path untouched.
     tier: Option<TierCell>,
-    /// Distilled f32 student serving brownout tier 1; `None` means tier 1
+    /// Distilled f64 student serving brownout tier 1; `None` means tier 1
     /// degrades no further than the primary.
     distilled: Option<BestCorePredictor>,
 }

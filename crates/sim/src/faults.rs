@@ -109,7 +109,7 @@ impl ShedReason {
 pub enum ServingTier {
     /// Full f64 bagged ensemble (normal serving).
     Full = 0,
-    /// The distilled f32 student answers instead of the ensemble.
+    /// The distilled f64 student answers instead of the ensemble.
     Distilled = 1,
     /// The kNN fallback stage answers.
     Knn = 2,
