@@ -23,7 +23,9 @@
 //! * `--process` — the arrival process shape (default `poisson`); `mix`
 //!   composes a steady Poisson floor with a bursty overlay.
 //! * `--rate` — offered load in jobs per mega-cycle (default 7.1, the
-//!   paper's 5000 jobs / 700M cycles); must be positive and finite.
+//!   paper's 5000 jobs / 700M cycles); must be positive and finite, and
+//!   so must the process's peak (3x the rate for `bursty`, 1.8x for
+//!   `ramp`, 2x for `mix`'s overlay).
 //! * `--slo-p99` / `--slo-energy` — optional budgets; when any budget
 //!   fails the process exits non-zero (fleet-check style).
 //! * `--export` — write a JSON artifact consumable by `engine compare`.
@@ -171,6 +173,9 @@ impl Options {
                 options.system
             ));
         }
+        // Check the process name and its peak rate here, before the
+        // caller pays for the testbed build.
+        let _ = arrivals(&options.process, options.rate, 1, 0, 0)?;
         Ok(options)
     }
 
@@ -201,11 +206,24 @@ fn arrivals(
     jobs: usize,
 ) -> Result<Box<dyn Iterator<Item = Arrival>>, String> {
     const PERIOD: u64 = 40_000_000;
+    // A burst or ramp peaks at a multiple of `rate`, which a huge finite
+    // rate can push past f64's range.
+    let peak = |factor: f64| {
+        let peak = factor * rate;
+        if peak.is_finite() {
+            Ok(peak)
+        } else {
+            Err(format!(
+                "--rate {rate:?} puts the {process} process's peak ({factor} x the rate) past \
+                 f64's range"
+            ))
+        }
+    };
     let source: Box<dyn Iterator<Item = Arrival>> = match process {
         "poisson" => Box::new(OpenLoop::poisson(rate, num_benchmarks, seed)),
         // On 1/4 of the time at 3x the average + a quiet floor.
         "bursty" => Box::new(OpenLoop::bursty(
-            3.0 * rate,
+            peak(3.0)?,
             rate / 3.0,
             PERIOD / 4,
             3 * PERIOD / 4,
@@ -215,7 +233,7 @@ fn arrivals(
         "diurnal" => Box::new(OpenLoop::diurnal(rate, 0.8, PERIOD, num_benchmarks, seed)),
         "ramp" => Box::new(OpenLoop::ramp(
             0.2 * rate,
-            1.8 * rate,
+            peak(1.8)?,
             4 * PERIOD,
             num_benchmarks,
             seed,
@@ -224,7 +242,7 @@ fn arrivals(
         "mix" => Box::new(Compose::new(vec![
             Box::new(OpenLoop::poisson(rate / 2.0, num_benchmarks, seed)),
             Box::new(OpenLoop::bursty(
-                2.0 * rate,
+                peak(2.0)?,
                 0.0,
                 PERIOD / 4,
                 3 * PERIOD / 4,
@@ -710,11 +728,6 @@ fn main() -> ExitCode {
     if options.serve_smoke {
         return serve_smoke();
     }
-    // Validate the process name before paying for the testbed build.
-    if let Err(problem) = arrivals(&options.process, options.rate, 1, 0, 0) {
-        eprintln!("{problem}");
-        return ExitCode::FAILURE;
-    }
     if options.serve.is_some() || options.perfetto.is_some() {
         return observed_run(&options);
     }
@@ -839,5 +852,21 @@ mod tests {
         }
         assert!(parse(&["--rate", "fast"]).is_err());
         assert!(parse(&["--rate"]).is_err());
+    }
+
+    #[test]
+    fn a_rate_whose_scaled_peak_overflows_is_a_usage_error() {
+        for process in ["bursty", "ramp", "mix"] {
+            let problem = parse(&["--smoke", "--process", process, "--rate", "1e308"])
+                .err()
+                .unwrap_or_else(|| panic!("{process} at --rate 1e308 must be rejected"));
+            assert!(problem.starts_with("--rate"), "{process}: {problem}");
+        }
+        // The unscaled processes carry the same rate.
+        for process in ["poisson", "diurnal"] {
+            parse(&["--smoke", "--process", process, "--rate", "1e308"])
+                .unwrap_or_else(|problem| panic!("{process}: {problem}"));
+        }
+        assert!(parse(&["--process", "square"]).is_err());
     }
 }

@@ -693,10 +693,11 @@ fn measure_metrics_overhead(run: &Run) -> Stage {
 /// cycles, so for most of the run every core is busy and a deep ready
 /// queue drains one completion at a time. Per event the reference loop
 /// scans all 256 views for the idle-energy accrual and rebuilds a
-/// `CoreIndex` for every scheduler offer; the indexed loop answers both
-/// from the incrementally-maintained idle mask (`idle_count() == 0` is a
-/// single integer test). Results are bit-identical (property-tested);
-/// only the cost differs.
+/// `CoreIndex` for every scheduler offer; the indexed loop keeps idle
+/// cycles per idle-power class, updated only when a core's idle state
+/// changes, and answers offers from the incrementally-maintained idle
+/// mask. Results are bit-identical (property-tested); only the cost
+/// differs.
 fn measure_manycore(run: &Run) -> Stage {
     let plan = ArrivalPlan::uniform_with_priorities(30_000, 4_000, 12, 3, 7);
     let sim = Simulator::new(256);

@@ -12,11 +12,16 @@ use multicore_sim::{
     Simulator,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use workloads::ArrivalPlan;
 
 /// The retained linear-scan loop: bit-identity oracle and perf
 /// baseline of [`Simulator::run`] and every other entry point.
+///
+/// Idle energy walks every core on each clock advance and asks the
+/// policy for each idle core's power, but sums whole idle cycles per
+/// distinct power and converts them once at the end: one product per
+/// power, added in ascending power order, the event loop's own fold.
 ///
 /// # Panics
 ///
@@ -43,9 +48,10 @@ pub fn run_reference(
     let mut stalled: HashSet<u64> = HashSet::new();
     let mut turnaround = 0u64;
     let mut last_completion = 0u64;
-    let mut by_priority: std::collections::BTreeMap<u8, multicore_sim::ClassStats> =
-        std::collections::BTreeMap::new();
+    let mut by_priority: BTreeMap<u8, multicore_sim::ClassStats> = BTreeMap::new();
     let mut preemptions = 0u64;
+    // Idle cycles per idle power, keyed in ascending power order.
+    let mut idle_cycles: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
     let priority_ordered = matches!(
         sim.discipline(),
         QueueDiscipline::Priority | QueueDiscipline::PreemptivePriority
@@ -73,7 +79,13 @@ pub fn run_reference(
             for (index, core) in cores.iter().enumerate() {
                 if core.is_none() {
                     let power = scheduler.idle_power_nj_per_cycle(CoreId(index));
-                    energy.idle_nj += span as f64 * power;
+                    let cycles = &mut idle_cycles
+                        .entry(total_order_key(power))
+                        .or_insert((power, 0))
+                        .1;
+                    *cycles = cycles
+                        .checked_add(span)
+                        .expect("idle cycles of an idle-power class overflow u64");
                 }
             }
         }
@@ -258,6 +270,11 @@ pub fn run_reference(
         }
     }
 
+    // One product per idle power, summed in ascending power order.
+    for &(power, cycles) in idle_cycles.values() {
+        energy.idle_nj += power * cycles as f64;
+    }
+
     RunMetrics {
         energy,
         total_cycles: last_completion,
@@ -268,5 +285,16 @@ pub fn run_reference(
         turnaround_cycles: turnaround,
         by_priority,
         preemptions,
+    }
+}
+
+/// A key whose unsigned order is [`f64::total_cmp`]'s: the sign bit
+/// flipped for a positive float, every bit for a negative one.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }

@@ -52,6 +52,7 @@
 
 mod core_index;
 pub mod faults;
+mod idle;
 mod job;
 mod metrics;
 mod scheduler;

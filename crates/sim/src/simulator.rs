@@ -4,6 +4,7 @@ use crate::core_index::{CoreIndex, CoreSet, SeqBitSet};
 use crate::faults::{
     AttemptFault, DegradedComponent, FaultKind, FaultPlan, FaultStats, FaultedRun,
 };
+use crate::idle::IdleLedger;
 use crate::job::{Job, JobExecution};
 use crate::metrics::RunMetrics;
 use crate::scheduler::{BusyInfo, CoreId, Decision, Scheduler};
@@ -507,28 +508,20 @@ impl Simulator {
             let now = earliest(next_work, faults.next_transition())
                 .expect("the deadlock guard leaves an event pending");
 
-            // Accrue idle energy over [clock, now) from the idle mask
-            // (vacant ∧ online: offline cores burn nothing) at each core's
-            // cached idle power — O(1) when no core is idle, and the
-            // reference's per-core f64 operations in its ascending core
-            // order, so the energy is bit-identical. A sink then sees one
-            // `IdleAdvance` carrying the accrued total, after an
-            // `IdlePower` for each idle core whose cached power it has not
-            // been told yet.
+            // Idle energy accrues in the idle ledger's per-class counters,
+            // which change only when a core's idle state or idle power
+            // does, so advancing the clock costs nothing. A sink sees one
+            // `IdleAdvance` per advance over an idle core, carrying the
+            // ledger's total read at `now`, after an `IdlePower` for each
+            // idle core whose idle power it has not been told yet.
             debug_assert!(now >= m.clock, "time must not run backwards");
-            let span = now - m.clock;
-            if span > 0 && m.cores.idle_count() > 0 {
-                for core in m.cores.idle_cores() {
-                    m.metrics.energy.idle_nj += span as f64 * m.idle_power[core.0];
-                }
-                if sink.enabled() {
-                    m.announce_idle_power(now, sink);
-                    sink.record(TraceEvent::IdleAdvance {
-                        from: m.clock,
-                        to: now,
-                        idle_total_nj: m.metrics.energy.idle_nj,
-                    });
-                }
+            if sink.enabled() && now > m.clock && m.cores.idle_count() > 0 {
+                m.announce_idle_power(now, sink);
+                sink.record(TraceEvent::IdleAdvance {
+                    from: m.clock,
+                    to: now,
+                    idle_total_nj: m.idle.total_nj(now),
+                });
             }
             m.clock = now;
 
@@ -638,6 +631,7 @@ impl Simulator {
             }
         }
 
+        m.metrics.energy.idle_nj = m.idle.total_nj(m.clock);
         m.metrics
     }
 }
@@ -674,15 +668,16 @@ struct Machine {
     stalled: SeqBitSet,
     /// The ledger under construction.
     metrics: RunMetrics,
-    /// Each core's idle power as the policy last answered it: read once
-    /// per core at run start and again whenever the core becomes idle,
-    /// which the [`Scheduler::idle_power_nj_per_cycle`] contract makes
-    /// enough.
-    idle_power: Vec<f64>,
+    /// Idle cycles per idle-power class. Every idle core's window is open
+    /// at its idle power as the policy last answered it: read once per
+    /// core at run start and again whenever the core becomes idle, which
+    /// the [`Scheduler::idle_power_nj_per_cycle`] contract makes enough.
+    idle: IdleLedger,
     /// The bits of the last `IdlePower` event each core was announced
     /// with; `None` before its first.
     announced: Vec<Option<u64>>,
-    /// Cores whose cached idle power differs from their announcement.
+    /// Cores whose last answered idle power differs from their
+    /// announcement.
     unannounced: CoreSet,
 }
 
@@ -708,17 +703,20 @@ impl Machine {
                 by_priority: BTreeMap::new(),
                 preemptions: 0,
             },
-            idle_power: vec![0.0; num_cores],
+            idle: IdleLedger::new(num_cores),
             announced: vec![None; num_cores],
             unannounced: CoreSet::new(num_cores),
         }
     }
 
-    /// Re-read `core`'s idle power from the policy into the cache.
+    /// Re-read `core`'s idle power from the policy, and open (or move)
+    /// its idle window at that power if it is idle.
     #[inline]
     fn refresh_idle_power(&mut self, core: CoreId, scheduler: &dyn Scheduler) {
         let power = scheduler.idle_power_nj_per_cycle(core);
-        self.idle_power[core.0] = power;
+        if self.cores.is_idle(core) {
+            self.idle.open(core, power, self.clock);
+        }
         if self.announced[core.0] == Some(power.to_bits()) {
             self.unannounced.remove(core);
         } else {
@@ -726,20 +724,31 @@ impl Machine {
         }
     }
 
+    /// Flip `core`'s availability now: an offline core's idle window
+    /// closes, and a core back online re-reads its idle power.
+    fn set_online(&mut self, core: CoreId, online: bool, scheduler: &dyn Scheduler) {
+        self.cores.set_online(core, online);
+        if online {
+            self.refresh_idle_power(core, scheduler);
+        } else {
+            self.idle.close(core, self.clock);
+        }
+    }
+
     /// Emit an `IdlePower` event, stamped `at`, for each idle core whose
-    /// cached idle power the sink has not been told. Called only right
+    /// idle power the sink has not been told. Called only right
     /// before the `IdleAdvance` that charges those cores, so every
     /// announcement is charged.
     fn announce_idle_power<T: TraceSink + ?Sized>(&mut self, at: u64, sink: &mut T) {
         let Machine {
             cores,
-            idle_power,
+            idle,
             announced,
             unannounced,
             ..
         } = self;
         unannounced.drain_idle(cores, |core| {
-            let power = idle_power[core.0];
+            let power = idle.power(core);
             announced[core.0] = Some(power.to_bits());
             sink.record(TraceEvent::IdlePower {
                 core,
@@ -813,6 +822,7 @@ impl Machine {
                 busy_until: clock + execution.cycles,
             },
         );
+        self.idle.close(core, clock);
         self.running[core.0] = Some(execution);
         self.ends
             .push(Reverse((clock + ends_after, core.0, self.tokens[core.0])));
@@ -1217,10 +1227,7 @@ impl FaultSource for PlanFaults<'_> {
                         m.ready.push(info.job);
                     }
                 }
-                m.cores.set_online(core, transition.online);
-                if transition.online {
-                    m.refresh_idle_power(core, scheduler);
-                }
+                m.set_online(core, transition.online, scheduler);
             }
             self.stats.degraded_transitions += 1;
             if sink.enabled() {

@@ -16,7 +16,8 @@
 //!   core: an [`IdleAdvance`](TraceEvent::IdleAdvance) says the clock
 //!   moved, and an [`IdlePower`](TraceEvent::IdlePower) announces a core's
 //!   idle power when it first matters and whenever it changes. The
-//!   advance carries the ledger's running idle total, so a consumer that
+//!   advance carries the ledger's running idle total (the simulator's
+//!   fold of idle cycles per idle-power class), so a consumer that
 //!   needs only the run total reads it; one that needs per-core idle
 //!   time rebuilds which cores were idle from the occupancy events with
 //!   [`IdleCores`].
@@ -43,6 +44,7 @@
 
 use crate::core_index::{BitIter, CoreIndex, CoreSet, WORD_BITS};
 use crate::faults::{DegradedComponent, FallbackLevel, FaultKind, FaultStats, FaultedRun};
+use crate::idle::IdleLedger;
 use crate::job::Job;
 use crate::metrics::{ClassStats, RunMetrics};
 use crate::scheduler::{CoreId, Decision, Scheduler};
@@ -97,23 +99,23 @@ pub enum TraceEvent {
         idle_power_nj_per_cycle: f64,
     },
     /// The clock advanced over `[from, to)`: every idle core (vacant,
-    /// online) accrued `(to - from) as f64 * power` nJ of leakage, in
-    /// ascending core order, at the power its last
+    /// online) accrued `to - from` idle cycles at the power its last
     /// [`IdlePower`](TraceEvent::IdlePower) announced. Which cores were
     /// idle follows from the occupancy events before it; [`IdleCores`]
-    /// rebuilds that set. Emitted only when some core is idle, after the
-    /// simulator has accrued the advance, so `idle_total_nj` already
-    /// includes it.
+    /// rebuilds that set. Emitted only when some core is idle.
+    /// `idle_total_nj` includes the advance: the simulator keeps idle
+    /// cycles per idle-power class and reads the total as one product per
+    /// class, summed in ascending power order.
     IdleAdvance {
         /// First cycle of the advance.
         from: u64,
         /// One past the last cycle of the advance.
         to: u64,
         /// The run's cumulative idle energy (the ledger's
-        /// `energy.idle_nj`) after this advance, in nJ. A consumer that
-        /// needs only the run total reads it here instead of replaying
-        /// the per-core sum; [`LedgerAuditor`] checks it against its own
-        /// replay, bit for bit.
+        /// `energy.idle_nj`) at `to`, in nJ. A consumer that needs only
+        /// the run total reads it here instead of replaying the class
+        /// fold; [`LedgerAuditor`] checks it against its own replay, bit
+        /// for bit.
         idle_total_nj: f64,
     },
     /// From here on, idle `core` burns `idle_power_nj_per_cycle`. The
@@ -421,10 +423,11 @@ impl TraceSink for RecordingSink {
 /// `Fault` vacate it; a core's `Degraded` transition takes it offline or
 /// back; `IdlePower` sets its power. The table grows on demand for cores
 /// it has not seen. [`iter`](Self::iter) walks the idle cores in
-/// ascending order — the order the simulator charges them in — so a
-/// consumer that replays the simulator's f64 operations gets its bits.
-/// [`charge`](Self::charge) adds an advance's idle cycles and energy to
-/// per-core accumulators in one dense pass over every core.
+/// ascending order with their powers, which is what a consumer needs to
+/// add an advance's idle cycles to each core's power class, as the
+/// [`LedgerAuditor`] does. [`charge`](Self::charge) adds an advance's
+/// idle cycles and energy to per-core accumulators in one dense pass
+/// over every core.
 #[derive(Debug, Clone, Default)]
 pub struct IdleCores {
     cores: Vec<IdleState>,
@@ -916,10 +919,14 @@ impl LedgerAuditor {
         let mut sheds = 0u64;
 
         // Idle-advance state: the idle cores and their announced power,
-        // where the last advance ended, the first announcement not yet
-        // charged by an advance, and whether a carried idle total has
-        // already diverged from the replay.
+        // the replayed idle cycles per power class, where the last advance
+        // ended, the first announcement not yet charged by an advance, and
+        // whether a carried idle total has already diverged from the
+        // replay.
         let mut idle = IdleCores::new(self.num_cores);
+        // Spans are charged whole and no window is ever opened, so the
+        // ledger's total is the same at any read time: read it at 0.
+        let mut idle_cycles = IdleLedger::default();
         let mut advanced_to = 0u64;
         let mut uncharged: Option<(usize, CoreId)> = None;
         let mut total_diverged = false;
@@ -1014,8 +1021,12 @@ impl LedgerAuditor {
                             "idle span [{from}, {to}) on offline {core} (event {index})"
                         ));
                     }
-                    // Same operation, same order as the simulator.
-                    energy.idle_nj += to.saturating_sub(from) as f64 * idle_power_nj_per_cycle;
+                    if !idle_cycles.charge(idle_power_nj_per_cycle, to.saturating_sub(from)) {
+                        violations.push(format!(
+                            "idle span [{from}, {to}) on {core} overflows the idle cycles at \
+                             {idle_power_nj_per_cycle:?} nJ/cycle (event {index})"
+                        ));
+                    }
                 }
                 TraceEvent::IdleAdvance {
                     from,
@@ -1039,19 +1050,26 @@ impl LedgerAuditor {
                              power announced (event {index})"
                         ));
                     }
-                    // The simulator's operations, in its ascending core order.
-                    let span = to.saturating_sub(from) as f64;
-                    for (_, power) in idle.iter() {
-                        energy.idle_nj += span * power;
+                    // Each idle core's span joins its power class; the
+                    // total is the simulator's fold over the classes.
+                    let span = to.saturating_sub(from);
+                    for (core, power) in idle.iter() {
+                        if !idle_cycles.charge(power, span) {
+                            violations.push(format!(
+                                "idle advance [{from}, {to}) overflows the idle cycles at \
+                                 {power:?} nJ/cycle on {core} (event {index})"
+                            ));
+                            break;
+                        }
                     }
                     // One divergence shifts every later total too: report
                     // the first.
-                    if idle_total_nj.to_bits() != energy.idle_nj.to_bits() && !total_diverged {
+                    let replayed = idle_cycles.total_nj(0);
+                    if idle_total_nj.to_bits() != replayed.to_bits() && !total_diverged {
                         total_diverged = true;
                         violations.push(format!(
                             "idle advance [{from}, {to}) carries idle total {idle_total_nj:?} nJ \
-                             but the replayed ledger reads {:?} nJ (event {index})",
-                            energy.idle_nj
+                             but the replayed ledger reads {replayed:?} nJ (event {index})"
                         ));
                     }
                     uncharged = None;
@@ -1416,6 +1434,7 @@ impl LedgerAuditor {
                  advance"
             ));
         }
+        energy.idle_nj = idle_cycles.total_nj(0);
 
         for (index, slot) in cores.iter().enumerate() {
             if let Some(occupied) = slot {

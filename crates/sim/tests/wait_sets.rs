@@ -7,8 +7,8 @@
 use energy_model::EnergyBreakdown;
 use multicore_sim::{
     ledger_divergences, CoreId, CoreIndex, CoreSet, Decision, FaultConfig, FaultPlan, FaultedRun,
-    Job, JobExecution, NullSink, QueueDiscipline, RecordingSink, Scheduler, Simulator,
-    StallPurityChecked, TraceEvent, TraceSink,
+    Job, JobExecution, LedgerAuditor, NullSink, QueueDiscipline, RecordingSink, Scheduler,
+    Simulator, StallPurityChecked, TraceEvent, TraceSink,
 };
 use proptest::prelude::*;
 use workloads::{Arrival, ArrivalPlan, BenchmarkId};
@@ -178,6 +178,10 @@ proptest! {
 
     /// Seeing the promise changes nothing but the number of offers, under
     /// every discipline, both sinks, and with or without injected faults.
+    /// A recorded visible run also replays through the `LedgerAuditor` to
+    /// its own ledger and fault counters, bit for bit: the adversary's
+    /// distinct idle power per core makes one idle-power class per core,
+    /// and chaos plans add offline cores and crash refunds.
     #[test]
     fn a_kept_promise_is_invisible(
         plan in arbitrary_plan(160),
@@ -203,6 +207,12 @@ proptest! {
             let b = run(&sim, &plan, &mut hidden, &fault_plan, &mut hidden_sink);
             assert_same(&a, &b);
             prop_assert_eq!(visible_sink.events(), hidden_sink.events());
+            let replayed = LedgerAuditor::new(cores)
+                .replay_with_faults(visible_sink.events())
+                .unwrap_or_else(|violations| panic!("{violations:?}"));
+            let divergences = ledger_divergences(&replayed.metrics, &a.metrics);
+            prop_assert!(divergences.is_empty(), "{divergences:?}");
+            prop_assert_eq!(&replayed, &a);
         } else {
             let a = run(&sim, &plan, &mut visible, &fault_plan, &mut NullSink);
             let b = run(&sim, &plan, &mut hidden, &fault_plan, &mut NullSink);
