@@ -4,7 +4,7 @@
 //! discipline (FIFO, Priority, PreemptivePriority) with the recording
 //! sink attached, then:
 //!
-//! 1. re-derives the full [`RunMetrics`] ledger from the event stream
+//! 1. re-derives the full [`Audit`] ledger from the event stream
 //!    with [`LedgerAuditor`] and fails on any divergence (energies are
 //!    compared to the bit, counters exactly);
 //! 2. checks the stall-purity contract via [`StallPurityChecked`] —
@@ -12,11 +12,13 @@
 //!    state fingerprint unchanged, and no call may place a job while every
 //!    core its policy promised it waits for (`Scheduler::waits_for`) is
 //!    busy;
-//! 3. runs a mutation self-test: individually perturbs single accounting
-//!    sites in a recorded trace (dropped idle advance or idle-power
-//!    announcement, inflated placement energy, dropped stall, forged
-//!    eviction refund, dropped completion) and verifies the auditor
-//!    rejects every tampered stream;
+//! 3. runs a mutation self-test: applies every single-site perturbation
+//!    of [`hetero_bench::tamper`] (dropped arrival, idle advance,
+//!    idle-power announcement, placement, stall, eviction or completion,
+//!    perturbed placement energy or idle power, stretched idle advance,
+//!    forged eviction refund, shifted completion) to each recorded trace
+//!    of the first seed and verifies the auditor rejects every tampered
+//!    stream;
 //! 4. runs a contract drill: a policy whose placement on one core moves
 //!    another idle core's idle power (`Scheduler::idle_power_nj_per_cycle`
 //!    forbids that; the loop caches idle power on the promise) must be
@@ -32,11 +34,12 @@
 //! detected, any mutation goes unnoticed, no promise or idle power was
 //! ever checked, or the contract drill goes unflagged.
 
+use hetero_bench::tamper::MUTATIONS;
 use hetero_bench::trace_json::trace_document;
 use hetero_bench::{SystemKind, Testbed};
 use hetero_telemetry::Histogram;
 use multicore_sim::{
-    CoreId, CoreIndex, Decision, Job, LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics,
+    Audit, CoreId, CoreIndex, Decision, Job, LedgerAuditor, QueueDiscipline, RecordingSink,
     Scheduler, Simulator, StallPurityChecked, TraceEvent,
 };
 use std::process::ExitCode;
@@ -52,10 +55,10 @@ const DISCIPLINES: [(QueueDiscipline, &str); 3] = [
 /// discipline actually evicts.
 const PRIORITY_LEVELS: u8 = 3;
 
-/// One traced run: the simulator's own ledger, the recorded event
+/// One traced run: the ledger the simulator reported, the recorded event
 /// stream, and the stall-purity outcome.
 struct TracedRun {
-    metrics: RunMetrics,
+    reported: Audit,
     events: Vec<TraceEvent>,
     stall_checks: u64,
     promise_checks: u64,
@@ -75,7 +78,7 @@ fn trace_one<S: Scheduler>(
         .with_discipline(discipline)
         .run_with_sink(plan, &mut checked, &mut sink);
     TracedRun {
-        metrics,
+        reported: metrics.into(),
         events: sink.into_events(),
         stall_checks: checked.stall_checks(),
         promise_checks: checked.promise_checks(),
@@ -135,110 +138,18 @@ fn idle_power_drill(testbed: &Testbed, plan: &ArrivalPlan) -> usize {
         .count()
 }
 
-/// A single-site trace perturbation; `None` when the trace has no event
-/// of the targeted kind.
-type Mutation = fn(&[TraceEvent]) -> Option<Vec<TraceEvent>>;
-
-/// Mutations for the self-test: each perturbs exactly one accounting
-/// site in a copy of the trace.
-fn mutations() -> Vec<(&'static str, Mutation)> {
-    vec![
-        ("drop first idle advance", |events| {
-            drop_first(events, |e| matches!(e, TraceEvent::IdleAdvance { .. }))
-        }),
-        ("drop first idle-power announcement", |events| {
-            drop_first(events, |e| matches!(e, TraceEvent::IdlePower { .. }))
-        }),
-        ("inflate a placement's dynamic energy", |events| {
-            edit_first(events, |e| {
-                if let TraceEvent::Placement { dynamic_nj, .. } = e {
-                    *dynamic_nj += 1.0;
-                    true
-                } else {
-                    false
-                }
-            })
-        }),
-        ("drop first stall offer", |events| {
-            drop_first(events, |e| matches!(e, TraceEvent::Stall { .. }))
-        }),
-        ("forge an eviction's remaining cycles", |events| {
-            edit_first(events, |e| {
-                if let TraceEvent::Eviction {
-                    remaining_cycles, ..
-                } = e
-                {
-                    *remaining_cycles += 1;
-                    true
-                } else {
-                    false
-                }
-            })
-        }),
-        ("drop last completion", |events| {
-            let index = events
-                .iter()
-                .rposition(|e| matches!(e, TraceEvent::Completion { .. }))?;
-            let mut tampered = events.to_vec();
-            tampered.remove(index);
-            Some(tampered)
-        }),
-        ("shift a completion's timestamp", |events| {
-            edit_first(events, |e| {
-                if let TraceEvent::Completion { at, .. } = e {
-                    *at += 1;
-                    true
-                } else {
-                    false
-                }
-            })
-        }),
-        ("discount an announced idle power", |events| {
-            edit_first(events, |e| {
-                if let TraceEvent::IdlePower {
-                    idle_power_nj_per_cycle,
-                    ..
-                } = e
-                {
-                    *idle_power_nj_per_cycle *= 0.5;
-                    true
-                } else {
-                    false
-                }
-            })
-        }),
-    ]
-}
-
-fn drop_first(events: &[TraceEvent], pred: fn(&TraceEvent) -> bool) -> Option<Vec<TraceEvent>> {
-    let index = events.iter().position(pred)?;
-    let mut tampered = events.to_vec();
-    tampered.remove(index);
-    Some(tampered)
-}
-
-fn edit_first(events: &[TraceEvent], edit: fn(&mut TraceEvent) -> bool) -> Option<Vec<TraceEvent>> {
-    let mut tampered = events.to_vec();
-    for event in &mut tampered {
-        if edit(event) {
-            return Some(tampered);
-        }
-    }
-    None
-}
-
 /// Apply every applicable mutation to `run`'s trace; each must make the
 /// auditor fail. Returns (applied, undetected-descriptions).
 fn mutation_self_test(run: &TracedRun, num_cores: usize) -> (usize, Vec<&'static str>) {
     let auditor = LedgerAuditor::new(num_cores);
     let mut applied = 0;
     let mut undetected = Vec::new();
-    for (name, mutate) in mutations() {
+    for (name, mutate) in MUTATIONS {
         let Some(tampered) = mutate(&run.events) else {
             continue;
         };
         applied += 1;
-        if auditor.check(&tampered, &run.metrics).is_ok() {
+        if auditor.check(&tampered, &run.reported).is_ok() {
             undetected.push(name);
         }
     }
@@ -299,13 +210,13 @@ fn main() -> ExitCode {
                 idle_power_checks += run.idle_power_checks;
 
                 let mut problems: Vec<String> = Vec::new();
-                if run.metrics.jobs_completed != jobs as u64 {
+                if run.reported.metrics.jobs_completed != jobs as u64 {
                     problems.push(format!(
                         "completed {} of {jobs} jobs",
-                        run.metrics.jobs_completed
+                        run.reported.metrics.jobs_completed
                     ));
                 }
-                if let Err(divergences) = auditor.check(&run.events, &run.metrics) {
+                if let Err(divergences) = auditor.check(&run.events, &run.reported) {
                     problems.extend(divergences);
                 }
                 problems.extend(run.purity_violations.iter().cloned());

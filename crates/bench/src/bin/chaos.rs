@@ -15,7 +15,7 @@
 //! 3. **bounded retries** — observed failure counts never exceed the
 //!    configured `max_attempts`;
 //! 4. **bit-exact accounting** — the recorded trace replays through
-//!    [`LedgerAuditor::check_faulted`] to the simulator's own ledger *and*
+//!    [`LedgerAuditor::check`] to the simulator's own ledger *and*
 //!    fault counters, energies compared to the bit;
 //! 5. **stall purity** — fault handling must not break the Scheduler
 //!    contract that `Stall`-returning calls leave state untouched;
@@ -885,7 +885,9 @@ fn main() -> ExitCode {
                         ));
                     }
                     // Bit-exact accounting under every fault regime.
-                    if let Err(divergences) = auditor.check_faulted(&chaos.events, &chaos.run) {
+                    if let Err(divergences) =
+                        auditor.check(&chaos.events, &chaos.run.clone().into())
+                    {
                         problems.extend(divergences);
                     }
                     problems.extend(chaos.purity_violations.iter().cloned());

@@ -24,8 +24,9 @@
 //!   composes a steady Poisson floor with a bursty overlay.
 //! * `--rate` — offered load in jobs per mega-cycle (default 7.1, the
 //!   paper's 5000 jobs / 700M cycles); must be positive and finite, and
-//!   so must the process's peak (3x the rate for `bursty`, 1.8x for
-//!   `ramp`, 2x for `mix`'s overlay).
+//!   so must the process's peak in jobs per cycle (3x the rate for
+//!   `bursty`, 1.8x for `ramp`, 0.5x and 2x for `mix`'s floor and
+//!   overlay), which rules out subnormal rates too.
 //! * `--slo-p99` / `--slo-energy` — optional budgets; when any budget
 //!   fails the process exits non-zero (fleet-check style).
 //! * `--export` — write a JSON artifact consumable by `engine compare`.
@@ -206,19 +207,24 @@ fn arrivals(
     jobs: usize,
 ) -> Result<Box<dyn Iterator<Item = Arrival>>, String> {
     const PERIOD: u64 = 40_000_000;
-    // A burst or ramp peaks at a multiple of `rate`, which a huge finite
-    // rate can push past f64's range.
+    // Each process peaks at a multiple of `rate` jobs/Mcycle, which it
+    // divides by 1e6 into jobs/cycle: a huge finite rate can push the
+    // multiple past f64's range, and a subnormal one rounds its per-cycle
+    // rate to zero.
     let peak = |factor: f64| {
         let peak = factor * rate;
-        if peak.is_finite() {
+        if peak.is_finite() && peak / 1e6 > 0.0 {
             Ok(peak)
         } else {
             Err(format!(
-                "--rate {rate:?} puts the {process} process's peak ({factor} x the rate) past \
-                 f64's range"
+                "--rate {rate:?} gives the {process} process a peak of {peak:?} jobs/Mcycle \
+                 ({factor} x the rate), not a positive finite rate per cycle"
             ))
         }
     };
+    // Poisson runs at the rate itself, and diurnal swings around it (its
+    // peak, 1.8x the rate, is positive whenever the rate is).
+    peak(1.0)?;
     let source: Box<dyn Iterator<Item = Arrival>> = match process {
         "poisson" => Box::new(OpenLoop::poisson(rate, num_benchmarks, seed)),
         // On 1/4 of the time at 3x the average + a quiet floor.
@@ -240,7 +246,7 @@ fn arrivals(
         )),
         // A steady floor with a bursty overlay on an offset seed.
         "mix" => Box::new(Compose::new(vec![
-            Box::new(OpenLoop::poisson(rate / 2.0, num_benchmarks, seed)),
+            Box::new(OpenLoop::poisson(peak(0.5)?, num_benchmarks, seed)),
             Box::new(OpenLoop::bursty(
                 peak(2.0)?,
                 0.0,
@@ -868,5 +874,21 @@ mod tests {
                 .unwrap_or_else(|problem| panic!("{process}: {problem}"));
         }
         assert!(parse(&["--process", "square"]).is_err());
+    }
+
+    #[test]
+    fn a_rate_whose_per_cycle_peak_underflows_is_a_usage_error() {
+        for process in ["poisson", "bursty", "diurnal", "ramp", "mix"] {
+            let problem = parse(&["--smoke", "--process", process, "--rate", "1e-320"])
+                .err()
+                .unwrap_or_else(|| panic!("{process} at --rate 1e-320 must be rejected"));
+            assert!(problem.starts_with("--rate"), "{process}: {problem}");
+            // A tiny normal rate still builds every process.
+            parse(&["--smoke", "--process", process, "--rate", "1e-290"])
+                .unwrap_or_else(|problem| panic!("{process}: {problem}"));
+        }
+        // At 3e-318 only mix's half-rate floor rounds to zero per cycle.
+        parse(&["--smoke", "--process", "poisson", "--rate", "3e-318"]).expect("poisson");
+        assert!(parse(&["--smoke", "--process", "mix", "--rate", "3e-318"]).is_err());
     }
 }

@@ -18,6 +18,7 @@ pub mod json;
 pub mod perf;
 pub mod perfetto;
 pub mod report;
+pub mod tamper;
 pub mod telemetry_json;
 pub mod trace_json;
 

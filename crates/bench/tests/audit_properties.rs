@@ -3,6 +3,7 @@
 //! (energies to the bit, counters precisely), and every single-site
 //! tampering of a recorded trace must be rejected.
 
+use hetero_bench::tamper::MUTATIONS;
 use hetero_bench::{SystemKind, Testbed};
 use multicore_sim::{
     LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Simulator, StallPurityChecked,
@@ -65,13 +66,13 @@ proptest! {
             "stall purity violated: {:?}",
             purity_violations
         );
-        let outcome = LedgerAuditor::new(t.arch.num_cores()).check(&events, &metrics);
+        let outcome = LedgerAuditor::new(t.arch.num_cores()).check(&events, &metrics.into());
         prop_assert!(outcome.is_ok(), "ledger diverged: {:?}", outcome.err());
     }
 }
 
 /// A dense preemptive workload on the base system, recorded once: the
-/// eviction-bearing fixture for the tamper tests below. (The base
+/// eviction-bearing fixture for the tamper test below. (The base
 /// system takes any idle core, so it never stalls — stall tampering
 /// uses [`recorded_stall_run`] instead.)
 fn recorded_preemptive_run() -> &'static (RunMetrics, Vec<TraceEvent>) {
@@ -103,7 +104,7 @@ fn recorded_stall_run() -> &'static (RunMetrics, Vec<TraceEvent>) {
 fn assert_rejected(events: &[TraceEvent], metrics: &RunMetrics, what: &str) {
     let auditor = LedgerAuditor::new(Testbed::shared_small().arch.num_cores());
     assert!(
-        auditor.check(events, metrics).is_err(),
+        auditor.check(events, &metrics.clone().into()).is_err(),
         "auditor accepted a tampered trace: {what}"
     );
 }
@@ -122,116 +123,28 @@ fn fixtures_exercise_stalls_and_evictions() {
         .iter()
         .any(|e| matches!(e, TraceEvent::IdlePower { .. })));
     let auditor = LedgerAuditor::new(Testbed::shared_small().arch.num_cores());
-    assert!(auditor.check(events, metrics).is_ok());
+    assert!(auditor.check(events, &metrics.clone().into()).is_ok());
 
     let (metrics, events) = recorded_stall_run();
     assert!(metrics.stall_offers > 0, "stall fixture needs stalls");
     assert!(events.iter().any(|e| matches!(e, TraceEvent::Stall { .. })));
-    assert!(auditor.check(events, metrics).is_ok());
+    assert!(auditor.check(events, &metrics.clone().into()).is_ok());
 }
 
+/// Every mutation of the shared tamper list applies to at least one of
+/// the two fixtures, and the auditor rejects each tampered trace.
 #[test]
-fn dropping_any_accounting_event_is_detected() {
-    let (metrics, events) = recorded_preemptive_run();
-    for kind in [
-        "arrival",
-        "idle_advance",
-        "idle_power",
-        "placement",
-        "eviction",
-        "completion",
-    ] {
-        let index = events
-            .iter()
-            .position(|e| e.kind_name() == kind)
-            .unwrap_or_else(|| panic!("eviction fixture must contain a {kind}"));
-        let mut tampered = events.clone();
-        tampered.remove(index);
-        assert_rejected(&tampered, metrics, &format!("dropped first {kind}"));
-    }
-
-    let (metrics, events) = recorded_stall_run();
-    let index = events
-        .iter()
-        .position(|e| e.kind_name() == "stall")
-        .expect("stall fixture must contain a stall");
-    let mut tampered = events.clone();
-    tampered.remove(index);
-    assert_rejected(&tampered, metrics, "dropped first stall");
-}
-
-#[test]
-fn perturbing_any_energy_operand_is_detected() {
-    let (metrics, events) = recorded_preemptive_run();
-
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::Placement { dynamic_nj, .. } = event {
-            *dynamic_nj += 0.5;
-            break;
+fn every_tampered_trace_is_rejected() {
+    for (name, mutate) in MUTATIONS {
+        let mut applied = 0;
+        for (metrics, events) in [recorded_preemptive_run(), recorded_stall_run()] {
+            if let Some(tampered) = mutate(events) {
+                applied += 1;
+                assert_rejected(&tampered, metrics, name);
+            }
         }
+        assert!(applied > 0, "no fixture admits the mutation: {name}");
     }
-    assert_rejected(&tampered, metrics, "inflated placement dynamic energy");
-
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::Placement { static_nj, .. } = event {
-            *static_nj *= 2.0;
-            break;
-        }
-    }
-    assert_rejected(&tampered, metrics, "doubled placement static energy");
-
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::IdlePower {
-            idle_power_nj_per_cycle,
-            ..
-        } = event
-        {
-            *idle_power_nj_per_cycle *= 0.5;
-            break;
-        }
-    }
-    assert_rejected(&tampered, metrics, "discounted idle power");
-
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::IdleAdvance { to, .. } = event {
-            *to += 1;
-            break;
-        }
-    }
-    assert_rejected(&tampered, metrics, "stretched idle advance");
-}
-
-#[test]
-fn forging_an_eviction_refund_is_detected() {
-    let (metrics, events) = recorded_preemptive_run();
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::Eviction {
-            remaining_cycles, ..
-        } = event
-        {
-            *remaining_cycles += 1;
-            break;
-        }
-    }
-    assert_rejected(&tampered, metrics, "inflated eviction refund fraction");
-}
-
-#[test]
-fn shifting_a_completion_is_detected() {
-    let (metrics, events) = recorded_preemptive_run();
-    let mut tampered = events.clone();
-    for event in &mut tampered {
-        if let TraceEvent::Completion { at, .. } = event {
-            *at += 1;
-            break;
-        }
-    }
-    assert_rejected(&tampered, metrics, "shifted completion timestamp");
 }
 
 #[test]

@@ -128,7 +128,7 @@ proptest! {
         let streamed = sim.run_stream(plan.iter().copied(), &mut t.system(kind), &mut stream_sink);
         prop_assert_eq!(&metrics, &streamed);
         prop_assert_eq!(batch_sink.events(), stream_sink.events());
-        let outcome = LedgerAuditor::new(num_cores).check(stream_sink.events(), &metrics);
+        let outcome = LedgerAuditor::new(num_cores).check(stream_sink.events(), &metrics.into());
         prop_assert!(outcome.is_ok(), "streamed ledger audit failed: {:?}", outcome.err());
     }
 

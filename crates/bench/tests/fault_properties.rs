@@ -109,7 +109,7 @@ proptest! {
             "lost jobs"
         );
         prop_assert!(run.faults.max_attempts_observed <= config.max_attempts);
-        let outcome = LedgerAuditor::new(t.arch.num_cores()).check_faulted(&events, &run);
+        let outcome = LedgerAuditor::new(t.arch.num_cores()).check(&events, &run.into());
         prop_assert!(outcome.is_ok(), "ledger diverged: {:?}", outcome.err());
     }
 

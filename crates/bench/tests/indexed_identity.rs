@@ -73,7 +73,7 @@ fn manycore_tiled_proposed_matches_reference_and_audits_clean() {
     let mut system = ProposedSystem::with_model(&arch, &t.oracle, t.model, t.predictor.clone());
     let traced = sim.run_with_sink(&plan, &mut system, &mut sink);
     assert_eq!(traced.jobs_completed, 640);
-    let outcome = LedgerAuditor::new(cores).check(sink.events(), &traced);
+    let outcome = LedgerAuditor::new(cores).check(sink.events(), &traced.clone().into());
     assert!(outcome.is_ok(), "64-core audit failed: {:?}", outcome.err());
 
     let mut again = ProposedSystem::with_model(&arch, &t.oracle, t.model, t.predictor.clone());

@@ -13,7 +13,11 @@
 //!    bound, priority protection) and an optional token-bucket rate
 //!    limiter. Every refusal is a [`TraceEvent::Shed`] so the
 //!    [`LedgerAuditor`](multicore_sim::LedgerAuditor) can enforce the
-//!    extended conservation invariant `offered = admitted + shed`.
+//!    extended conservation invariant `offered = admitted + shed`: a
+//!    governed run's expected [`Audit`](multicore_sim::Audit) carries the
+//!    governor's `offered - shed` as `admitted` and its `shed` as
+//!    `sheds`, and [`LedgerAuditor::check`](multicore_sim::LedgerAuditor::check)
+//!    compares both with the counts replayed from the trace.
 //! 2. **Brownout** — a controller watches per-control-window SLO
 //!    pressure (in-flight depth, completion latency vs budget) and steps
 //!    the serving path down the degradation ladder
@@ -919,8 +923,8 @@ mod tests {
     use crate::{EngineConfig, Outcome, RunSpec};
     use energy_model::EnergyBreakdown;
     use multicore_sim::{
-        tier_cell, CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution, LedgerAuditor,
-        NullSink, RecordingSink, Scheduler, Simulator,
+        tier_cell, Audit, CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution,
+        LedgerAuditor, NullSink, RecordingSink, Scheduler, Simulator,
     };
     use workloads::{BenchmarkId, OpenLoop};
 
@@ -1028,9 +1032,29 @@ mod tests {
         };
         let report = governor.report();
         assert!(report.shed() > 0);
-        LedgerAuditor::new(2)
-            .check_governed(recording.events(), &metrics, report.offered, report.shed())
+        let expected = Audit {
+            admitted: report.offered - report.shed(),
+            sheds: report.shed(),
+            ..metrics.into()
+        };
+        let auditor = LedgerAuditor::new(2);
+        auditor
+            .check(recording.events(), &expected)
             .unwrap_or_else(|violations| panic!("governed audit failed: {violations:?}"));
+        // A governor reporting one more offered arrival than it admitted
+        // or shed, or a trace that lost one of its sheds, fails the audit.
+        let overstated = Audit {
+            admitted: expected.admitted + 1,
+            ..expected.clone()
+        };
+        assert!(auditor.check(recording.events(), &overstated).is_err());
+        let mut events = recording.into_events();
+        let shed = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Shed { .. }))
+            .expect("the run shed");
+        events.remove(shed);
+        assert!(auditor.check(&events, &expected).is_err());
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub use metrics::{ClassStats, RunMetrics};
 pub use scheduler::{BusyInfo, CoreId, CoreView, Decision, Scheduler};
 pub use simulator::{QueueDiscipline, Simulator};
 pub use trace::{
-    ledger_divergences, Fingerprint, GovernedAudit, IdleCores, LedgerAuditor, NullSink,
-    PlacementKind, RecordingSink, StallPurityChecked, TraceEvent, TraceSink,
+    ledger_divergences, Audit, Fingerprint, IdleCores, LedgerAuditor, NullSink, PlacementKind,
+    RecordingSink, StallPurityChecked, TraceEvent, TraceSink,
 };

@@ -1904,7 +1904,7 @@ mod tests {
             };
             let metrics = sim.run_with_sink(&plan, &mut policy, &mut sink);
             LedgerAuditor::new(2)
-                .check(sink.events(), &metrics)
+                .check(sink.events(), &metrics.into())
                 .unwrap_or_else(|problems| {
                     panic!("{discipline:?} audit failed:\n{}", problems.join("\n"))
                 });
@@ -1995,7 +1995,7 @@ mod tests {
             );
             assert!(run.faults.max_attempts_observed <= config.max_attempts);
             LedgerAuditor::new(2)
-                .check_faulted(sink.events(), &run)
+                .check(sink.events(), &run.into())
                 .unwrap_or_else(|problems| {
                     panic!("rate {rate} audit failed:\n{}", problems.join("\n"))
                 });
@@ -2054,7 +2054,7 @@ mod tests {
     #[test]
     fn faults_on_an_open_loop_stream_conserve_jobs_and_audit_clean() {
         use crate::faults::{FaultConfig, FaultPlan};
-        use crate::trace::{LedgerAuditor, RecordingSink};
+        use crate::trace::{Audit, LedgerAuditor, RecordingSink};
         let jobs = 300;
         let fault_plan = FaultPlan::build(&FaultConfig::chaos(0.3, 5, 60_000_000), 2);
         let mut faults = PlanFaults::new(&fault_plan, 2);
@@ -2081,8 +2081,13 @@ mod tests {
             "{:?}",
             run.faults
         );
-        LedgerAuditor::new(2)
-            .check_faulted(sink.events(), &run)
+        let mut reported = Audit::from(run);
+        let auditor = LedgerAuditor::new(2);
+        auditor
+            .check(sink.events(), &reported)
             .unwrap_or_else(|problems| panic!("audit failed:\n{}", problems.join("\n")));
+        // A run that over-reports its retries fails the audit.
+        reported.faults.retries += 1;
+        assert!(auditor.check(sink.events(), &reported).is_err());
     }
 }

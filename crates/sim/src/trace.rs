@@ -26,8 +26,9 @@
 //!   double-booked cores, evictions refund exactly the unexecuted
 //!   remainder, idle power is announced only for idle cores and always
 //!   charged, advances never overlap) and re-deriving a complete
-//!   [`RunMetrics`] — energy to f64 **bit identity**, counters to exact
-//!   equality — that must match what the simulator returned.
+//!   [`Audit`] — the [`RunMetrics`] ledger, fault counters and admission
+//!   counts, energy to f64 **bit identity**, counters to exact equality —
+//!   that must match what the run reported.
 //! * [`StallPurityChecked`] wraps any [`Scheduler`] and verifies the
 //!   documented contract that a call returning
 //!   [`Decision::Stall`](crate::Decision::Stall) leaves the policy's
@@ -793,14 +794,14 @@ impl<S: Scheduler> Scheduler for StallPurityChecked<S> {
 }
 
 /// Replays a recorded event stream, enforcing conservation invariants and
-/// re-deriving the complete [`RunMetrics`] ledger independently of the
+/// re-deriving the whole [`Audit`] ledger independently of the
 /// simulator's own accumulation.
 ///
-/// The derived ledger must equal the simulator's to the bit (energy) and
-/// exactly (every counter); [`check`](Self::check) performs that
-/// comparison. Any tampering with a single event — a dropped idle advance
-/// or idle-power announcement, a perturbed placement energy, a forged
-/// eviction refund — either trips a
+/// [`replay`](Self::replay) derives the ledger; [`check`](Self::check)
+/// derives it and compares it with the [`Audit`] a run reports: energies
+/// to the bit, every counter exactly. Any tampering with a single event —
+/// a dropped idle advance or idle-power announcement, a perturbed
+/// placement energy, a forged eviction refund — either trips a
 /// structural invariant or lands as a ledger divergence.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerAuditor {
@@ -815,22 +816,45 @@ struct Occupied {
     placed_at: u64,
 }
 
-/// The auditor's re-derivation of a governed (overload-controlled) run:
-/// the ordinary faulted ledger plus the admission ledger.
+/// The whole ledger of a run: what [`LedgerAuditor::replay`] derives from
+/// a trace, and what a caller expects of it in [`LedgerAuditor::check`].
+///
+/// A run without an admission layer (plain or faulted) expects every
+/// arrival admitted and none shed: build it with `From<RunMetrics>` or
+/// `From<FaultedRun>`. A governed run sets `admitted` to the governor's
+/// offered count minus its sheds, and `sheds` to its sheds, so the check
+/// enforces `offered = admitted + shed` against the trace.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GovernedAudit {
-    /// The replayed ledger and fault counters.
-    pub run: FaultedRun,
-    /// Jobs that entered the simulator (distinct `Arrival` events).
+pub struct Audit {
+    /// The energy and cycle ledger.
+    pub metrics: RunMetrics,
+    /// The fault and recovery counters (all zero for an unfaulted run).
+    pub faults: FaultStats,
+    /// Jobs that entered the simulator (distinct `Arrival` events); each
+    /// completed or was abandoned.
     pub admitted: u64,
     /// Offered arrivals refused by the admission layer (`Shed` events).
     pub sheds: u64,
 }
 
-impl GovernedAudit {
-    /// Total arrivals offered to the admission layer.
-    pub fn offered(&self) -> u64 {
-        self.admitted + self.sheds
+impl From<FaultedRun> for Audit {
+    fn from(run: FaultedRun) -> Self {
+        Audit {
+            admitted: run.metrics.jobs_completed + run.faults.jobs_failed,
+            sheds: 0,
+            metrics: run.metrics,
+            faults: run.faults,
+        }
+    }
+}
+
+impl From<RunMetrics> for Audit {
+    fn from(metrics: RunMetrics) -> Self {
+        FaultedRun {
+            metrics,
+            faults: FaultStats::default(),
+        }
+        .into()
     }
 }
 
@@ -843,22 +867,15 @@ impl LedgerAuditor {
     /// Replay `events`, returning the independently derived ledger, or
     /// the list of violated conservation invariants.
     ///
-    /// # Errors
-    ///
-    /// Returns every structural violation found (out-of-range cores,
-    /// double bookings, completions that don't match their placement,
-    /// refunds that disagree with the occupancy, unfinished jobs, …).
-    pub fn replay(&self, events: &[TraceEvent]) -> Result<RunMetrics, Vec<String>> {
-        self.replay_with_faults(events).map(|run| run.metrics)
-    }
-
-    /// Replay `events` like [`replay`](Self::replay), additionally
-    /// re-deriving the [`FaultStats`] counters of a faulted run. Fault
-    /// events are validated against the same occupancy model as
-    /// evictions (exact executed/total split, refund replay), core
+    /// Evictions and faults are validated against the reconstructed
+    /// occupancy (exact executed/total split, refund replay), core
     /// outages must strictly alternate and only drop vacant cores, and
-    /// abandoned jobs are tracked so conservation holds: every arrival
-    /// either completes or is explicitly abandoned — never lost.
+    /// every arrival must complete or be explicitly abandoned — never
+    /// lost — so `admitted = completed + abandoned`.
+    /// [`Shed`](TraceEvent::Shed) events are validated (unique offered
+    /// ids) and counted; they are exempt from the chronological watermark
+    /// because the governor flushes them only after the simulator stream
+    /// has advanced past their timestamp.
     ///
     /// An empty event stream (or a zero-job run) is *valid* and replays
     /// to an all-zero ledger; malformed streams — including forged
@@ -867,28 +884,10 @@ impl LedgerAuditor {
     ///
     /// # Errors
     ///
-    /// Returns every structural violation found.
-    pub fn replay_with_faults(&self, events: &[TraceEvent]) -> Result<FaultedRun, Vec<String>> {
-        self.replay_governed(events).map(|audit| audit.run)
-    }
-
-    /// Replay `events` like [`replay_with_faults`](Self::replay_with_faults),
-    /// additionally re-deriving the admission ledger of a *governed*
-    /// (overload-controlled) run: how many jobs were admitted into the
-    /// simulator and how many offered arrivals were shed by the engine's
-    /// admission layer. [`Shed`](TraceEvent::Shed) events are validated
-    /// (unique offered ids) and counted; they are exempt from the
-    /// chronological-watermark check because the governor flushes them
-    /// only after the simulator stream has advanced past their timestamp;
-    /// together with the existing job-conservation invariant this gives
-    /// the extended ledger `offered = admitted + shed` and
-    /// `admitted = completed + abandoned` — nothing offered is ever lost
-    /// silently.
-    ///
-    /// # Errors
-    ///
-    /// Returns every structural violation found.
-    pub fn replay_governed(&self, events: &[TraceEvent]) -> Result<GovernedAudit, Vec<String>> {
+    /// Returns every structural violation found (out-of-range cores,
+    /// double bookings, completions that don't match their placement,
+    /// refunds that disagree with the occupancy, unfinished jobs, …).
+    pub fn replay(&self, events: &[TraceEvent]) -> Result<Audit, Vec<String>> {
         let mut violations: Vec<String> = Vec::new();
         let mut energy = EnergyBreakdown::new();
         let mut busy_cycles = vec![0u64; self.num_cores];
@@ -1169,49 +1168,91 @@ impl LedgerAuditor {
                              (event {index})"
                     )),
                 },
+                // An eviction or a fault cuts a placement short: it
+                // vacates the core and refunds the unexecuted share.
                 TraceEvent::Eviction {
-                    victim,
+                    victim: seq,
                     core,
                     at,
                     total_cycles,
-                    remaining_cycles,
                     dynamic_nj,
                     static_nj,
+                    ..
+                }
+                | TraceEvent::Fault {
+                    seq,
+                    core,
+                    at,
+                    total_cycles,
+                    dynamic_nj,
+                    static_nj,
+                    ..
                 } => {
+                    // An eviction claims the cycles it leaves unexecuted,
+                    // a fault the cycles it executed (a forged count past
+                    // the total wraps out of range below).
+                    let (what, remaining_cycles) = match *event {
+                        TraceEvent::Eviction {
+                            remaining_cycles, ..
+                        } => {
+                            preemptions += 1;
+                            ("eviction", remaining_cycles)
+                        }
+                        TraceEvent::Fault {
+                            kind,
+                            executed_cycles,
+                            ..
+                        } => {
+                            if kind == FaultKind::Watchdog && executed_cycles != total_cycles {
+                                violations.push(format!(
+                                    "watchdog kill of job#{seq} at {executed_cycles}/\
+                                     {total_cycles} cycles — watchdog charges the full \
+                                     stretched run (event {index})"
+                                ));
+                            }
+                            match kind {
+                                FaultKind::CoreOutage => faults.outage_evictions += 1,
+                                FaultKind::Crash => faults.crashes += 1,
+                                FaultKind::Watchdog => faults.watchdog_kills += 1,
+                            }
+                            (kind.name(), total_cycles.wrapping_sub(executed_cycles))
+                        }
+                        _ => unreachable!("matched an eviction or a fault"),
+                    };
                     match cores[core.0].take() {
-                        Some(occupied) if occupied.seq == victim => {
+                        Some(occupied) if occupied.seq == seq => {
                             if occupied.until.checked_sub(at) != Some(remaining_cycles) {
                                 violations.push(format!(
-                                    "eviction of job#{victim} claims {remaining_cycles} \
-                                     remaining cycles, occupancy says {} (event {index})",
+                                    "{what} of job#{seq} claims {remaining_cycles} remaining \
+                                     cycles, occupancy says {} (event {index})",
                                     occupied.until.saturating_sub(at)
                                 ));
                             }
                             if occupied.until - occupied.placed_at != total_cycles {
                                 violations.push(format!(
-                                    "eviction of job#{victim} claims {total_cycles} total \
-                                     cycles, placement charged {} (event {index})",
+                                    "{what} of job#{seq} claims {total_cycles} total cycles, \
+                                     placement charged {} (event {index})",
                                     occupied.until - occupied.placed_at
                                 ));
                             }
                         }
                         _ => violations.push(format!(
-                            "eviction of job#{victim} not running on {core} (event {index})"
+                            "{what} of job#{seq} not running on {core} (event {index})"
                         )),
                     }
                     if remaining_cycles > total_cycles || total_cycles == 0 {
                         violations.push(format!(
-                            "eviction refund fraction {remaining_cycles}/{total_cycles} \
-                             out of range (event {index})"
+                            "{what} refund fraction {remaining_cycles}/{total_cycles} out of \
+                             range (event {index})"
                         ));
                     } else {
-                        // The simulator's exact refund arithmetic.
+                        // The simulator's exact refund arithmetic (a
+                        // watchdog kill refunds an exact 0.0).
                         let refund = remaining_cycles as f64 / total_cycles as f64;
                         energy.dynamic_nj -= dynamic_nj * refund;
                         energy.static_nj -= static_nj * refund;
                         busy_cycles[core.0] = busy_cycles[core.0].saturating_sub(remaining_cycles);
                     }
-                    preemptions += 1;
                 }
                 TraceEvent::Completion {
                     seq,
@@ -1265,68 +1306,6 @@ impl LedgerAuditor {
                     class.jobs += 1;
                     class.turnaround_cycles += at.saturating_sub(arrival);
                     last_completion = last_completion.max(at);
-                }
-                TraceEvent::Fault {
-                    seq,
-                    core,
-                    at,
-                    kind,
-                    total_cycles,
-                    executed_cycles,
-                    dynamic_nj,
-                    static_nj,
-                    ..
-                } => {
-                    match cores[core.0].take() {
-                        Some(occupied) if occupied.seq == seq => {
-                            if occupied.placed_at.checked_add(executed_cycles) != Some(at) {
-                                violations.push(format!(
-                                    "{} fault on job#{seq} claims {executed_cycles} executed \
-                                     cycles, placement at {} says {} (event {index})",
-                                    kind.name(),
-                                    occupied.placed_at,
-                                    at.saturating_sub(occupied.placed_at)
-                                ));
-                            }
-                            if occupied.until - occupied.placed_at != total_cycles {
-                                violations.push(format!(
-                                    "{} fault on job#{seq} claims {total_cycles} total cycles, \
-                                     placement charged {} (event {index})",
-                                    kind.name(),
-                                    occupied.until - occupied.placed_at
-                                ));
-                            }
-                        }
-                        _ => violations.push(format!(
-                            "{} fault on job#{seq} not running on {core} (event {index})",
-                            kind.name()
-                        )),
-                    }
-                    if kind == FaultKind::Watchdog && executed_cycles != total_cycles {
-                        violations.push(format!(
-                            "watchdog kill of job#{seq} at {executed_cycles}/{total_cycles} \
-                             cycles — watchdog charges the full stretched run (event {index})"
-                        ));
-                    }
-                    if executed_cycles > total_cycles || total_cycles == 0 {
-                        violations.push(format!(
-                            "fault refund fraction ({total_cycles} - {executed_cycles})/\
-                             {total_cycles} out of range (event {index})"
-                        ));
-                    } else {
-                        // The simulator's exact refund arithmetic (the
-                        // watchdog case refunds an exact 0.0).
-                        let remaining_cycles = total_cycles - executed_cycles;
-                        let refund = remaining_cycles as f64 / total_cycles as f64;
-                        energy.dynamic_nj -= dynamic_nj * refund;
-                        energy.static_nj -= static_nj * refund;
-                        busy_cycles[core.0] = busy_cycles[core.0].saturating_sub(remaining_cycles);
-                    }
-                    match kind {
-                        FaultKind::CoreOutage => faults.outage_evictions += 1,
-                        FaultKind::Crash => faults.crashes += 1,
-                        FaultKind::Watchdog => faults.watchdog_kills += 1,
-                    }
                 }
                 TraceEvent::Retry {
                     seq,
@@ -1461,107 +1440,51 @@ impl LedgerAuditor {
         if !violations.is_empty() {
             return Err(violations);
         }
-        Ok(GovernedAudit {
-            run: FaultedRun {
-                metrics: RunMetrics {
-                    energy,
-                    total_cycles: last_completion,
-                    jobs_completed,
-                    stalls: stall_episodes,
-                    stall_offers,
-                    busy_cycles,
-                    turnaround_cycles: turnaround,
-                    by_priority,
-                    preemptions,
-                },
-                faults,
+        Ok(Audit {
+            metrics: RunMetrics {
+                energy,
+                total_cycles: last_completion,
+                jobs_completed,
+                stalls: stall_episodes,
+                stall_offers,
+                busy_cycles,
+                turnaround_cycles: turnaround,
+                by_priority,
+                preemptions,
             },
+            faults,
             admitted: arrived.len() as u64,
             sheds,
         })
     }
 
-    /// Replay `events` and compare the derived ledger against the
-    /// simulator's `metrics`: energies must match to the bit, every
-    /// counter exactly.
+    /// Replay `events` and compare the derived ledger with the one the run
+    /// `reported`: energies to the bit, every other field exactly. With
+    /// the structural replay (every admitted arrival completes or is
+    /// explicitly abandoned, no core still occupied at the end), a
+    /// matching `admitted` and `sheds` prove that no offered arrival was
+    /// dropped off the books.
     ///
     /// # Errors
     ///
-    /// Returns structural violations from [`replay`](Self::replay), or the
-    /// list of ledger divergences.
-    pub fn check(&self, events: &[TraceEvent], metrics: &RunMetrics) -> Result<(), Vec<String>> {
+    /// Returns the structural violations from [`replay`](Self::replay),
+    /// or the list of ledger divergences.
+    pub fn check(&self, events: &[TraceEvent], reported: &Audit) -> Result<(), Vec<String>> {
         let derived = self.replay(events)?;
-        let divergences = ledger_divergences(&derived, metrics);
-        if divergences.is_empty() {
-            Ok(())
-        } else {
-            Err(divergences)
-        }
-    }
-
-    /// Replay a *faulted* run's events and compare both the ledger and
-    /// the fault counters against what the simulator reported: energies
-    /// to the bit, every counter exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural violations from
-    /// [`replay_with_faults`](Self::replay_with_faults), or the list of
-    /// ledger / fault-counter divergences.
-    pub fn check_faulted(
-        &self,
-        events: &[TraceEvent],
-        run: &FaultedRun,
-    ) -> Result<(), Vec<String>> {
-        let derived = self.replay_with_faults(events)?;
-        let mut divergences = ledger_divergences(&derived.metrics, &run.metrics);
-        if derived.faults != run.faults {
+        let mut divergences = ledger_divergences(&derived.metrics, &reported.metrics);
+        if derived.faults != reported.faults {
             divergences.push(format!(
                 "fault counters: derived {:?} != reported {:?}",
-                derived.faults, run.faults
+                derived.faults, reported.faults
             ));
         }
-        if divergences.is_empty() {
-            Ok(())
-        } else {
-            Err(divergences)
-        }
-    }
-
-    /// Replay a governed run's events and enforce the extended
-    /// conservation invariant against what the overload governor
-    /// reported: every counter exactly, energies to the bit, and
-    /// `offered = admitted + shed` with the trace-derived admission
-    /// ledger matching the governor's own counts. Combined with the
-    /// structural replay (every admitted arrival completes or is
-    /// explicitly abandoned, no core still occupied at the horizon),
-    /// this proves no offered arrival was dropped off the books.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural violations from
-    /// [`replay_governed`](Self::replay_governed), or the list of
-    /// ledger / admission divergences.
-    pub fn check_governed(
-        &self,
-        events: &[TraceEvent],
-        metrics: &RunMetrics,
-        offered: u64,
-        shed: u64,
-    ) -> Result<(), Vec<String>> {
-        let audit = self.replay_governed(events)?;
-        let mut divergences = ledger_divergences(&audit.run.metrics, metrics);
-        if audit.sheds != shed {
-            divergences.push(format!(
-                "sheds: trace carries {} Shed events, governor reported {shed}",
-                audit.sheds
-            ));
-        }
-        if audit.offered() != offered {
-            divergences.push(format!(
-                "admission conservation: {} admitted + {} shed != {offered} offered",
-                audit.admitted, audit.sheds
-            ));
+        for (name, d, r) in [
+            ("admitted", derived.admitted, reported.admitted),
+            ("sheds", derived.sheds, reported.sheds),
+        ] {
+            if d != r {
+                divergences.push(format!("{name}: derived {d} != reported {r}"));
+            }
         }
         if divergences.is_empty() {
             Ok(())
@@ -1732,11 +1655,12 @@ mod tests {
 
     #[test]
     fn empty_trace_replays_to_a_zero_ledger() {
-        let run = LedgerAuditor::new(4).replay_with_faults(&[]).unwrap();
-        assert_eq!(run.metrics.jobs_completed, 0);
-        assert_eq!(run.metrics.total_cycles, 0);
-        assert_eq!(run.metrics.energy.idle_nj, 0.0);
-        assert_eq!(run.faults, crate::faults::FaultStats::default());
+        let audit = LedgerAuditor::new(4).replay(&[]).unwrap();
+        assert_eq!(audit.metrics.jobs_completed, 0);
+        assert_eq!(audit.metrics.total_cycles, 0);
+        assert_eq!(audit.metrics.energy.idle_nj, 0.0);
+        assert_eq!(audit.faults, crate::faults::FaultStats::default());
+        assert_eq!((audit.admitted, audit.sheds), (0, 0));
         // A zero-core system with no events is likewise fine.
         assert!(LedgerAuditor::new(0).replay(&[]).is_ok());
     }
@@ -1808,7 +1732,7 @@ mod tests {
                 abandoned: true,
             },
         ];
-        let run = LedgerAuditor::new(1).replay_with_faults(&events).unwrap();
+        let run = LedgerAuditor::new(1).replay(&events).unwrap();
         assert_eq!(run.metrics.jobs_completed, 0);
         assert_eq!(run.faults.crashes, 1);
         assert_eq!(run.faults.jobs_failed, 1);
@@ -1817,9 +1741,7 @@ mod tests {
         assert_eq!(run.metrics.busy_cycles, vec![40]);
 
         // Without the Retry{abandoned} record the job counts as lost.
-        let violations = LedgerAuditor::new(1)
-            .replay_with_faults(&events[..3])
-            .unwrap_err();
+        let violations = LedgerAuditor::new(1).replay(&events[..3]).unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("conservation")),
             "{violations:?}"
@@ -1851,7 +1773,7 @@ mod tests {
             kind: PlacementKind::Pass,
         };
         let violations = LedgerAuditor::new(1)
-            .replay_with_faults(&[down, arrival, place])
+            .replay(&[down, arrival, place])
             .unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("offline")),
@@ -1864,18 +1786,14 @@ mod tests {
             to: 5,
             idle_power_nj_per_cycle: 1.0,
         };
-        let violations = LedgerAuditor::new(1)
-            .replay_with_faults(&[down, idle])
-            .unwrap_err();
+        let violations = LedgerAuditor::new(1).replay(&[down, idle]).unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("offline")),
             "{violations:?}"
         );
 
         // Redundant transitions are rejected too.
-        let violations = LedgerAuditor::new(1)
-            .replay_with_faults(&[down, down])
-            .unwrap_err();
+        let violations = LedgerAuditor::new(1).replay(&[down, down]).unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("redundant")),
             "{violations:?}"
@@ -1918,9 +1836,7 @@ mod tests {
                 priority: 0,
             },
         ];
-        let violations = LedgerAuditor::new(1)
-            .replay_with_faults(&events)
-            .unwrap_err();
+        let violations = LedgerAuditor::new(1).replay(&events).unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("backoff")),
             "{violations:?}"
@@ -1965,28 +1881,38 @@ mod tests {
                 priority: 0,
             },
         ];
-        let audit = LedgerAuditor::new(1).replay_governed(&events).unwrap();
+        let audit = LedgerAuditor::new(1).replay(&events).unwrap();
         assert_eq!(audit.admitted, 1);
         assert_eq!(audit.sheds, 2);
-        assert_eq!(audit.offered(), 3);
-        let metrics = audit.run.metrics.clone();
+        // The governor's view: 3 offered, 2 shed.
+        let governed = |offered: u64, shed: u64| Audit {
+            admitted: offered - shed,
+            sheds: shed,
+            ..audit.metrics.clone().into()
+        };
         LedgerAuditor::new(1)
-            .check_governed(&events, &metrics, 3, 2)
+            .check(&events, &governed(3, 2))
             .unwrap();
         // A governor misreporting its shed count (or the offered total)
         // is a divergence.
         let divergences = LedgerAuditor::new(1)
-            .check_governed(&events, &metrics, 3, 1)
+            .check(&events, &governed(3, 1))
             .unwrap_err();
         assert!(
             divergences.iter().any(|d| d.contains("sheds")),
             "{divergences:?}"
         );
         let divergences = LedgerAuditor::new(1)
-            .check_governed(&events, &metrics, 4, 2)
+            .check(&events, &governed(4, 2))
+            .unwrap_err();
+        assert_eq!(divergences.len(), 1, "{divergences:?}");
+        assert!(divergences[0].starts_with("admitted"), "{divergences:?}");
+        // Nor does the trace pass for an ungoverned run's.
+        let divergences = LedgerAuditor::new(1)
+            .check(&events, &audit.metrics.clone().into())
             .unwrap_err();
         assert!(
-            divergences.iter().any(|d| d.contains("conservation")),
+            divergences.iter().any(|d| d.contains("sheds")),
             "{divergences:?}"
         );
     }
@@ -2033,7 +1959,7 @@ mod tests {
                 reason: ShedReason::Deadline,
             },
         ];
-        let audit = LedgerAuditor::new(1).replay_governed(&events).unwrap();
+        let audit = LedgerAuditor::new(1).replay(&events).unwrap();
         assert_eq!(audit.admitted, 1);
         assert_eq!(audit.sheds, 1);
     }
@@ -2048,9 +1974,7 @@ mod tests {
             priority: 0,
             reason: ShedReason::RateLimit,
         };
-        let violations = LedgerAuditor::new(1)
-            .replay_governed(&[shed, shed])
-            .unwrap_err();
+        let violations = LedgerAuditor::new(1).replay(&[shed, shed]).unwrap_err();
         assert!(
             violations.iter().any(|v| v.contains("shed twice")),
             "{violations:?}"
@@ -2244,9 +2168,12 @@ mod tests {
                 priority: 0,
             },
         ];
-        let metrics = LedgerAuditor::new(2).replay(&events).unwrap();
+        let audit = LedgerAuditor::new(2).replay(&events).unwrap();
         // Both cores over [0, 10), core 1 alone over [10, 15).
-        assert_eq!(metrics.energy.idle_nj, 10.0 * 1.5 + 10.0 * 0.5 + 5.0 * 0.5);
+        assert_eq!(
+            audit.metrics.energy.idle_nj,
+            10.0 * 1.5 + 10.0 * 0.5 + 5.0 * 0.5
+        );
 
         // An advance over an idle core nobody announced is rejected.
         let violations = LedgerAuditor::new(2).replay(&events[1..]).unwrap_err();
@@ -2266,8 +2193,8 @@ mod tests {
             idle_total_nj,
         };
         let honest = [announced(0, 10, 1.5), advance(10, 15.0), advance(20, 30.0)];
-        let metrics = LedgerAuditor::new(1).replay(&honest).unwrap();
-        assert_eq!(metrics.energy.idle_nj, 30.0);
+        let audit = LedgerAuditor::new(1).replay(&honest).unwrap();
+        assert_eq!(audit.metrics.energy.idle_nj, 30.0);
 
         // One ulp off on the first advance: the replayed ledger still
         // matches, the carried total does not.

@@ -175,7 +175,7 @@ proptest! {
         let metrics = Simulator::new(cores)
             .with_discipline(discipline)
             .run_with_sink(&plan, &mut FirstIdle, &mut sink);
-        let outcome = LedgerAuditor::new(cores).check(sink.events(), &metrics);
+        let outcome = LedgerAuditor::new(cores).check(sink.events(), &metrics.into());
         prop_assert!(outcome.is_ok(), "audit failed: {:?}", outcome.err());
     }
 
@@ -278,7 +278,7 @@ proptest! {
             "conservation of jobs"
         );
         prop_assert!(run.faults.max_attempts_observed <= config.max_attempts);
-        let outcome = LedgerAuditor::new(cores).check_faulted(sink.events(), &run);
+        let outcome = LedgerAuditor::new(cores).check(sink.events(), &run.into());
         prop_assert!(outcome.is_ok(), "fault audit failed: {:?}", outcome.err());
     }
 
@@ -316,7 +316,7 @@ fn manycore_1024_smoke_conserves_and_audits_clean() {
             .with_discipline(discipline)
             .run_with_sink(&plan, &mut FirstIdle, &mut sink);
         assert_eq!(metrics.jobs_completed, plan.len() as u64);
-        let outcome = LedgerAuditor::new(cores).check(sink.events(), &metrics);
+        let outcome = LedgerAuditor::new(cores).check(sink.events(), &metrics.into());
         assert!(
             outcome.is_ok(),
             "1024-core audit failed: {:?}",

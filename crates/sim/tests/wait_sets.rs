@@ -6,9 +6,9 @@
 
 use energy_model::EnergyBreakdown;
 use multicore_sim::{
-    ledger_divergences, CoreId, CoreIndex, CoreSet, Decision, FaultConfig, FaultPlan, FaultedRun,
-    Job, JobExecution, LedgerAuditor, NullSink, QueueDiscipline, RecordingSink, Scheduler,
-    Simulator, StallPurityChecked, TraceEvent, TraceSink,
+    ledger_divergences, Audit, CoreId, CoreIndex, CoreSet, Decision, FaultConfig, FaultPlan,
+    FaultedRun, Job, JobExecution, LedgerAuditor, NullSink, QueueDiscipline, RecordingSink,
+    Scheduler, Simulator, StallPurityChecked, TraceEvent, TraceSink,
 };
 use proptest::prelude::*;
 use workloads::{Arrival, ArrivalPlan, BenchmarkId};
@@ -208,11 +208,11 @@ proptest! {
             assert_same(&a, &b);
             prop_assert_eq!(visible_sink.events(), hidden_sink.events());
             let replayed = LedgerAuditor::new(cores)
-                .replay_with_faults(visible_sink.events())
+                .replay(visible_sink.events())
                 .unwrap_or_else(|violations| panic!("{violations:?}"));
             let divergences = ledger_divergences(&replayed.metrics, &a.metrics);
             prop_assert!(divergences.is_empty(), "{divergences:?}");
-            prop_assert_eq!(&replayed, &a);
+            prop_assert_eq!(replayed, Audit::from(a));
         } else {
             let a = run(&sim, &plan, &mut visible, &fault_plan, &mut NullSink);
             let b = run(&sim, &plan, &mut hidden, &fault_plan, &mut NullSink);

@@ -514,56 +514,15 @@ impl MetricsSink {
     pub fn report(&self) -> TelemetryReport {
         let window_count = (self.window_base + self.windows.len())
             .max((self.last_at / self.interval) as usize + usize::from(self.last_at > 0));
-        let mut points = Vec::with_capacity(window_count - self.window_base);
         let empty = WindowAcc::default();
-        for index in self.window_base..window_count {
-            let acc = self.windows.get(index - self.window_base).unwrap_or(&empty);
-            let start = index as u64 * self.interval;
-            let end = (start + self.interval).min(self.last_at.max(start));
-            let span = end - start;
-            let mut cores = Vec::with_capacity(self.num_cores);
-            for core in 0..self.num_cores {
-                let (idle_cycles, mut offline, idle_energy_nj) = acc.core(core);
-                // A core still offline at the end of the stream has no
-                // recovery event to back-fill its outage span; overlay it.
-                if let Some(since) = self.core_offline_since[core] {
-                    offline += overlap(since, self.last_at, start, end);
-                }
-                let accounted = idle_cycles + offline;
-                let busy = span.saturating_sub(accounted);
-                cores.push(CorePoint {
-                    busy_cycles: busy,
-                    idle_cycles,
-                    offline_cycles: offline,
-                    idle_energy_nj,
-                    utilisation: if span == 0 {
-                        0.0
-                    } else {
-                        busy as f64 / span as f64
-                    },
-                });
-            }
-            points.push(SeriesPoint {
-                index,
-                start,
-                end,
-                arrivals: acc.arrivals,
-                placements: acc.placements,
-                completions: acc.completions,
-                stall_offers: acc.stall_offers,
-                stall_episodes: acc.stall_episodes,
-                evictions: acc.evictions,
-                preemption_probes: acc.preemption_probes,
-                faults: acc.faults,
-                retries: acc.retries,
-                fallbacks: acc.fallbacks,
-                sheds: acc.sheds,
-                ready_depth: acc.ready_depth_end.unwrap_or(self.ready),
-                dynamic_nj: acc.dynamic_nj,
-                static_nj: acc.static_nj,
-                cores,
-            });
-        }
+        let points = (self.window_base..window_count)
+            .map(|index| {
+                let acc = self.windows.get(index - self.window_base).unwrap_or(&empty);
+                let start = index as u64 * self.interval;
+                let end = (start + self.interval).min(self.last_at.max(start));
+                self.point(index, acc, end)
+            })
+            .collect();
         TelemetryReport {
             interval: self.interval,
             num_cores: self.num_cores,
@@ -636,52 +595,67 @@ impl MetricsSink {
             let index = self.window_base;
             let acc = self.windows.pop_front().unwrap_or_default();
             self.window_base += 1;
-            let start = index as u64 * self.interval;
-            let end = start + self.interval;
-            let mut cores = Vec::with_capacity(self.num_cores);
-            for core in 0..self.num_cores {
+            let end = (index as u64 + 1) * self.interval;
+            points.push(self.point(index, &acc, end));
+            // The point overlaid each still-offline core's outage up to
+            // `end`: advance the outage start past it, so the recovery
+            // back-fill stays in retained windows and nothing is
+            // double-counted.
+            for since in self.core_offline_since.iter_mut().flatten() {
+                *since = (*since).max(end);
+            }
+            self.spare.push(acc);
+        }
+        points
+    }
+
+    /// The series point of window `index`, closed at `end` (the window's
+    /// end, or the last event's cycle in a window still filling). A core
+    /// still offline has no recovery event yet to back-fill its outage, so
+    /// the outage is overlaid up to `end`.
+    fn point(&self, index: usize, acc: &WindowAcc, end: u64) -> SeriesPoint {
+        let start = index as u64 * self.interval;
+        let span = end - start;
+        let cores = (0..self.num_cores)
+            .map(|core| {
                 let (idle_cycles, mut offline, idle_energy_nj) = acc.core(core);
-                // A core still offline has no recovery event yet: overlay
-                // its outage over this window and advance the outage start
-                // past it, so the recovery back-fill stays in retained
-                // windows and nothing is double-counted.
                 if let Some(since) = self.core_offline_since[core] {
                     offline += overlap(since, end, start, end);
-                    self.core_offline_since[core] = Some(since.max(end));
                 }
-                let accounted = idle_cycles + offline;
-                let busy = self.interval.saturating_sub(accounted);
-                cores.push(CorePoint {
+                let busy = span.saturating_sub(idle_cycles + offline);
+                CorePoint {
                     busy_cycles: busy,
                     idle_cycles,
                     offline_cycles: offline,
                     idle_energy_nj,
-                    utilisation: busy as f64 / self.interval as f64,
-                });
-            }
-            points.push(SeriesPoint {
-                index,
-                start,
-                end,
-                arrivals: acc.arrivals,
-                placements: acc.placements,
-                completions: acc.completions,
-                stall_offers: acc.stall_offers,
-                stall_episodes: acc.stall_episodes,
-                evictions: acc.evictions,
-                preemption_probes: acc.preemption_probes,
-                faults: acc.faults,
-                retries: acc.retries,
-                fallbacks: acc.fallbacks,
-                sheds: acc.sheds,
-                ready_depth: acc.ready_depth_end.unwrap_or(self.ready),
-                dynamic_nj: acc.dynamic_nj,
-                static_nj: acc.static_nj,
-                cores,
-            });
-            self.spare.push(acc);
+                    utilisation: if span == 0 {
+                        0.0
+                    } else {
+                        busy as f64 / span as f64
+                    },
+                }
+            })
+            .collect();
+        SeriesPoint {
+            index,
+            start,
+            end,
+            arrivals: acc.arrivals,
+            placements: acc.placements,
+            completions: acc.completions,
+            stall_offers: acc.stall_offers,
+            stall_episodes: acc.stall_episodes,
+            evictions: acc.evictions,
+            preemption_probes: acc.preemption_probes,
+            faults: acc.faults,
+            retries: acc.retries,
+            fallbacks: acc.fallbacks,
+            sheds: acc.sheds,
+            ready_depth: acc.ready_depth_end.unwrap_or(self.ready),
+            dynamic_nj: acc.dynamic_nj,
+            static_nj: acc.static_nj,
+            cores,
         }
-        points
     }
 
     /// Move retries whose backoff elapsed by `upto` into the ready count.

@@ -88,7 +88,7 @@ fn main() {
     // counter exactly.
     let auditor = LedgerAuditor::new(arch.num_cores());
     let derived = auditor.replay(&events).expect("trace is well-formed");
-    assert_eq!(derived, metrics, "replay must reproduce the ledger");
+    assert_eq!(derived.metrics, metrics, "replay must reproduce the ledger");
     println!(
         "\naudit: ledger re-derived bit-for-bit ({:.1} uJ total, {} stall episodes, {} offers, \
          {} preemptions)",
@@ -107,7 +107,7 @@ fn main() {
             break;
         }
     }
-    match auditor.check(&tampered, &metrics) {
+    match auditor.check(&tampered, &metrics.into()) {
         Ok(()) => unreachable!("a tampered trace must not audit clean"),
         Err(divergences) => {
             println!("\ntampered trace rejected:");

@@ -67,6 +67,9 @@ cargo build --release --offline -p hetero-bench
 echo "==> audit --smoke (flight-recorder ledger + stall-purity audit)"
 ./target/release/audit --smoke
 
+echo "==> flight_recorder example (replay reproduces the ledger, a tampered trace is rejected)"
+cargo run --release --offline --quiet --example flight_recorder >/dev/null
+
 echo "==> pinned artifacts (table1 + figure6 + figure7 + full chaos sweep regenerate byte-identically)"
 # The bins write under ./results/, so run them in a scratch directory and
 # compare against the committed files: any drift in the reproduced paper
