@@ -5,14 +5,15 @@
 //! workload shape — and the sink's own fold must agree with the
 //! simulator's ledger where the two overlap (counters exactly, energies
 //! to the bit, the latency histogram's exact sum equal to the ledger's
-//! turnaround total).
+//! turnaround total). Faulted runs hold the sink's refunds and fault
+//! counters to the faulted ledger the same way.
 
 use hetero_bench::{tiled_architecture, SystemKind, Testbed};
 use hetero_oracles::sim::run_reference;
 use hetero_telemetry::{MetricsSink, SpanAssembler};
 use multicore_sim::{
-    FaultConfig, FaultPlan, IdleCores, QueueDiscipline, RecordingSink, Simulator, TraceEvent,
-    TraceSink,
+    FaultConfig, FaultPlan, IdleCores, NullSink, QueueDiscipline, RecordingSink, Simulator,
+    TraceEvent, TraceSink,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -50,7 +51,10 @@ proptest! {
     /// The sink is passive: instrumented `RunMetrics` == reference
     /// `RunMetrics` down to every `f64` bit (Debug renders the shortest
     /// round-trip form, pinning the bits), and the sink's fold agrees
-    /// with the ledger wherever the two measure the same thing.
+    /// with the ledger wherever the two measure the same thing. A faulted
+    /// run (crashes, watchdog kills, core outages) compares the traced
+    /// `FaultedRun` with the untraced one, and the sink's refunds on
+    /// `Fault` events with the faulted ledger's energies and counters.
     #[test]
     fn metrics_sink_never_perturbs_the_run(
         system_index in 0usize..4,
@@ -58,26 +62,53 @@ proptest! {
         jobs in 40usize..120,
         seed in 0u64..1_000,
         sparse in 0usize..2,
+        faulted in 0usize..2,
     ) {
         let t = Testbed::shared_small();
         let horizon = if sparse == 1 { 80_000_000 } else { 4_000_000 };
         let plan = ArrivalPlan::uniform_with_priorities(jobs, horizon, t.suite.len(), 3, seed);
-        // The same system twice from identical state: once through
-        // `run_reference`, once through the traced loop into a sink.
+        // The same system twice from identical state: once untraced
+        // (through `run_reference` when unfaulted), once through the
+        // traced loop into a sink.
         let kind = SystemKind::ALL[system_index];
         let num_cores = t.arch.num_cores();
         let sim = Simulator::new(num_cores).with_discipline(DISCIPLINES[discipline_index]);
-        let reference = run_reference(&sim, &plan, &mut t.system(kind));
         let mut sink = MetricsSink::new(num_cores, INTERVAL);
-        let instrumented = sim.run_with_sink(&plan, &mut t.system(kind), &mut sink);
+        let (reference, faults) = if faulted == 1 {
+            let faults = FaultPlan::build(&FaultConfig::chaos(0.3, seed, horizon), num_cores);
+            let untraced = sim.run_with_faults(&plan, &mut t.system(kind), &faults, &mut NullSink);
+            let instrumented = sim.run_with_faults(&plan, &mut t.system(kind), &faults, &mut sink);
+            prop_assert_eq!(
+                format!("{untraced:?}"),
+                format!("{instrumented:?}"),
+                "MetricsSink perturbed the faulted run"
+            );
+            (untraced.metrics, Some(untraced.faults))
+        } else {
+            let reference = run_reference(&sim, &plan, &mut t.system(kind));
+            let instrumented = sim.run_with_sink(&plan, &mut t.system(kind), &mut sink);
+            // Bit-identity of the full ledger.
+            prop_assert_eq!(
+                format!("{reference:?}"),
+                format!("{instrumented:?}"),
+                "MetricsSink perturbed the run"
+            );
+            (reference, None)
+        };
         let report = sink.report();
 
-        // Bit-identity of the full ledger.
-        prop_assert_eq!(
-            format!("{reference:?}"),
-            format!("{instrumented:?}"),
-            "MetricsSink perturbed the run"
-        );
+        // The faulted ledger's fault and recovery counters, event for
+        // event.
+        if let Some(faults) = faults {
+            prop_assert_eq!(
+                report.totals.faults,
+                faults.crashes + faults.watchdog_kills + faults.outage_evictions
+            );
+            prop_assert_eq!(report.totals.retries, faults.retries);
+            prop_assert_eq!(report.totals.abandoned, faults.jobs_failed);
+            prop_assert_eq!(report.totals.fallbacks, faults.fallbacks);
+            prop_assert_eq!(report.totals.degraded_transitions, faults.degraded_transitions);
+        }
 
         // The sink's independent fold of the same stream agrees with the
         // simulator's ledger: counters exactly...

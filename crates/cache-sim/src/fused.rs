@@ -1,6 +1,7 @@
-//! Single-pass ("fused") multi-configuration sweeps.
+//! Single-pass ("fused") multi-configuration sweeps: [`sweep`],
+//! [`sweep_with_policy`] and [`sweep_hierarchy`].
 //!
-//! [`sweep`](crate::sweep) semantically replays the trace once per Table 1
+//! A sweep semantically replays the trace once per Table 1
 //! configuration — 18 passes. The paper's offline characterisation does
 //! this for every benchmark, so it dominates `SuiteOracle::build` time.
 //! This module walks the trace **once**, feeding each block of accesses to
@@ -396,23 +397,30 @@ fn splitmix_mix(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Single-pass equivalent of `hetero_oracles::cache::sweep_serial`:
-/// simulate `trace` under all 18 Table 1 configurations while walking it
-/// once. Results are bit-identical, in [`design_space`] order.
+/// Simulate `trace` under **all 18** Table 1 configurations.
+///
+/// This is what the paper did offline with SimpleScalar ("we used
+/// SimpleScalar to record the benchmarks' cache accesses and miss rates for
+/// every cache configuration"). Results are in [`design_space`] order.
+///
+/// Single pass over the trace; `hetero_oracles::cache::sweep_serial` is
+/// the obviously-correct 18-replay reference it is property-tested
+/// against, and the results are bit-identical.
 ///
 /// ```
-/// use cache_sim::{sweep_fused, Access, Trace};
+/// use cache_sim::{sweep, Access, Trace};
 /// use hetero_oracles::cache::sweep_serial;
 /// let trace: Trace = (0..512u64).map(|i| Access::read(i * 24)).collect();
-/// assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
+/// assert_eq!(sweep(&trace), sweep_serial(&trace));
 /// ```
-pub fn sweep_fused(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
-    sweep_fused_with_policy(trace, ReplacementPolicy::Lru)
+pub fn sweep(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
+    sweep_with_policy(trace, ReplacementPolicy::Lru)
 }
 
-/// Like [`sweep_fused`] with an explicit replacement policy — the fused
-/// analogue of `hetero_oracles::cache::sweep_with_policy_serial`.
-pub fn sweep_fused_with_policy(
+/// Like [`sweep`], but with an explicit replacement policy (the
+/// replacement-policy ablation; [`sweep`] is the paper's LRU). Its
+/// per-config reference is `hetero_oracles::cache::sweep_with_policy_serial`.
+pub fn sweep_with_policy(
     trace: &Trace,
     policy: ReplacementPolicy,
 ) -> Vec<(CacheConfig, CacheStats)> {
@@ -431,17 +439,15 @@ pub fn sweep_fused_with_policy(
         .collect()
 }
 
-/// Single-pass equivalent of
-/// `hetero_oracles::cache::sweep_hierarchy_serial`: all 18 L1
-/// configurations, each in front of its own private copy of the same L2
-/// geometry, in one trace walk. Per block, each L1 lane's misses are
+/// Simulate `trace` under all 18 L1 configurations, each in front of
+/// its own private copy of the same L2 geometry, in
+/// [`design_space`] order and one trace walk;
+/// `hetero_oracles::cache::sweep_hierarchy_serial` is the per-config
+/// reference it is tested against. Per block, each L1 lane's misses are
 /// collected in order and replayed through its L2 lane — the L2 sees
 /// exactly the reference stream it would in an interleaved
 /// [`CacheHierarchy`](crate::CacheHierarchy) replay.
-pub fn sweep_hierarchy_fused(
-    l2_geometry: Geometry,
-    trace: &Trace,
-) -> Vec<(CacheConfig, HierarchyStats)> {
+pub fn sweep_hierarchy(l2_geometry: Geometry, trace: &Trace) -> Vec<(CacheConfig, HierarchyStats)> {
     let mut lanes: Vec<(CacheConfig, Lane, Lane)> = design_space()
         .map(|config| {
             (
@@ -480,7 +486,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_zeroed_lanes() {
-        for (config, stats) in sweep_fused(&Trace::new()) {
+        for (config, stats) in sweep(&Trace::new()) {
             assert_eq!(stats.accesses(), 0, "{config}");
         }
     }

@@ -140,20 +140,10 @@ pub fn simulate_hierarchy(
     CacheHierarchy::new(l1_config, l2_geometry).run(trace)
 }
 
-/// Simulate `trace` under all 18 L1 configurations in front of the same
-/// L2 geometry, in [`design_space`](crate::design_space) order.
-///
-/// Delegates to the single-pass
-/// [`sweep_hierarchy_fused`](crate::sweep_hierarchy_fused) engine;
-/// `hetero_oracles::cache::sweep_hierarchy_serial` is the per-config
-/// reference it is tested against.
-pub fn sweep_hierarchy(l2_geometry: Geometry, trace: &Trace) -> Vec<(CacheConfig, HierarchyStats)> {
-    crate::fused::sweep_hierarchy_fused(l2_geometry, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_hierarchy;
     use crate::trace::simulate;
 
     fn l1() -> CacheConfig {

@@ -53,10 +53,8 @@ pub use config::{
     design_space, Associativity, CacheConfig, CacheSizeKb, ConfigError, LineSize, BASE_CONFIG,
     DESIGN_SPACE_LEN,
 };
-pub use fused::{sweep_fused, sweep_fused_with_policy, sweep_hierarchy_fused};
+pub use fused::{sweep, sweep_hierarchy, sweep_with_policy};
 pub use geometry::{Geometry, GeometryError};
-pub use hierarchy::{
-    simulate_hierarchy, sweep_hierarchy, CacheHierarchy, HierarchyStats, HitLevel,
-};
+pub use hierarchy::{simulate_hierarchy, CacheHierarchy, HierarchyStats, HitLevel};
 pub use stats::CacheStats;
-pub use trace::{simulate, sweep, sweep_with_policy, Access, AccessKind, Trace};
+pub use trace::{simulate, Access, AccessKind, Trace};

@@ -174,33 +174,11 @@ pub fn simulate(config: CacheConfig, trace: &Trace) -> CacheStats {
     Cache::new(config).run(trace)
 }
 
-/// Simulate `trace` under **all 18** Table 1 configurations.
-///
-/// This is what the paper did offline with SimpleScalar ("we used
-/// SimpleScalar to record the benchmarks' cache accesses and miss rates for
-/// every cache configuration"). Results are in [`design_space`](crate::design_space) order.
-///
-/// Delegates to the single-pass [`sweep_fused`](crate::sweep_fused)
-/// engine; `hetero_oracles::cache::sweep_serial` is the obviously-correct
-/// 18-replay reference the fused path is property-tested against.
-pub fn sweep(trace: &Trace) -> Vec<(CacheConfig, CacheStats)> {
-    crate::fused::sweep_fused(trace)
-}
-
-/// Like [`sweep`], but with an explicit replacement policy (the
-/// replacement-policy ablation; [`sweep`] is the paper's LRU). Fused,
-/// single-pass; its per-config reference is in `hetero_oracles::cache`.
-pub fn sweep_with_policy(
-    trace: &Trace,
-    policy: crate::ReplacementPolicy,
-) -> Vec<(CacheConfig, CacheStats)> {
-    crate::fused::sweep_fused_with_policy(trace, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{BASE_CONFIG, DESIGN_SPACE_LEN};
+    use crate::sweep;
 
     fn strided(n: u64, stride: u64) -> Trace {
         (0..n).map(|i| Access::read(i * stride)).collect()

@@ -5,8 +5,8 @@
 //! obviously-correct reference model.
 
 use cache_sim::{
-    design_space, simulate, sweep_fused, sweep_fused_with_policy, sweep_hierarchy_fused, Access,
-    Cache, CacheConfig, Geometry, ReplacementPolicy, Trace,
+    design_space, simulate, sweep, sweep_hierarchy, sweep_with_policy, Access, Cache, CacheConfig,
+    Geometry, ReplacementPolicy, Trace,
 };
 use hetero_oracles::cache::{sweep_hierarchy_serial, sweep_serial, sweep_with_policy_serial};
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ proptest! {
     /// characterisation pipeline.
     #[test]
     fn fused_sweep_matches_serial_sweep(trace in arbitrary_trace(600, 18)) {
-        prop_assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
+        prop_assert_eq!(sweep(&trace), sweep_serial(&trace));
     }
 
     /// Fused/serial equivalence also holds for the non-LRU replacement
@@ -168,7 +168,7 @@ proptest! {
             ReplacementPolicy::Random { seed },
         ] {
             prop_assert_eq!(
-                sweep_fused_with_policy(&trace, policy),
+                sweep_with_policy(&trace, policy),
                 sweep_with_policy_serial(&trace, policy),
                 "policy {:?}", policy
             );
@@ -181,7 +181,7 @@ proptest! {
     fn fused_hierarchy_sweep_matches_serial(trace in arbitrary_trace(400, 18)) {
         let l2 = Geometry::typical_l2();
         prop_assert_eq!(
-            sweep_hierarchy_fused(l2, &trace),
+            sweep_hierarchy(l2, &trace),
             sweep_hierarchy_serial(l2, &trace)
         );
     }
@@ -229,7 +229,7 @@ fn mixed_trace(len: u64) -> Trace {
 #[test]
 fn fused_matches_serial_lru() {
     let trace = mixed_trace(20_000);
-    assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
+    assert_eq!(sweep(&trace), sweep_serial(&trace));
 }
 
 #[test]
@@ -241,7 +241,7 @@ fn fused_matches_serial_for_every_policy() {
         ReplacementPolicy::Random { seed: 0xDEAD_BEEF },
     ] {
         assert_eq!(
-            sweep_fused_with_policy(&trace, policy),
+            sweep_with_policy(&trace, policy),
             sweep_with_policy_serial(&trace, policy),
             "{policy:?}"
         );
@@ -252,7 +252,7 @@ fn fused_matches_serial_for_every_policy() {
 fn fused_hierarchy_matches_serial() {
     let trace = mixed_trace(12_000);
     assert_eq!(
-        sweep_hierarchy_fused(Geometry::typical_l2(), &trace),
+        sweep_hierarchy(Geometry::typical_l2(), &trace),
         sweep_hierarchy_serial(Geometry::typical_l2(), &trace)
     );
 }
@@ -263,7 +263,7 @@ fn fused_hierarchy_matches_serial_on_an_odd_l2() {
     let l2 = Geometry::new(3, 2, 32).unwrap();
     let trace = mixed_trace(4_000);
     assert_eq!(
-        sweep_hierarchy_fused(l2, &trace),
+        sweep_hierarchy(l2, &trace),
         sweep_hierarchy_serial(l2, &trace)
     );
 }
@@ -274,7 +274,7 @@ fn tile_boundaries_are_invisible() {
     // BLOCK+1, several blocks plus a remainder.
     for len in [0, 1, 1023, 1024, 1025, 5000] {
         let trace = mixed_trace(len as u64);
-        assert_eq!(sweep_fused(&trace), sweep_serial(&trace), "len {len}");
+        assert_eq!(sweep(&trace), sweep_serial(&trace), "len {len}");
     }
 }
 
@@ -284,5 +284,5 @@ fn sentinel_tags_survive_extreme_addresses() {
     let trace: Trace = (0..64u64)
         .map(|i| Access::read(u64::MAX - i * 16))
         .collect();
-    assert_eq!(sweep_fused(&trace), sweep_serial(&trace));
+    assert_eq!(sweep(&trace), sweep_serial(&trace));
 }

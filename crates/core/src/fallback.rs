@@ -89,19 +89,6 @@ impl FallbackChain {
         BASE_CONFIG.size()
     }
 
-    /// Fold newly profiled jobs into the kNN stand-in as well, so a
-    /// degraded system (primary ensemble down, chain serving from stage 2)
-    /// also benefits from incremental retraining. Instance-based, so this
-    /// is pure memorisation — no training pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any feature vector has the wrong dimensionality.
-    pub fn absorb(&mut self, samples: &[(BenchmarkId, Vec<f64>, CacheSizeKb)]) {
-        // The kNN family ignores the SGD hyper-parameters; any config works.
-        self.knn.refine(samples, &tinyann::TrainConfig::default());
-    }
-
     /// The kNN stage's prediction.
     pub fn predict_knn(
         &self,

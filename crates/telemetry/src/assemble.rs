@@ -424,10 +424,10 @@ impl TraceSink for SpanAssembler {
             }
             TraceEvent::PreemptionProbe {
                 seq,
-                victim,
                 core,
                 at,
                 granted,
+                ..
             } => {
                 let label = if granted {
                     "probe_granted"
@@ -435,24 +435,6 @@ impl TraceSink for SpanAssembler {
                     "probe_denied"
                 };
                 self.mark(at, label, Some(seq), Some(core));
-                let _ = victim;
-            }
-            TraceEvent::Eviction {
-                victim, core, at, ..
-            } => {
-                self.close_busy(core, at);
-                if let Some(job) = self.jobs.get_mut(&victim) {
-                    let closed = *job;
-                    job.state = JobState::Queued { since: at };
-                    close_job_span(
-                        &mut self.job_spans,
-                        victim,
-                        closed,
-                        at,
-                        SpanClose::Preempted,
-                    );
-                }
-                self.mark(at, "evicted", Some(victim), Some(core));
             }
             TraceEvent::Completion { seq, core, at, .. } => {
                 self.close_busy(core, at);
@@ -461,27 +443,35 @@ impl TraceSink for SpanAssembler {
                 }
                 self.completed += 1;
             }
-            TraceEvent::Fault {
-                seq,
+            // An eviction or a fault cuts a placement short: the core's
+            // busy span ends, and the job requeues at that cycle (a
+            // faulted job unless a same-cycle retry event reschedules or
+            // abandons it).
+            TraceEvent::Eviction {
+                victim: seq,
                 core,
                 at,
-                kind,
                 ..
-            } => {
+            }
+            | TraceEvent::Fault { seq, core, at, .. } => {
+                let (close, label, detail) = match event {
+                    TraceEvent::Fault { kind, .. } => {
+                        (SpanClose::Faulted, "fault", Some(kind.name().to_string()))
+                    }
+                    _ => (SpanClose::Preempted, "evicted", None),
+                };
                 self.close_busy(core, at);
                 if let Some(job) = self.jobs.get_mut(&seq) {
                     let closed = *job;
-                    // The job requeues at the fault cycle unless a retry
-                    // event (same cycle) reschedules or abandons it.
                     job.state = JobState::Queued { since: at };
-                    close_job_span(&mut self.job_spans, seq, closed, at, SpanClose::Faulted);
+                    close_job_span(&mut self.job_spans, seq, closed, at, close);
                 }
                 self.marks.push(Mark {
                     at,
-                    label: "fault",
+                    label,
                     seq: Some(seq),
                     core: Some(core),
-                    detail: Some(kind.name().to_string()),
+                    detail,
                 });
             }
             TraceEvent::Retry {

@@ -24,20 +24,26 @@
 //! held within a gated cost budget by the `sim_metrics_overhead` stage
 //! of `perf_pipeline`.
 //!
-//! Idle time folds from [`TraceEvent::IdleAdvance`]: the run total is
-//! the simulator's own ledger sum, which the advance carries, so the
-//! sink's idle energy matches the ledger to the bit without re-deriving
-//! it. For the per-core window slots the sink tracks the idle cores and
-//! their announced idle power itself ([`IdleCores`], fed by placements,
-//! completions, evictions, faults, core transitions and
-//! [`TraceEvent::IdlePower`]) and charges each window the advance
-//! overlaps in one dense pass over every core ([`IdleCores::charge`]).
-//! The per-core [`TraceEvent::IdleSpan`] folds one core at a time and
-//! adds its own product to the total.
+//! Each event is folded once. A window accumulates its share of the
+//! run in a [`RunTotals`] of its own, and one counter step updates the
+//! run and the window together. An eviction and a fault both cut a
+//! placement short, so one arm refunds the unexecuted share with the
+//! simulator's own expression (`remaining / total`; a zero-cycle
+//! placement refunds nothing), which keeps the net energies on the
+//! ledger's bits. Idle advances, idle spans and offline spans are
+//! back-dated (stamped at their end), and one clip step splits each into
+//! the windows it overlaps; windows are addressed by index
+//! (`at / interval`), which makes that back-fill exact.
 //!
-//! Windows are addressed by index (`at / interval`), which makes the
-//! out-of-order back-fill of idle advances and spans (stamped at span
-//! *end*, covering earlier cycles) exact rather than approximate.
+//! An [`TraceEvent::IdleAdvance`] carries the simulator's own idle-energy
+//! ledger sum as the run total, so the sink's idle energy matches the
+//! ledger to the bit without re-deriving it. For the per-core window
+//! slots the sink tracks the idle cores and their announced idle power
+//! itself ([`IdleCores`], fed by placements, completions, evictions,
+//! faults, core transitions and [`TraceEvent::IdlePower`]) and charges
+//! each window in one dense pass over every core ([`IdleCores::charge`]).
+//! The per-core [`TraceEvent::IdleSpan`] charges its one core and adds
+//! its own product to the total.
 
 use crate::histogram::Histogram;
 use crate::registry::Registry;
@@ -74,24 +80,14 @@ impl Default for JobSlot {
     }
 }
 
-/// Accumulator for one time window. The per-core slots are parallel
-/// arrays indexed by core, so an idle advance charges a window in one
-/// dense pass.
+/// Accumulator for one time window: the window's share of the run
+/// counters, plus per-core slots as parallel arrays indexed by core, so
+/// an idle advance charges a window in one dense pass.
 #[derive(Debug, Clone, Default)]
 struct WindowAcc {
-    arrivals: u64,
-    placements: u64,
-    completions: u64,
-    stall_offers: u64,
-    stall_episodes: u64,
-    evictions: u64,
-    preemption_probes: u64,
-    faults: u64,
-    retries: u64,
-    fallbacks: u64,
-    sheds: u64,
-    dynamic_nj: f64,
-    static_nj: f64,
+    /// The window's counters and net busy energies (its per-core idle
+    /// energy lives in `idle_energy_nj`).
+    totals: RunTotals,
     /// Per core: cycles sat idle.
     idle_cycles: Vec<u64>,
     /// Per core: cycles offline, back-filled at recovery.
@@ -469,11 +465,6 @@ impl MetricsSink {
         self.last_at = 0;
     }
 
-    /// The configured snapshot interval in cycles.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// Run-wide counters accumulated so far.
     pub fn totals(&self) -> &RunTotals {
         &self.totals
@@ -636,24 +627,25 @@ impl MetricsSink {
                 }
             })
             .collect();
+        let t = &acc.totals;
         SeriesPoint {
             index,
             start,
             end,
-            arrivals: acc.arrivals,
-            placements: acc.placements,
-            completions: acc.completions,
-            stall_offers: acc.stall_offers,
-            stall_episodes: acc.stall_episodes,
-            evictions: acc.evictions,
-            preemption_probes: acc.preemption_probes,
-            faults: acc.faults,
-            retries: acc.retries,
-            fallbacks: acc.fallbacks,
-            sheds: acc.sheds,
+            arrivals: t.arrivals,
+            placements: t.placements,
+            completions: t.completions,
+            stall_offers: t.stall_offers,
+            stall_episodes: t.stall_episodes,
+            evictions: t.evictions,
+            preemption_probes: t.preemption_probes,
+            faults: t.faults,
+            retries: t.retries,
+            fallbacks: t.fallbacks,
+            sheds: t.sheds,
             ready_depth: acc.ready_depth_end.unwrap_or(self.ready),
-            dynamic_nj: acc.dynamic_nj,
-            static_nj: acc.static_nj,
+            dynamic_nj: t.dynamic_nj,
+            static_nj: t.static_nj,
             cores,
         }
     }
@@ -737,47 +729,26 @@ impl MetricsSink {
         self.jobs.len()
     }
 
-    /// Charge every idle core over `[from, to)`: per window overlapped,
-    /// one dense pass gives each idle core's slot the chunk's cycles and
-    /// energy. The run total is the simulator's, carried by the advance.
-    /// Window lookup goes through the cached bounds (an advance usually
-    /// sits inside one window).
-    fn add_idle_advance(&mut self, from: u64, to: u64, idle_total_nj: f64) {
+    /// Apply one counter step to the run totals and to window `window`'s
+    /// share of them.
+    #[inline]
+    fn count(&mut self, window: usize, step: impl Fn(&mut RunTotals)) {
+        step(&mut self.totals);
+        step(&mut self.window_mut(window).totals);
+    }
+
+    /// Clip the back-dated span `[from, to)` into the windows it
+    /// overlaps, handing `charge` each window with the span's cycles in
+    /// it and the idle table. Window lookup goes through the cached
+    /// bounds (a span usually sits inside one window).
+    #[inline]
+    fn clip(&mut self, from: u64, to: u64, charge: impl Fn(&mut WindowAcc, u64, &IdleCores)) {
         let mut cursor = from;
         while cursor < to {
             let idx = self.window_index(cursor);
             let chunk = to.min(self.cur_hi) - cursor;
             self.window_mut(idx);
-            let window = &mut self.windows[idx - self.window_base];
-            self.idle
-                .charge(chunk, &mut window.idle_cycles, &mut window.idle_energy_nj);
-            cursor += chunk;
-        }
-        self.totals.idle_energy_nj = idle_total_nj;
-    }
-
-    /// Clip the span `[from, to)` into windows, attributing idle cycles
-    /// and idle energy to each overlapped window.
-    fn add_idle_span(&mut self, core: usize, from: u64, to: u64, power: f64) {
-        let mut cursor = from;
-        while cursor < to {
-            let idx = self.window_index(cursor);
-            let chunk = to.min(self.cur_hi) - cursor;
-            let window = self.window_mut(idx);
-            window.idle_cycles[core] += chunk;
-            window.idle_energy_nj[core] += power * chunk as f64;
-            cursor += chunk;
-        }
-        self.totals.idle_energy_nj += power * (to - from) as f64;
-    }
-
-    /// Clip the offline span `[from, to)` into windows.
-    fn add_offline_span(&mut self, core: usize, from: u64, to: u64) {
-        let mut cursor = from;
-        while cursor < to {
-            let idx = self.window_index(cursor);
-            let chunk = to.min(self.cur_hi) - cursor;
-            self.window_mut(idx).offline_cycles[core] += chunk;
+            charge(&mut self.windows[idx - self.window_base], chunk, &self.idle);
             cursor += chunk;
         }
     }
@@ -795,21 +766,36 @@ impl TraceSink for MetricsSink {
         let at = event.at();
         self.advance(at);
         self.idle.observe(&event);
-        // Idle advances and spans cover earlier cycles and do their own
-        // window clipping, and an idle-power announcement only updates
-        // the idle table: skip the shared lookup.
+        // Idle advances and spans cover earlier cycles and are clipped
+        // into windows, and an idle-power announcement only updates the
+        // idle table: skip the shared lookup.
         match event {
             TraceEvent::IdleAdvance {
                 from,
                 to,
                 idle_total_nj,
-            } => return self.add_idle_advance(from, to, idle_total_nj),
+            } => {
+                // The run total is the simulator's, carried by the
+                // advance; each window gets one dense pass over the cores.
+                self.clip(from, to, |w, chunk, idle| {
+                    idle.charge(chunk, &mut w.idle_cycles, &mut w.idle_energy_nj);
+                });
+                self.totals.idle_energy_nj = idle_total_nj;
+                return;
+            }
             TraceEvent::IdleSpan {
                 core,
                 from,
                 to,
-                idle_power_nj_per_cycle,
-            } => return self.add_idle_span(core.0, from, to, idle_power_nj_per_cycle),
+                idle_power_nj_per_cycle: power,
+            } => {
+                self.clip(from, to, |w, chunk, _| {
+                    w.idle_cycles[core.0] += chunk;
+                    w.idle_energy_nj[core.0] += power * chunk as f64;
+                });
+                self.totals.idle_energy_nj += power * (to - from) as f64;
+                return;
+            }
             TraceEvent::IdlePower { .. } => return,
             _ => {}
         }
@@ -818,8 +804,7 @@ impl TraceSink for MetricsSink {
             TraceEvent::Arrival { seq, .. } => {
                 self.job_slot(seq);
                 self.ready += 1;
-                self.totals.arrivals += 1;
-                self.window_mut(window).arrivals += 1;
+                self.count(window, |t| t.arrivals += 1);
             }
             TraceEvent::IdleSpan { .. }
             | TraceEvent::IdleAdvance { .. }
@@ -839,13 +824,11 @@ impl TraceSink for MetricsSink {
                     self.stall_hist.record(at - stall_since);
                 }
                 self.ready = self.ready.saturating_sub(1);
-                self.totals.placements += 1;
-                self.totals.dynamic_nj += dynamic_nj;
-                self.totals.static_nj += static_nj;
-                let w = self.window_mut(window);
-                w.placements += 1;
-                w.dynamic_nj += dynamic_nj;
-                w.static_nj += static_nj;
+                self.count(window, |t| {
+                    t.placements += 1;
+                    t.dynamic_nj += dynamic_nj;
+                    t.static_nj += static_nj;
+                });
             }
             TraceEvent::Stall { seq, at, .. } => {
                 let slot = self.job_slot(seq);
@@ -853,44 +836,65 @@ impl TraceSink for MetricsSink {
                 if opened {
                     slot.stall_since = at;
                 }
-                self.totals.stall_offers += 1;
-                if opened {
-                    self.totals.stall_episodes += 1;
-                }
-                let w = self.window_mut(window);
-                w.stall_offers += 1;
-                if opened {
-                    w.stall_episodes += 1;
-                }
+                self.count(window, |t| {
+                    t.stall_offers += 1;
+                    t.stall_episodes += u64::from(opened);
+                });
             }
             TraceEvent::PreemptionProbe { granted, .. } => {
-                self.totals.preemption_probes += 1;
-                if granted {
-                    self.totals.preemptions_granted += 1;
-                }
-                self.window_mut(window).preemption_probes += 1;
+                self.count(window, |t| {
+                    t.preemption_probes += 1;
+                    t.preemptions_granted += u64::from(granted);
+                });
             }
+            // An eviction or a fault cuts a placement short: refund the
+            // unexecuted share of its charge, as the simulator does.
             TraceEvent::Eviction {
-                victim,
+                victim: seq,
                 total_cycles,
-                remaining_cycles,
+                dynamic_nj,
+                static_nj,
+                ..
+            }
+            | TraceEvent::Fault {
+                seq,
+                total_cycles,
                 dynamic_nj,
                 static_nj,
                 ..
             } => {
-                // The simulator's exact refund fraction.
-                let refund = remaining_cycles as f64 / total_cycles as f64;
-                let dynamic_refund = dynamic_nj * refund;
-                let static_refund = static_nj * refund;
-                self.job_slot(victim).energy_nj -= dynamic_refund + static_refund;
-                self.ready += 1;
-                self.totals.evictions += 1;
-                self.totals.dynamic_nj -= dynamic_refund;
-                self.totals.static_nj -= static_refund;
-                let w = self.window_mut(window);
-                w.evictions += 1;
-                w.dynamic_nj -= dynamic_refund;
-                w.static_nj -= static_refund;
+                // Evicted and outage victims requeue at once; crash and
+                // watchdog victims park until their Retry re-admits them.
+                let (remaining, requeued, evicted) = match event {
+                    TraceEvent::Eviction {
+                        remaining_cycles, ..
+                    } => (remaining_cycles, true, true),
+                    TraceEvent::Fault {
+                        kind,
+                        executed_cycles,
+                        ..
+                    } => (
+                        total_cycles - executed_cycles,
+                        kind == FaultKind::CoreOutage,
+                        false,
+                    ),
+                    _ => unreachable!("matched an eviction or a fault"),
+                };
+                let fraction = if total_cycles == 0 {
+                    0.0
+                } else {
+                    remaining as f64 / total_cycles as f64
+                };
+                let dynamic_refund = dynamic_nj * fraction;
+                let static_refund = static_nj * fraction;
+                self.job_slot(seq).energy_nj -= dynamic_refund + static_refund;
+                self.ready += u64::from(requeued);
+                self.count(window, |t| {
+                    t.evictions += u64::from(evicted);
+                    t.faults += u64::from(!evicted);
+                    t.dynamic_nj -= dynamic_refund;
+                    t.static_nj -= static_refund;
+                });
             }
             TraceEvent::Completion {
                 seq, at, arrival, ..
@@ -899,39 +903,7 @@ impl TraceSink for MetricsSink {
                 self.latency.record(at - arrival);
                 self.job_energy_hist.record_f64(energy_nj);
                 self.retire_job(seq);
-                self.totals.completions += 1;
-                self.window_mut(window).completions += 1;
-            }
-            TraceEvent::Fault {
-                seq,
-                kind,
-                total_cycles,
-                executed_cycles,
-                dynamic_nj,
-                static_nj,
-                ..
-            } => {
-                let remaining = total_cycles - executed_cycles;
-                let refund = if total_cycles == 0 {
-                    0.0
-                } else {
-                    remaining as f64 / total_cycles as f64
-                };
-                let dynamic_refund = dynamic_nj * refund;
-                let static_refund = static_nj * refund;
-                self.job_slot(seq).energy_nj -= dynamic_refund + static_refund;
-                if kind == FaultKind::CoreOutage {
-                    // Outage victims requeue immediately; crash/watchdog
-                    // victims park until their Retry event re-admits them.
-                    self.ready += 1;
-                }
-                self.totals.faults += 1;
-                self.totals.dynamic_nj -= dynamic_refund;
-                self.totals.static_nj -= static_refund;
-                let w = self.window_mut(window);
-                w.faults += 1;
-                w.dynamic_nj -= dynamic_refund;
-                w.static_nj -= static_refund;
+                self.count(window, |t| t.completions += 1);
             }
             TraceEvent::Retry {
                 seq,
@@ -943,21 +915,14 @@ impl TraceSink for MetricsSink {
                     self.retire_job(seq);
                     self.totals.abandoned += 1;
                 } else {
-                    self.totals.retries += 1;
-                    self.window_mut(window).retries += 1;
+                    self.count(window, |t| t.retries += 1);
                     self.pending_ready.push(Reverse(ready_at));
                 }
             }
-            TraceEvent::Fallback { .. } => {
-                self.totals.fallbacks += 1;
-                self.window_mut(window).fallbacks += 1;
-            }
-            TraceEvent::Shed { .. } => {
-                // Shed jobs never entered the ready queue, so depth and
-                // job-slot state are untouched — only the counters move.
-                self.totals.sheds += 1;
-                self.window_mut(window).sheds += 1;
-            }
+            TraceEvent::Fallback { .. } => self.count(window, |t| t.fallbacks += 1),
+            // Shed jobs never entered the ready queue, so depth and
+            // job-slot state are untouched: only the counters move.
+            TraceEvent::Shed { .. } => self.count(window, |t| t.sheds += 1),
             TraceEvent::Degraded {
                 at,
                 component,
@@ -967,7 +932,9 @@ impl TraceSink for MetricsSink {
                 if let DegradedComponent::Core(core) = component {
                     if online {
                         if let Some(since) = self.core_offline_since[core.0].take() {
-                            self.add_offline_span(core.0, since, at);
+                            self.clip(since, at, |w, chunk, _| {
+                                w.offline_cycles[core.0] += chunk;
+                            });
                         }
                     } else {
                         self.core_offline_since[core.0] = Some(at);

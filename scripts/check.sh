@@ -105,8 +105,12 @@ done
 echo "==> telemetry --smoke (span profiler + metrics sink across all systems)"
 ./target/release/telemetry --smoke
 
-echo "==> engine --smoke (streaming service: open-loop load, bounded-memory runs)"
-./target/release/engine --smoke
+echo "==> engine --smoke --export, then engine compare of the export against itself"
+# compare finds its rows by the export's keys: a renamed key leaves it
+# with no comparable systems, which exits non-zero.
+engine_export="$pin_tmp/ENGINE_smoke.json"
+./target/release/engine --smoke --export "$engine_export"
+./target/release/engine compare "$engine_export" "$engine_export"
 
 echo "==> engine --serve-smoke (live scrape endpoint + Perfetto round-trip)"
 ./target/release/engine --serve-smoke
