@@ -39,8 +39,10 @@
 //!   text), `/health` (alert + progress JSON), and `/snapshot` (the
 //!   snapshot ring's tail) *during* the run, polled at snapshot
 //!   boundaries. `--linger SECS` keeps answering on the final state
-//!   after the run completes. A port that cannot be bound is reported
-//!   and the process exits non-zero before the run starts.
+//!   for SECS seconds after the run completes (a negative, non-finite
+//!   or out-of-range SECS is a usage error). A port that cannot be
+//!   bound is reported and the process exits non-zero before the run
+//!   starts.
 //! * `--perfetto PATH.json` — assemble causal job/core spans over the
 //!   same single-system run and write a Chrome trace-event JSON
 //!   artifact loadable at `ui.perfetto.dev` (schema-validated before it
@@ -62,6 +64,7 @@ use hetero_engine::{
 use hetero_telemetry::BurnRateRule;
 use multicore_sim::Simulator;
 use std::process::ExitCode;
+use std::time::Duration;
 use workloads::{Arrival, Compose, OpenLoop};
 
 struct Options {
@@ -77,7 +80,7 @@ struct Options {
     slo_energy: Option<f64>,
     smoke: bool,
     serve: Option<u16>,
-    linger: f64,
+    linger: Duration,
     perfetto: Option<String>,
     serve_smoke: bool,
 }
@@ -97,7 +100,7 @@ impl Options {
             slo_energy: None,
             smoke: false,
             serve: None,
-            linger: 0.0,
+            linger: Duration::ZERO,
             perfetto: None,
             serve_smoke: false,
         };
@@ -156,9 +159,11 @@ impl Options {
                     )
                 }
                 "--linger" => {
-                    options.linger = value("--linger")?
+                    let secs: f64 = value("--linger")?
                         .parse()
-                        .map_err(|e| format!("--linger: {e}"))?
+                        .map_err(|e| format!("--linger: {e}"))?;
+                    options.linger = Duration::try_from_secs_f64(secs)
+                        .map_err(|e| format!("--linger {secs:?}: {e}"))?;
                 }
                 "--perfetto" => options.perfetto = Some(value("--perfetto")?),
                 "--serve-smoke" => options.serve_smoke = true,
@@ -473,16 +478,15 @@ fn observed_run(options: &Options) -> ExitCode {
     let metrics =
         Simulator::new(num_cores).run_stream(stream, &mut testbed.system(kind), &mut plane);
 
-    if options.serve.is_some() && options.linger > 0.0 {
+    if options.serve.is_some() && !options.linger.is_zero() {
         println!(
             "run complete; serving the final state for another {:.1}s",
-            options.linger
+            options.linger.as_secs_f64()
         );
-        let deadline =
-            std::time::Instant::now() + std::time::Duration::from_secs_f64(options.linger);
-        while std::time::Instant::now() < deadline {
+        let start = std::time::Instant::now();
+        while start.elapsed() < options.linger {
             plane.poll_server();
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
     let outcome = plane.finish(&config);
@@ -597,7 +601,7 @@ fn serve_smoke() -> ExitCode {
                             }
                         }
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    std::thread::sleep(Duration::from_millis(2));
                 });
                 (path, handle)
             })
@@ -621,7 +625,7 @@ fn serve_smoke() -> ExitCode {
             break;
         }
         plane.poll_server();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
     }
 
     let mut failures = 0u32;
@@ -874,6 +878,19 @@ mod tests {
                 .unwrap_or_else(|problem| panic!("{process}: {problem}"));
         }
         assert!(parse(&["--process", "square"]).is_err());
+    }
+
+    #[test]
+    fn a_negative_non_finite_or_overflowing_linger_is_a_usage_error() {
+        for bad in ["-1", "nan", "inf", "1e300"] {
+            let problem = parse(&["--smoke", "--linger", bad])
+                .err()
+                .unwrap_or_else(|| panic!("--linger {bad} must be rejected"));
+            assert!(problem.starts_with("--linger"), "{bad}: {problem}");
+        }
+        let options = parse(&["--smoke", "--linger", "1.5"]).expect("valid linger");
+        assert_eq!(options.linger, std::time::Duration::from_millis(1_500));
+        assert!(parse(&["--linger", "soon"]).is_err());
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!
 //! Usage: `telemetry [--smoke]`
 //!
-//! * `--smoke` — reduced suite and workload, no artifacts written
-//!   (used by `scripts/check.sh`).
+//! * `--smoke` — reduced suite and workload, no artifacts written.
 //!
 //! The full run writes, under `results/`:
 //!
@@ -23,6 +22,10 @@
 //!   and the cross-system histogram summaries.
 //! * `TELEMETRY_prometheus.txt` — Prometheus text exposition, one block
 //!   per system (metrics carry a `system` label).
+//!
+//! Every file but the summary (which carries wall-clock span timings)
+//! is deterministic; `scripts/check.sh` regenerates them and compares
+//! them byte for byte against the committed copies.
 //!
 //! Exits non-zero if any run completes fewer jobs than were submitted or
 //! any artifact write fails.
@@ -137,7 +140,7 @@ fn main() -> ExitCode {
         );
 
         prometheus.push_str(&format!("# system: {system_name}\n"));
-        prometheus.push_str(&report.to_registry(system_name).prometheus());
+        prometheus.push_str(&report.prometheus(system_name));
         prometheus.push('\n');
 
         system_rows.push(Json::object([

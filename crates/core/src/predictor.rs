@@ -150,7 +150,7 @@ impl BestCorePredictor {
         config: &PredictorConfig,
         workers: usize,
     ) -> Self {
-        Self::train_excluding_with_threads(oracle, &[], config, workers)
+        Self::train_excluding_observed(oracle, &[], config, workers, &mut crate::NullStageObserver)
     }
 
     /// Train with some benchmarks held out (leave-one-out evaluation of
@@ -164,37 +164,17 @@ impl BestCorePredictor {
         excluded: &[BenchmarkId],
         config: &PredictorConfig,
     ) -> Self {
-        Self::train_excluding_with_threads(
-            oracle,
-            excluded,
-            config,
-            hetero_parallel::worker_count(),
-        )
-    }
-
-    /// [`train_excluding`](Self::train_excluding) with an explicit worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if exclusion leaves no training benchmarks.
-    pub fn train_excluding_with_threads(
-        oracle: &SuiteOracle,
-        excluded: &[BenchmarkId],
-        config: &PredictorConfig,
-        workers: usize,
-    ) -> Self {
         Self::train_excluding_observed(
             oracle,
             excluded,
             config,
-            workers,
+            hetero_parallel::worker_count(),
             &mut crate::NullStageObserver,
         )
     }
 
-    /// [`train_excluding_with_threads`](Self::train_excluding_with_threads)
-    /// with its three phases bracketed by a
+    /// [`train_excluding`](Self::train_excluding) with an explicit worker
+    /// count and its three phases bracketed by a
     /// [`StageObserver`](crate::StageObserver): `predictor_dataset`
     /// (training-set assembly and augmentation), `predictor_bagging`
     /// (ensemble training), and `predictor_memoize` (train-time prediction

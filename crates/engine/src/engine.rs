@@ -415,6 +415,31 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_burn_rate_rule_is_a_config_error() {
+        let observe = crate::ObserveConfig {
+            rules: vec![hetero_telemetry::BurnRateRule {
+                error_budget: 0.0,
+                ..hetero_telemetry::BurnRateRule::paging("p99", 1_000)
+            }],
+            ..crate::ObserveConfig::disabled()
+        };
+        let malformed = |e: &crate::EngineError| {
+            matches!(
+                e,
+                crate::EngineError::InvalidBurnRule { rule, problem }
+                    if rule == "p99" && problem.contains("error budget")
+            )
+        };
+        let plane = crate::ObservedSink::try_new(2, &config(), &observe, None);
+        assert!(plane.as_ref().is_err_and(malformed));
+        let spec = RunSpec {
+            observe: Some(observe),
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, malformed);
+    }
+
+    #[test]
     fn streaming_matches_the_batch_run_bit_for_bit() {
         let source = || OpenLoop::poisson(20.0, 20, 42).take(3_000);
         let plan = workloads::ArrivalPlan::from_stream(source(), 3_000);

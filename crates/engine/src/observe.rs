@@ -126,8 +126,9 @@ impl ObservedSink {
     ///
     /// # Panics
     ///
-    /// Panics if a tier floor is configured without a governor, or if
-    /// the scrape port cannot be bound.
+    /// Panics if a tier floor is configured without a governor, if a
+    /// burn-rate rule is malformed, or if the scrape port cannot be
+    /// bound.
     pub fn new(
         num_cores: usize,
         config: &EngineConfig,
@@ -142,15 +143,17 @@ impl ObservedSink {
     ///
     /// # Errors
     ///
-    /// [`EngineError::FloorWithoutGovernor`] when a tier floor is
-    /// configured without a governor; [`EngineError::Bind`] when the
-    /// scrape port cannot be bound.
+    /// [`EngineError::InvalidBurnRule`] when a rule fails
+    /// [`BurnRateRule::validate`]; [`EngineError::FloorWithoutGovernor`]
+    /// when a tier floor is configured without a governor;
+    /// [`EngineError::Bind`] when the scrape port cannot be bound.
     pub fn try_new(
         num_cores: usize,
         config: &EngineConfig,
         observe: &ObserveConfig,
         governor: Option<GovernorHandle>,
     ) -> Result<Self, EngineError> {
+        crate::runner::check_rules(&observe.rules)?;
         let governor = match (observe.alert_tier_floor, governor) {
             (Some(floor), Some(handle)) => Some((handle, floor)),
             (Some(_), None) => return Err(EngineError::FloorWithoutGovernor),
@@ -316,7 +319,7 @@ fn respond(
 ) -> Option<Response> {
     match path {
         "/metrics" => Some(Response::prometheus(
-            engine.metrics().report().to_registry("engine").prometheus(),
+            engine.metrics().report().prometheus("engine"),
         )),
         "/health" => Some(Response::json(health_body(
             engine,

@@ -5,7 +5,7 @@ use crate::engine::{EngineConfig, EngineReport, EngineSink};
 use crate::observe::{AlertReport, ObserveConfig, ObservedSink};
 use crate::overload::{GovernorHandle, OverloadConfig, OverloadReport};
 use crate::serve::ServeStats;
-use hetero_telemetry::SpanAssembler;
+use hetero_telemetry::{BurnRateRule, SpanAssembler};
 use multicore_sim::{tier_cell, RunMetrics, Scheduler, Simulator, TierCell};
 use std::fmt;
 use workloads::Arrival;
@@ -71,6 +71,14 @@ pub enum EngineError {
     /// A breaker's [`trip_after`](crate::BreakerConfig::trip_after) is
     /// zero.
     ZeroTripAfter,
+    /// A burn-rate rule in [`ObserveConfig::rules`] fails
+    /// [`BurnRateRule::validate`].
+    InvalidBurnRule {
+        /// The rule's name.
+        rule: String,
+        /// The constraint it violates.
+        problem: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -88,12 +96,16 @@ impl fmt::Display for EngineError {
                 f.write_str("brownout control_window_cycles must be positive")
             }
             EngineError::ZeroTripAfter => f.write_str("breaker trip_after must be positive"),
+            EngineError::InvalidBurnRule { rule, problem } => {
+                write!(f, "burn-rate rule {rule:?}: {problem}")
+            }
         }
     }
 }
 
-/// The zero-valued fields that would otherwise panic deep inside the
-/// sinks and the governor, checked before anything is built.
+/// The zero-valued fields and malformed burn-rate rules that would
+/// otherwise panic deep inside the sinks and the governor, checked
+/// before anything is built.
 fn check_spec(spec: &RunSpec) -> Result<(), EngineError> {
     if spec.engine.window_cycles == 0 {
         return Err(EngineError::ZeroWindowCycles);
@@ -112,6 +124,22 @@ fn check_spec(spec: &RunSpec) -> Result<(), EngineError> {
             return Err(EngineError::ZeroTripAfter);
         }
     }
+    match &spec.observe {
+        Some(observe) => check_rules(&observe.rules),
+        None => Ok(()),
+    }
+}
+
+/// The first of `rules` that fails [`BurnRateRule::validate`], as an
+/// [`EngineError::InvalidBurnRule`].
+pub(crate) fn check_rules(rules: &[BurnRateRule]) -> Result<(), EngineError> {
+    for rule in rules {
+        rule.validate()
+            .map_err(|problem| EngineError::InvalidBurnRule {
+                rule: rule.name.clone(),
+                problem,
+            })?;
+    }
     Ok(())
 }
 
@@ -128,7 +156,9 @@ impl std::error::Error for EngineError {}
 /// A zero-valued configuration field ([`EngineError::ZeroWindowCycles`],
 /// [`ZeroSnapshotWindows`](EngineError::ZeroSnapshotWindows),
 /// [`ZeroControlWindow`](EngineError::ZeroControlWindow),
-/// [`ZeroTripAfter`](EngineError::ZeroTripAfter)) before anything runs;
+/// [`ZeroTripAfter`](EngineError::ZeroTripAfter)) or a malformed
+/// burn-rate rule ([`InvalidBurnRule`](EngineError::InvalidBurnRule))
+/// before anything runs;
 /// [`EngineError::FloorWithoutGovernor`] and [`EngineError::Bind`] from
 /// the observability plane.
 pub fn run<I>(

@@ -72,6 +72,36 @@ impl BurnRateRule {
             clear_evals: 5,
         }
     }
+
+    /// What makes this rule unusable, if anything: a non-positive (or
+    /// NaN) error budget, zero-length windows, `slow_windows <
+    /// fast_windows`, `clear_burn_rate > fire_burn_rate` (or a NaN
+    /// threshold), or zero sustain/clear counts.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint, as a short description.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let constraints = [
+            (self.error_budget > 0.0, "error budget must be positive"),
+            (
+                self.fast_windows >= 1 && self.slow_windows >= self.fast_windows,
+                "windows must satisfy 1 <= fast <= slow",
+            ),
+            (
+                self.clear_burn_rate <= self.fire_burn_rate,
+                "clearing threshold above firing threshold",
+            ),
+            (
+                self.sustain_evals >= 1 && self.clear_evals >= 1,
+                "sustain/clear evaluation counts must be >= 1",
+            ),
+        ];
+        match constraints.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, problem)) => Err(problem),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Alert lifecycle state.
@@ -166,32 +196,14 @@ impl BurnEngine {
     ///
     /// # Panics
     ///
-    /// On a zero interval or a rule with a non-positive error budget,
-    /// zero-length windows, `slow_windows < fast_windows`,
-    /// `clear_burn_rate > fire_burn_rate`, or zero sustain/clear counts.
+    /// On a zero interval or a rule that fails
+    /// [`BurnRateRule::validate`].
     pub fn new(interval_cycles: u64, rules: Vec<BurnRateRule>) -> Self {
         assert!(interval_cycles > 0, "base window must be non-empty");
         for rule in &rules {
-            assert!(
-                rule.error_budget > 0.0,
-                "rule {:?}: error budget must be positive",
-                rule.name
-            );
-            assert!(
-                rule.fast_windows >= 1 && rule.slow_windows >= rule.fast_windows,
-                "rule {:?}: windows must satisfy 1 <= fast <= slow",
-                rule.name
-            );
-            assert!(
-                rule.clear_burn_rate <= rule.fire_burn_rate,
-                "rule {:?}: clearing threshold above firing threshold",
-                rule.name
-            );
-            assert!(
-                rule.sustain_evals >= 1 && rule.clear_evals >= 1,
-                "rule {:?}: sustain/clear evaluation counts must be >= 1",
-                rule.name
-            );
+            if let Err(problem) = rule.validate() {
+                panic!("rule {:?}: {problem}", rule.name);
+            }
         }
         BurnEngine {
             interval: interval_cycles,

@@ -110,18 +110,9 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` identical observations.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[index_for(value)] += n;
-        self.count += n;
-        self.sum += u128::from(value) * u128::from(n);
+        self.buckets[index_for(value)] += 1;
+        self.count += 1;
+        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

@@ -1,17 +1,17 @@
 //! Operational telemetry for the heterogeneous-multicore scheduler.
 //!
-//! Three layers, composable and allocation-free on their hot paths:
+//! Composable layers, allocation-free on their hot paths:
 //!
 //! * [`Histogram`] — log-linear HDR-style histogram with a bounded
 //!   relative error of `1/`[`SUB_BUCKETS`] (~3.1 %), exact sums and
 //!   extremes, and lossless merging.
-//! * [`Registry`] — named counters, gauges, and histograms addressed by
-//!   copyable handles, rendered in the Prometheus text exposition format.
 //! * [`MetricsSink`] — a [`multicore_sim::TraceSink`] that folds the
 //!   simulator's typed event stream into per-core time-series windows,
 //!   run-wide latency/energy/stall histograms, and run totals, without
 //!   retaining the raw events. Attaching it never changes a run's
 //!   `RunMetrics` (property-tested bit-identical to the reference loop).
+//!   Its [`TelemetryReport::prometheus`] renders the Prometheus text
+//!   exposition that the engine's `/metrics` endpoint serves.
 //! * [`SpanRecorder`] / [`Span`] — RAII wall-clock profiling of the
 //!   offline pipeline stages (characterisation, oracle build, ensemble
 //!   training, prediction), pluggable into
@@ -34,13 +34,12 @@
 mod assemble;
 mod burn;
 mod histogram;
-mod registry;
+mod prometheus;
 mod sink;
 mod span;
 
 pub use assemble::{CoreSpan, CoreSpanKind, JobPhase, JobSpan, Mark, SpanAssembler, SpanClose};
 pub use burn::{AlertState, AlertTransition, BurnEngine, BurnRateRule};
 pub use histogram::{Histogram, SUB_BUCKETS};
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use sink::{CorePoint, MetricsSink, RunTotals, SeriesPoint, TelemetryReport};
 pub use span::{Span, SpanRecord, SpanRecorder};

@@ -46,7 +46,6 @@
 //! its own product to the total.
 
 use crate::histogram::Histogram;
-use crate::registry::Registry;
 use multicore_sim::{DegradedComponent, FaultKind, IdleCores, TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -277,68 +276,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Export into a fresh [`Registry`] (counters, gauges, histograms),
-    /// labelling every metric with `system`. This is what the Prometheus
-    /// exposition of the `telemetry` bin renders.
-    pub fn to_registry(&self, system: &str) -> Registry {
-        let labels: &[(&str, &str)] = &[("system", system)];
-        let mut registry = Registry::new();
-        let pairs: [(&str, u64); 14] = [
-            ("sched_arrivals_total", self.totals.arrivals),
-            ("sched_placements_total", self.totals.placements),
-            ("sched_completions_total", self.totals.completions),
-            ("sched_stall_offers_total", self.totals.stall_offers),
-            ("sched_stall_episodes_total", self.totals.stall_episodes),
-            ("sched_evictions_total", self.totals.evictions),
-            (
-                "sched_preemption_probes_total",
-                self.totals.preemption_probes,
-            ),
-            ("sched_faults_total", self.totals.faults),
-            ("sched_retries_total", self.totals.retries),
-            ("sched_jobs_abandoned_total", self.totals.abandoned),
-            ("sched_fallbacks_total", self.totals.fallbacks),
-            (
-                "sched_degraded_transitions_total",
-                self.totals.degraded_transitions,
-            ),
-            ("sched_sheds_total", self.totals.sheds),
-            ("sched_horizon_cycles", self.horizon),
-        ];
-        for (name, value) in pairs {
-            let id = registry.counter(name, labels);
-            registry.add(id, value);
-        }
-        let energies = [
-            ("sched_dynamic_energy_nj", self.totals.dynamic_nj),
-            ("sched_static_energy_nj", self.totals.static_nj),
-            ("sched_idle_energy_nj", self.totals.idle_energy_nj),
-            ("sched_mean_utilisation", self.mean_utilisation()),
-        ];
-        for (name, value) in energies {
-            let id = registry.gauge(name, labels);
-            registry.set(id, value);
-        }
-        for (index, utilisation) in self.per_core_utilisation().into_iter().enumerate() {
-            let core = index.to_string();
-            let id = registry.gauge(
-                "sched_core_utilisation",
-                &[("system", system), ("core", core.as_str())],
-            );
-            registry.set(id, utilisation);
-        }
-        let hists = [
-            ("sched_job_latency_cycles", &self.latency_cycles),
-            ("sched_job_energy_nj", &self.job_energy_nj),
-            ("sched_stall_duration_cycles", &self.stall_cycles),
-        ];
-        for (name, hist) in hists {
-            let id = registry.histogram(name, labels);
-            registry.merge_histogram(id, hist);
-        }
-        registry
-    }
-
     /// Whole-run utilisation per core (busy over covered cycles).
     pub fn per_core_utilisation(&self) -> Vec<f64> {
         let mut busy = vec![0u64; self.num_cores];

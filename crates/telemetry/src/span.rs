@@ -78,18 +78,6 @@ impl SpanRecorder {
         Span { recorder: self }
     }
 
-    /// Record an already-measured duration as a closed span at the
-    /// current depth (for timings produced elsewhere).
-    pub fn record_complete(&self, name: &str, nanos: u128) {
-        let mut inner = self.inner.borrow_mut();
-        let depth = inner.open.len();
-        inner.records.push(SpanRecord {
-            name: name.to_owned(),
-            depth,
-            nanos,
-        });
-    }
-
     fn open(&self, name: &str) {
         let mut inner = self.inner.borrow_mut();
         let depth = inner.open.len();
@@ -115,8 +103,7 @@ impl SpanRecorder {
     ///
     /// A span still open at snapshot time appears with `nanos == 0` —
     /// that zero is the *defined* "left open at run end" marker, not a
-    /// measurement. Call [`finish_open`](Self::finish_open) first to
-    /// stamp stragglers with their elapsed time instead.
+    /// measurement.
     pub fn records(&self) -> Vec<SpanRecord> {
         self.inner.borrow().records.clone()
     }
@@ -129,29 +116,6 @@ impl SpanRecorder {
     /// Close calls that found no open span (unbalanced observer exits).
     pub fn unmatched_closes(&self) -> u64 {
         self.inner.borrow().unmatched_closes
-    }
-
-    /// Close every still-open span, innermost first, stamping each with
-    /// its wall time up to now. The run-end policy for spans a panicking
-    /// or misbehaving stage left open: they keep their records (and
-    /// depths) and are measured to the finish call, so the report never
-    /// shows a phantom zero for work that demonstrably took time.
-    pub fn finish_open(&self) {
-        let mut inner = self.inner.borrow_mut();
-        while let Some((index, start)) = inner.open.pop() {
-            inner.records[index].nanos = start.elapsed().as_nanos();
-        }
-    }
-
-    /// Total nanoseconds of every span named `name`.
-    pub fn total_nanos(&self, name: &str) -> u128 {
-        self.inner
-            .borrow()
-            .records
-            .iter()
-            .filter(|r| r.name == name)
-            .map(|r| r.nanos)
-            .sum()
     }
 
     /// The indented text profile (milliseconds, one line per span).
@@ -224,17 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn record_complete_lands_at_the_current_depth() {
-        let recorder = SpanRecorder::new();
-        let _outer = recorder.span("outer");
-        recorder.record_complete("imported", 1_500_000);
-        let records = recorder.records();
-        assert_eq!(records[1].depth, 1);
-        assert_eq!(records[1].nanos, 1_500_000);
-        assert_eq!(recorder.total_nanos("imported"), 1_500_000);
-    }
-
-    #[test]
     fn report_indents_by_depth() {
         let recorder = SpanRecorder::new();
         {
@@ -249,27 +202,18 @@ mod tests {
     }
 
     #[test]
-    fn a_span_left_open_at_run_end_reads_zero_until_finished() {
+    fn a_span_left_open_at_run_end_reads_zero() {
         use hetero_core::StageObserver;
         let mut recorder = SpanRecorder::new();
         recorder.enter("outer");
         recorder.enter("leaked");
         // The run ends here with both spans still open: the defined
-        // behavior is that snapshots show them with nanos == 0.
+        // behavior is that snapshots show them with nanos == 0, at the
+        // depths they were opened at.
         assert_eq!(recorder.open_count(), 2);
-        let before = recorder.records();
-        assert!(before.iter().all(|r| r.nanos == 0), "{before:?}");
-        // finish_open closes innermost-first and stamps real elapsed
-        // time, preserving names and depths.
-        recorder.finish_open();
-        assert_eq!(recorder.open_count(), 0);
-        let after = recorder.records();
-        assert_eq!(after.len(), 2);
-        assert!(after.iter().all(|r| r.nanos > 0), "{after:?}");
-        assert_eq!(after[1].depth, 1);
-        // Idempotent once everything is closed.
-        recorder.finish_open();
-        assert_eq!(recorder.records().len(), 2);
+        let records = recorder.records();
+        assert!(records.iter().all(|r| r.nanos == 0), "{records:?}");
+        assert_eq!(records[1].depth, 1);
         assert_eq!(recorder.unmatched_closes(), 0);
     }
 

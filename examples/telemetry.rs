@@ -103,7 +103,7 @@ fn main() {
 
     // Prometheus text exposition of the whole run.
     println!("\nPrometheus exposition (first lines):");
-    let text = report.to_registry("proposed").prometheus();
+    let text = report.prometheus("proposed");
     for line in text.lines().take(12) {
         println!("  {line}");
     }

@@ -102,8 +102,15 @@ for bin in figure6 figure7 l2_extension per_benchmark replacement scaling sensit
     cmp "$pin_tmp/txt/$bin.txt" "results/$bin.txt"
 done
 
-echo "==> telemetry --smoke (span profiler + metrics sink across all systems)"
-./target/release/telemetry --smoke
+echo "==> telemetry (full run; Prometheus text + per-system JSON regenerate byte-identically)"
+# The full run writes under ./results/, so it runs in its own scratch
+# directory. TELEMETRY_summary.json carries wall-clock span timings and
+# is not compared; the other five files are deterministic.
+mkdir -p "$pin_tmp/telemetry/results"
+(cd "$pin_tmp/telemetry" && "$repo_root/target/release/telemetry" >/dev/null)
+for artifact in prometheus.txt base.json optimal.json energy_centric.json proposed.json; do
+    cmp "$pin_tmp/telemetry/results/TELEMETRY_$artifact" "results/TELEMETRY_$artifact"
+done
 
 echo "==> engine --smoke --export, then engine compare of the export against itself"
 # compare finds its rows by the export's keys: a renamed key leaves it

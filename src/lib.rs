@@ -17,10 +17,9 @@
 //! * [`hetero_core`] — the paper's contribution: ANN best-core prediction,
 //!   the Figure 5 cache tuning heuristic, the Section IV.E
 //!   energy-advantageous stall decision, and the four evaluated systems;
-//! * [`hetero_telemetry`] — observability: allocation-free metrics
-//!   registry, log-linear histograms, the per-core time-series
-//!   [`MetricsSink`](hetero_telemetry::MetricsSink), the span profiler,
-//!   and Prometheus text exposition;
+//! * [`hetero_telemetry`] — observability: log-linear histograms, the
+//!   per-core time-series [`MetricsSink`](hetero_telemetry::MetricsSink)
+//!   and its report's Prometheus text exposition, and the span profiler;
 //! * [`hetero_engine`] — the streaming service engine: open-loop arrival
 //!   streams feed [`run`](hetero_engine::run), which folds the run into
 //!   bounded-memory snapshots and SLO verdicts — optionally under an
