@@ -16,16 +16,24 @@
 //! 3. Under a shedding governor, every shed arrival gets a terminal
 //!    shed span: arrivals = completed + shed on the span books exactly
 //!    as on the governor's ledger.
+//! 4. Under every combination of governor mechanisms, the governed
+//!    trace passes the extended ledger audit (`offered = admitted +
+//!    shed`), its shed events match the governor's counts by reason,
+//!    and tier dwell tiles the horizon.
 
 use hetero_bench::json::Json;
 use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
 use hetero_bench::{SystemKind, Testbed};
 use hetero_engine::{
-    EngineConfig, EngineReport, ObserveConfig, Outcome, OverloadConfig, RunSpec, ServeStats,
-    ShedPolicy, SloPolicy,
+    BreakerConfig, BreakerState, BrownoutConfig, EngineConfig, EngineReport, GovernorHandle,
+    ObserveConfig, Outcome, OverloadConfig, RunSpec, ServeStats, ShedPolicy, SloPolicy,
+    TokenBucketConfig,
 };
 use hetero_telemetry::{JobPhase, SpanClose};
-use multicore_sim::{ledger_divergences, QueueDiscipline, ServingTier, Simulator};
+use multicore_sim::{
+    ledger_divergences, tier_cell, Audit, LedgerAuditor, QueueDiscipline, RecordingSink,
+    ServingTier, ShedReason, Simulator, TraceEvent,
+};
 use proptest::prelude::*;
 use workloads::ArrivalPlan;
 
@@ -206,5 +214,92 @@ proptest! {
         // The export stays loadable with shed tracks present.
         let doc = perfetto_document(spans, "test", seed);
         prop_assert!(validate_perfetto(&doc).is_ok());
+    }
+
+    /// Contract 4: every shed policy × token bucket on/off × brownout
+    /// on/off × breaker on/off, on a prioritised storm into the proposed
+    /// system with its serving tier wired to the governor, leaves a
+    /// trace that audits clean against the governor's own counts.
+    #[test]
+    fn every_governor_mechanism_keeps_the_ledger_auditable(
+        jobs in 80usize..160,
+        seed in 0u64..1_000,
+        capacity in 4u64..12,
+    ) {
+        let t = Testbed::shared_small();
+        let cores = t.arch.num_cores();
+        let plan = ArrivalPlan::uniform_with_priorities(jobs, 8_000_000, t.suite.len(), 3, seed);
+        let sim = Simulator::new(cores).with_discipline(QueueDiscipline::Priority);
+        let policies = [
+            ShedPolicy::DropTail,
+            ShedPolicy::DeadlineAge { max_wait_cycles: 5_000 },
+            ShedPolicy::PriorityAware { protect: 1, depth_watermark: 3 },
+        ];
+        // Bits of `mechanisms`: 1 token bucket, 2 brownout, 4 breaker.
+        for (policy, mechanisms) in policies.iter().flat_map(|&p| (0..8u8).map(move |m| (p, m))) {
+            let overload = OverloadConfig {
+                queue_capacity: Some(capacity),
+                policy,
+                rate_limit: (mechanisms & 1 != 0).then_some(TokenBucketConfig {
+                    capacity: 4.0,
+                    refill_per_mcycle: 10.0,
+                }),
+                brownout: (mechanisms & 2 != 0).then_some(BrownoutConfig {
+                    control_window_cycles: 100_000,
+                    depth_high: 3,
+                    depth_low: 1,
+                    latency_budget_cycles: 400_000,
+                    breach_fraction: 0.2,
+                    step_up_after: 1,
+                    step_down_after: 2,
+                }),
+                breaker: (mechanisms & 4 != 0).then_some(BreakerConfig {
+                    trip_after: 2,
+                    cooldown_cycles: 100_000,
+                }),
+            };
+            let cell = tier_cell();
+            let mut system = t
+                .system(SystemKind::Proposed)
+                .with_serving_tier(cell.clone(), None);
+            let governor = GovernorHandle::new(&overload, cores, Some(cell));
+            let mut recording = RecordingSink::new();
+            let metrics = {
+                let mut sink = governor.sink(&mut recording);
+                let metrics = sim.run_stream(governor.gate(plan.iter().copied()), &mut system, &mut sink);
+                sink.finish();
+                metrics
+            };
+            let report = governor.report();
+            let events = recording.events();
+            prop_assert_eq!(report.offered, jobs as u64);
+            prop_assert_eq!(report.admitted + report.shed(), report.offered);
+            prop_assert_eq!(metrics.jobs_completed, report.admitted);
+            let expected = Audit {
+                admitted: report.offered - report.shed(),
+                sheds: report.shed(),
+                ..metrics.into()
+            };
+            let audit = LedgerAuditor::new(cores).check(events, &expected);
+            prop_assert!(audit.is_ok(), "{:?} under {:?}: {:?}", policy, mechanisms, audit);
+            for reason in [
+                ShedReason::QueueFull,
+                ShedReason::Deadline,
+                ShedReason::Priority,
+                ShedReason::RateLimit,
+            ] {
+                let recorded = events
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::Shed { reason: r, .. } if *r == reason))
+                    .count() as u64;
+                prop_assert_eq!(recorded, report.shed_for(reason));
+            }
+            let horizon = events.iter().map(TraceEvent::at).max().unwrap_or(0);
+            prop_assert_eq!(report.tier_dwell_cycles.iter().sum::<u64>(), horizon);
+            // The simulator's stream carries no `Fallback`, so the
+            // breaker never trips.
+            prop_assert_eq!(report.breaker_state, BreakerState::Closed);
+            prop_assert_eq!(report.breaker_trips, 0);
+        }
     }
 }

@@ -38,6 +38,32 @@ impl EngineConfig {
     pub fn snapshot_cycles(&self) -> u64 {
         self.window_cycles * self.snapshot_windows
     }
+
+    /// Check that the windows and the snapshot span are non-empty and
+    /// the span's length fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint, as a short description.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let constraints = [
+            (self.window_cycles > 0, "window_cycles must be positive"),
+            (
+                self.snapshot_windows > 0,
+                "snapshot_windows must be positive",
+            ),
+            (
+                self.window_cycles
+                    .checked_mul(self.snapshot_windows)
+                    .is_some(),
+                "window_cycles × snapshot_windows overflows u64",
+            ),
+        ];
+        match constraints.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, problem)) => Err(problem),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A [`TraceSink`] that folds the event stream into periodic
@@ -73,12 +99,11 @@ impl EngineSink {
     ///
     /// # Panics
     ///
-    /// Panics if `window_cycles == 0` or `snapshot_windows == 0`.
+    /// Panics if `config` fails [`EngineConfig::validate`].
     pub fn new(num_cores: usize, config: &EngineConfig) -> Self {
-        assert!(
-            config.snapshot_windows > 0,
-            "need at least one window per snapshot"
-        );
+        if let Err(problem) = config.validate() {
+            panic!("engine config: {problem}");
+        }
         EngineSink {
             metrics: MetricsSink::new(num_cores, config.window_cycles),
             snapshot_cycles: config.snapshot_cycles(),
@@ -347,11 +372,34 @@ mod tests {
     }
 
     /// `spec` over a short stream: must come back as `expected`, not run.
-    fn assert_config_error(spec: RunSpec, expected: fn(&crate::EngineError) -> bool) {
+    fn assert_config_error(spec: RunSpec, expected: impl Fn(&crate::EngineError) -> bool) {
         let source = OpenLoop::poisson(20.0, 20, 3).take(50);
         match crate::run(&Simulator::new(2), source, &mut FirstIdle, &spec) {
             Err(error) => assert!(expected(&error), "unexpected error {error}"),
-            Ok(_) => panic!("a zero-valued configuration ran"),
+            Ok(_) => panic!("a malformed configuration ran"),
+        }
+    }
+
+    /// Matches [`crate::EngineError::InvalidEngineConfig`] with `text` in
+    /// its problem.
+    fn invalid_engine(text: &'static str) -> impl Fn(&crate::EngineError) -> bool {
+        move |e| matches!(e, crate::EngineError::InvalidEngineConfig { problem } if problem.contains(text))
+    }
+
+    /// Matches [`crate::EngineError::InvalidOverload`] with `text` in its
+    /// problem.
+    fn invalid_overload(text: &'static str) -> impl Fn(&crate::EngineError) -> bool {
+        move |e| matches!(e, crate::EngineError::InvalidOverload { problem } if problem.contains(text))
+    }
+
+    /// A governed spec whose only mechanism is `bucket`.
+    fn bucket_spec(bucket: crate::TokenBucketConfig) -> RunSpec {
+        RunSpec {
+            overload: Some(crate::OverloadConfig {
+                rate_limit: Some(bucket),
+                ..crate::OverloadConfig::disabled()
+            }),
+            ..RunSpec::default()
         }
     }
 
@@ -363,7 +411,7 @@ mod tests {
             engine,
             ..RunSpec::default()
         };
-        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroWindowCycles));
+        assert_config_error(spec, invalid_engine("window_cycles must be positive"));
     }
 
     #[test]
@@ -374,9 +422,19 @@ mod tests {
             engine,
             ..RunSpec::default()
         };
-        assert_config_error(spec, |e| {
-            matches!(e, crate::EngineError::ZeroSnapshotWindows)
-        });
+        assert_config_error(spec, invalid_engine("snapshot_windows must be positive"));
+    }
+
+    #[test]
+    fn an_overflowing_snapshot_span_is_a_config_error() {
+        let mut engine = config();
+        engine.window_cycles = 1 << 63;
+        engine.snapshot_windows = 2;
+        let spec = RunSpec {
+            engine,
+            ..RunSpec::default()
+        };
+        assert_config_error(spec, invalid_engine("overflows"));
     }
 
     #[test]
@@ -396,7 +454,10 @@ mod tests {
             }),
             ..RunSpec::default()
         };
-        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroControlWindow));
+        assert_config_error(
+            spec,
+            invalid_overload("control_window_cycles must be positive"),
+        );
     }
 
     #[test]
@@ -411,7 +472,32 @@ mod tests {
             }),
             ..RunSpec::default()
         };
-        assert_config_error(spec, |e| matches!(e, crate::EngineError::ZeroTripAfter));
+        assert_config_error(spec, invalid_overload("trip_after must be positive"));
+    }
+
+    #[test]
+    fn a_non_finite_or_sub_unit_bucket_capacity_is_a_config_error() {
+        for capacity in [f64::NAN, f64::INFINITY, 0.0, 0.5, -1.0] {
+            let spec = bucket_spec(crate::TokenBucketConfig {
+                capacity,
+                refill_per_mcycle: 1.0,
+            });
+            assert_config_error(spec, invalid_overload("capacity must be finite and >= 1"));
+        }
+    }
+
+    #[test]
+    fn a_non_finite_or_non_positive_bucket_refill_is_a_config_error() {
+        for refill_per_mcycle in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            let spec = bucket_spec(crate::TokenBucketConfig {
+                capacity: 10.0,
+                refill_per_mcycle,
+            });
+            assert_config_error(
+                spec,
+                invalid_overload("refill_per_mcycle must be finite and positive"),
+            );
+        }
     }
 
     #[test]

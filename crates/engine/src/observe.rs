@@ -113,7 +113,6 @@ pub struct ObservedSink {
     server: Option<ScrapeServer>,
     /// Governor to floor while alerts fire (with the configured floor).
     governor: Option<(GovernorHandle, ServingTier)>,
-    floor_engaged: bool,
     seen_transitions: usize,
     /// Scrape-poll cadence in cycles (the engine's snapshot span).
     poll_cycles: u64,
@@ -143,6 +142,8 @@ impl ObservedSink {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidEngineConfig`] when `config` fails
+    /// [`EngineConfig::validate`];
     /// [`EngineError::InvalidBurnRule`] when a rule fails
     /// [`BurnRateRule::validate`]; [`EngineError::FloorWithoutGovernor`]
     /// when a tier floor is configured without a governor;
@@ -153,6 +154,9 @@ impl ObservedSink {
         observe: &ObserveConfig,
         governor: Option<GovernorHandle>,
     ) -> Result<Self, EngineError> {
+        config
+            .validate()
+            .map_err(|problem| EngineError::InvalidEngineConfig { problem })?;
         crate::runner::check_rules(&observe.rules)?;
         let governor = match (observe.alert_tier_floor, governor) {
             (Some(floor), Some(handle)) => Some((handle, floor)),
@@ -173,7 +177,6 @@ impl ObservedSink {
             assembler: observe.assemble_spans.then(SpanAssembler::new),
             server,
             governor,
-            floor_engaged: false,
             seen_transitions: 0,
             poll_cycles: config.snapshot_cycles(),
             next_poll: config.snapshot_cycles(),
@@ -216,12 +219,10 @@ impl ObservedSink {
             }
         }
         if let Some((governor, floor)) = &self.governor {
-            if firing != self.floor_engaged {
-                let at = fresh.last().expect("non-empty").at;
-                let target = if firing { *floor } else { ServingTier::Full };
-                governor.set_alert_floor(at, target);
-                self.floor_engaged = firing;
-            }
+            // A no-op unless the floor moves.
+            let at = fresh.last().expect("non-empty").at;
+            let target = if firing { *floor } else { ServingTier::Full };
+            governor.set_alert_floor(at, target);
         }
     }
 
@@ -684,5 +685,19 @@ mod tests {
         };
         let result = ObservedSink::try_new(2, &engine_config(), &observe, None);
         assert!(matches!(result, Err(EngineError::FloorWithoutGovernor)));
+    }
+
+    #[test]
+    fn an_overflowing_snapshot_span_is_a_plane_config_error() {
+        let config = EngineConfig {
+            window_cycles: 1 << 63,
+            snapshot_windows: 2,
+            ..engine_config()
+        };
+        let result = ObservedSink::try_new(2, &config, &ObserveConfig::disabled(), None);
+        assert!(matches!(
+            result,
+            Err(EngineError::InvalidEngineConfig { problem }) if problem.contains("overflows")
+        ));
     }
 }

@@ -27,6 +27,15 @@
 //!    the predictor path open (floor = kNN tier); after a cooldown a
 //!    half-open probe decides between reset and re-trip.
 //!
+//! **One state, one borrow at a time.** A run's governor is one struct
+//! behind a [`GovernorHandle`] (`Rc<RefCell<_>>`), shared by the gate,
+//! the sink and the caller; each configured mechanism is an `Option`
+//! holding its own state. [`OverloadSink`] borrows it to observe an
+//! event or to pop a due shed and never holds the borrow while the
+//! inner sink records: the observability plane calls
+//! [`GovernorHandle::set_alert_floor`] from inside that call, and a
+//! `/health` scrape answered there calls [`GovernorHandle::report`].
+//!
 //! **Shed-flush ordering.** A shed is decided when the simulator *peeks*
 //! the arrival, which can be before earlier-timestamped completions and
 //! back-dated idle advances have been forwarded. Forwarding the shed
@@ -41,7 +50,8 @@
 //! See DESIGN.md §15 for the full architecture.
 
 use multicore_sim::{ServingTier, ShedReason, TierCell, TraceEvent, TraceSink};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use workloads::Arrival;
 
@@ -169,6 +179,40 @@ impl OverloadConfig {
             breaker: None,
         }
     }
+
+    /// Check the constraints a governor needs: a token bucket's capacity
+    /// finite and at least one job, its refill rate finite and positive,
+    /// a brownout's control window and a breaker's `trip_after` positive.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint, as a short description.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let constraints = [
+            (
+                self.rate_limit
+                    .is_none_or(|b| b.capacity.is_finite() && b.capacity >= 1.0),
+                "token bucket capacity must be finite and >= 1",
+            ),
+            (
+                self.rate_limit
+                    .is_none_or(|b| b.refill_per_mcycle.is_finite() && b.refill_per_mcycle > 0.0),
+                "token bucket refill_per_mcycle must be finite and positive",
+            ),
+            (
+                self.brownout.is_none_or(|b| b.control_window_cycles > 0),
+                "brownout control_window_cycles must be positive",
+            ),
+            (
+                self.breaker.is_none_or(|b| b.trip_after > 0),
+                "breaker trip_after must be positive",
+            ),
+        ];
+        match constraints.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, problem)) => Err(problem),
+            None => Ok(()),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -211,27 +255,40 @@ struct Brownout {
     calm_streak: u32,
     /// The controller's requested tier (the breaker may floor it).
     tier: ServingTier,
+    /// End of the open control window.
+    window_end: u64,
+    /// Completions observed in the open window.
+    window_completions: u64,
+    /// Completions over the latency budget in the open window.
+    window_late: u64,
 }
 
 impl Brownout {
     fn new(config: BrownoutConfig) -> Self {
-        assert!(
-            config.control_window_cycles > 0,
-            "brownout control window must be positive"
-        );
         Brownout {
             pressure_streak: 0,
             calm_streak: 0,
             tier: ServingTier::Full,
+            window_end: config.control_window_cycles,
+            window_completions: 0,
+            window_late: 0,
             config,
         }
     }
 
-    /// Evaluate one closed control window against the hysteresis bands;
-    /// `completions`/`late` are the window's counters (accumulated in
-    /// [`Hot`] and drained by the caller). Returns the (possibly
-    /// unchanged) requested tier.
-    fn evaluate(&mut self, in_flight: u64, completions: u64, late: u64) -> ServingTier {
+    /// Count one completion `latency` cycles after its arrival.
+    fn complete(&mut self, latency: u64) {
+        self.window_completions += 1;
+        if latency > self.config.latency_budget_cycles {
+            self.window_late += 1;
+        }
+    }
+
+    /// Evaluate the open window's tallies against the hysteresis bands
+    /// and start the next window.
+    fn evaluate(&mut self, in_flight: u64) {
+        let completions = std::mem::take(&mut self.window_completions);
+        let late = std::mem::take(&mut self.window_late);
         let breach =
             completions > 0 && late as f64 / completions as f64 > self.config.breach_fraction;
         let pressure = breach || in_flight > self.config.depth_high;
@@ -255,7 +312,7 @@ impl Brownout {
             self.pressure_streak = 0;
             self.calm_streak = 0;
         }
-        self.tier
+        self.window_end += self.config.control_window_cycles;
     }
 }
 
@@ -273,7 +330,6 @@ struct Breaker {
 
 impl Breaker {
     fn new(config: BreakerConfig) -> Self {
-        assert!(config.trip_after > 0, "breaker must tolerate > 0 failures");
         Breaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
@@ -292,10 +348,30 @@ impl Breaker {
         }
     }
 
-    fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.state = BreakerState::Closed;
+    /// Confirm the previous completion as a success (no fallback
+    /// trailed it) and hold completion `seq` until the next event.
+    fn complete(&mut self, seq: u64, at: u64) {
+        self.tick(at);
+        self.confirm_success();
+        self.pending_success = Some(seq);
+    }
+
+    /// Withdraw the tentative success of completion `seq` (a fallback
+    /// stage served it) and count the failure.
+    fn fall_back(&mut self, seq: u64, at: u64) {
+        self.tick(at);
+        if self.pending_success == Some(seq) {
+            self.pending_success = None;
+        }
+        self.on_failure(at);
+    }
+
+    fn confirm_success(&mut self) {
+        if self.pending_success.take().is_some() {
+            self.consecutive_failures = 0;
+            if self.state == BreakerState::HalfOpen {
+                self.state = BreakerState::Closed;
+            }
         }
     }
 
@@ -324,62 +400,31 @@ impl Breaker {
     }
 }
 
-/// The governor's per-event state: counters the [`AdmissionGate`] and
-/// [`OverloadSink`] touch on *every* arrival and event, plus the
-/// immutable knobs those touches read. Everything mutable is
-/// `Cell`-backed, so the fast path never takes a `RefCell` borrow —
-/// the `engine_overload` perf gate bounds this path's cost against the
-/// ungoverned engine, and a borrow-flag round trip per event is most
-/// of what it would measure.
-#[derive(Debug)]
-struct Hot {
-    // Immutable knobs, copied out of the config at build time.
-    num_cores: u64,
-    /// `u64::MAX` when the queue is unbounded.
-    queue_capacity: u64,
-    policy: ShedPolicy,
-    has_bucket: bool,
-    has_brownout: bool,
-    has_breaker: bool,
-    /// Only the deadline policy consumes the service EWMA.
-    track_service: bool,
-    /// Brownout latency budget (unused without a brownout).
-    latency_budget: u64,
-
-    offered: Cell<u64>,
-    admitted: Cell<u64>,
-    in_flight: Cell<u64>,
-    max_in_flight: Cell<u64>,
-    /// Mirror of `Governor::pending_sheds.len()`: lets the sink skip
-    /// the flush borrow when nothing is queued.
-    pending: Cell<usize>,
-    /// Next brownout control boundary (`u64::MAX` without a brownout).
-    window_end: Cell<u64>,
-    /// Completions observed in the current control window.
-    window_completions: Cell<u64>,
-    /// Completions over the latency budget in the current window.
-    window_late: Cell<u64>,
-    /// Exponential moving average of observed service cycles (α = 0.1),
-    /// feeding the deadline policy's projected-wait estimate.
-    service_value: Cell<f64>,
-    service_primed: Cell<bool>,
-}
-
-/// The governor's cold state: everything touched only when something
-/// actually happens — a shed, a control-window close, a breaker event,
-/// a tier change. One instance per run, shared by the gate and sink
-/// through a [`GovernorHandle`].
+/// One run's governor: the admission knobs, each configured mechanism
+/// with its own state, the run's counters and the tier accounting.
 #[derive(Debug)]
 struct Governor {
+    /// At least one.
+    num_cores: u64,
+    queue_capacity: Option<u64>,
+    policy: ShedPolicy,
     bucket: Option<TokenBucket>,
     brownout: Option<Brownout>,
     breaker: Option<Breaker>,
     /// Serving-tier cell the scheduling system reads, if wired.
     cell: Option<TierCell>,
+    /// Exponential moving average of observed service cycles (α = 0.1),
+    /// feeding the deadline policy's projected-wait estimate; `None`
+    /// before the first placement and under the other policies.
+    service: Option<f64>,
 
+    offered: u64,
+    admitted: u64,
+    in_flight: u64,
+    max_in_flight: u64,
     shed_by_reason: [u64; 4],
     /// Sheds decided but not yet safe to forward (see module docs).
-    pending_sheds: std::collections::VecDeque<TraceEvent>,
+    pending_sheds: VecDeque<TraceEvent>,
 
     /// Tier floor imposed from outside the governor (the observability
     /// plane raises it while a burn-rate alert fires, closing the
@@ -398,15 +443,6 @@ struct Governor {
     recovered_at: Option<u64>,
 }
 
-/// Hot and cold state under one `Rc`, so every per-event decision runs
-/// on [`Hot`]'s cells and only exceptional paths borrow the
-/// [`RefCell`].
-#[derive(Debug)]
-struct GovernorShared {
-    hot: Hot,
-    cold: RefCell<Governor>,
-}
-
 fn reason_index(reason: ShedReason) -> usize {
     match reason {
         ShedReason::QueueFull => 0,
@@ -416,50 +452,30 @@ fn reason_index(reason: ShedReason) -> usize {
     }
 }
 
-impl GovernorShared {
+impl Governor {
     fn new(config: &OverloadConfig, num_cores: usize, cell: Option<TierCell>) -> Self {
-        GovernorShared {
-            hot: Hot {
-                num_cores: num_cores.max(1) as u64,
-                queue_capacity: config.queue_capacity.unwrap_or(u64::MAX),
-                policy: config.policy,
-                has_bucket: config.rate_limit.is_some(),
-                has_brownout: config.brownout.is_some(),
-                has_breaker: config.breaker.is_some(),
-                track_service: matches!(config.policy, ShedPolicy::DeadlineAge { .. }),
-                latency_budget: config
-                    .brownout
-                    .map_or(u64::MAX, |b| b.latency_budget_cycles),
-                offered: Cell::new(0),
-                admitted: Cell::new(0),
-                in_flight: Cell::new(0),
-                max_in_flight: Cell::new(0),
-                pending: Cell::new(0),
-                window_end: Cell::new(
-                    config
-                        .brownout
-                        .map_or(u64::MAX, |b| b.control_window_cycles),
-                ),
-                window_completions: Cell::new(0),
-                window_late: Cell::new(0),
-                service_value: Cell::new(0.0),
-                service_primed: Cell::new(false),
-            },
-            cold: RefCell::new(Governor {
-                bucket: config.rate_limit.map(TokenBucket::new),
-                brownout: config.brownout.map(Brownout::new),
-                breaker: config.breaker.map(Breaker::new),
-                cell,
-                shed_by_reason: [0; 4],
-                pending_sheds: std::collections::VecDeque::new(),
-                alert_floor: ServingTier::Full,
-                alert_floor_engagements: 0,
-                effective_tier: ServingTier::Full,
-                tier_since: 0,
-                tier_dwell_cycles: [0; 4],
-                tier_transitions: 0,
-                recovered_at: Some(0),
-            }),
+        Governor {
+            num_cores: num_cores.max(1) as u64,
+            queue_capacity: config.queue_capacity,
+            policy: config.policy,
+            bucket: config.rate_limit.map(TokenBucket::new),
+            brownout: config.brownout.map(Brownout::new),
+            breaker: config.breaker.map(Breaker::new),
+            cell,
+            service: None,
+            offered: 0,
+            admitted: 0,
+            in_flight: 0,
+            max_in_flight: 0,
+            shed_by_reason: [0; 4],
+            pending_sheds: VecDeque::new(),
+            alert_floor: ServingTier::Full,
+            alert_floor_engagements: 0,
+            effective_tier: ServingTier::Full,
+            tier_since: 0,
+            tier_dwell_cycles: [0; 4],
+            tier_transitions: 0,
+            recovered_at: Some(0),
         }
     }
 
@@ -468,49 +484,45 @@ impl GovernorShared {
     /// flushing). Checks run in a fixed order — queue bound, policy,
     /// rate limiter — and a shed consumes no tokens.
     #[inline]
-    fn offer(&self, arrival: &Arrival) -> Option<ShedReason> {
-        let hot = &self.hot;
-        let offered = hot.offered.get();
-        hot.offered.set(offered + 1);
+    fn offer(&mut self, arrival: &Arrival) -> Option<ShedReason> {
+        let offered = self.offered;
+        self.offered += 1;
         let reason = self.decide(arrival);
         match reason {
             None => {
-                hot.admitted.set(hot.admitted.get() + 1);
-                let depth = hot.in_flight.get() + 1;
-                hot.in_flight.set(depth);
-                if depth > hot.max_in_flight.get() {
-                    hot.max_in_flight.set(depth);
-                }
+                self.admitted += 1;
+                self.in_flight += 1;
+                self.max_in_flight = self.max_in_flight.max(self.in_flight);
             }
             Some(reason) => {
-                let mut cold = self.cold.borrow_mut();
-                cold.shed_by_reason[reason_index(reason)] += 1;
-                cold.pending_sheds.push_back(TraceEvent::Shed {
+                self.shed_by_reason[reason_index(reason)] += 1;
+                self.pending_sheds.push_back(TraceEvent::Shed {
                     offered,
                     benchmark: arrival.benchmark,
                     at: arrival.time,
                     priority: arrival.priority,
                     reason,
                 });
-                hot.pending.set(cold.pending_sheds.len());
             }
         }
         reason
     }
 
     #[inline]
-    fn decide(&self, arrival: &Arrival) -> Option<ShedReason> {
-        let hot = &self.hot;
-        let in_flight = hot.in_flight.get();
-        if in_flight >= hot.queue_capacity {
+    fn decide(&mut self, arrival: &Arrival) -> Option<ShedReason> {
+        let in_flight = self.in_flight;
+        if self
+            .queue_capacity
+            .is_some_and(|capacity| in_flight >= capacity)
+        {
             return Some(ShedReason::QueueFull);
         }
-        match hot.policy {
+        match self.policy {
             ShedPolicy::DropTail => {}
             ShedPolicy::DeadlineAge { max_wait_cycles } => {
-                if hot.service_primed.get() {
-                    let backlog = in_flight.saturating_sub(hot.num_cores);
-                    let projected = backlog as f64 / hot.num_cores as f64 * hot.service_value.get();
+                if let Some(service) = self.service {
+                    let backlog = in_flight.saturating_sub(self.num_cores);
+                    let projected = backlog as f64 / self.num_cores as f64 * service;
                     if projected > max_wait_cycles as f64 {
                         return Some(ShedReason::Deadline);
                     }
@@ -525,9 +537,7 @@ impl GovernorShared {
                 }
             }
         }
-        if hot.has_bucket {
-            let mut cold = self.cold.borrow_mut();
-            let bucket = cold.bucket.as_mut().expect("bucket exists when has_bucket");
+        if let Some(bucket) = &mut self.bucket {
             if !bucket.admit(arrival.time) {
                 return Some(ShedReason::RateLimit);
             }
@@ -536,148 +546,93 @@ impl GovernorShared {
     }
 
     /// Fold one forwarded trace event into the control loops. Tier-cell
-    /// writes happen only while processing arrivals and completions, so
-    /// the scheduler's view never changes mid-placement (stall purity
-    /// and probe determinism are untouched). The cold `RefCell` is only
-    /// borrowed when a control window actually closes or a breaker is
-    /// configured — between boundaries every update lands in [`Hot`].
+    /// writes happen only while processing arrivals, completions,
+    /// retries and fallbacks, so the scheduler's view never changes
+    /// mid-placement (stall purity and probe determinism are untouched).
     #[inline]
-    fn observe(&self, event: &TraceEvent) {
-        let hot = &self.hot;
+    fn observe(&mut self, event: &TraceEvent) {
         match *event {
-            TraceEvent::Arrival { at, .. } if at >= hot.window_end.get() || hot.has_breaker => {
-                self.control_step(at);
-            }
-            TraceEvent::Placement { cycles, .. } if hot.track_service => {
-                if hot.service_primed.get() {
-                    hot.service_value
-                        .set(0.9 * hot.service_value.get() + 0.1 * cycles as f64);
-                } else {
-                    hot.service_value.set(cycles as f64);
-                    hot.service_primed.set(true);
+            TraceEvent::Arrival { at, .. } => self.control_step(at),
+            TraceEvent::Placement { cycles, .. } => {
+                if let ShedPolicy::DeadlineAge { .. } = self.policy {
+                    let cycles = cycles as f64;
+                    self.service = Some(self.service.map_or(cycles, |s| 0.9 * s + 0.1 * cycles));
                 }
             }
             TraceEvent::Completion {
                 seq, at, arrival, ..
             } => {
-                hot.in_flight.set(hot.in_flight.get().saturating_sub(1));
-                if hot.has_brownout {
-                    hot.window_completions.set(hot.window_completions.get() + 1);
-                    if at - arrival > hot.latency_budget {
-                        hot.window_late.set(hot.window_late.get() + 1);
-                    }
+                self.in_flight = self.in_flight.saturating_sub(1);
+                if let Some(brownout) = &mut self.brownout {
+                    brownout.complete(at - arrival);
                 }
-                if hot.has_breaker {
-                    let mut cold = self.cold.borrow_mut();
-                    let breaker = cold.breaker.as_mut().expect("breaker exists");
-                    breaker.tick(at);
-                    if breaker.pending_success.take().is_some() {
-                        breaker.on_success();
-                    }
-                    breaker.pending_success = Some(seq);
+                if let Some(breaker) = &mut self.breaker {
+                    breaker.complete(seq, at);
                 }
-                if at >= hot.window_end.get() || hot.has_breaker {
-                    self.control_step(at);
-                }
+                self.control_step(at);
             }
-            TraceEvent::Fallback { seq, at, .. } if hot.has_breaker => {
-                let mut cold = self.cold.borrow_mut();
-                let breaker = cold.breaker.as_mut().expect("breaker exists");
-                breaker.tick(at);
-                if breaker.pending_success == Some(seq) {
-                    // The completion we tentatively credited was
-                    // actually served by a fallback stage.
-                    breaker.pending_success = None;
+            TraceEvent::Fallback { seq, at, .. } => {
+                if let Some(breaker) = &mut self.breaker {
+                    breaker.fall_back(seq, at);
+                    self.apply_tier(at);
                 }
-                breaker.on_failure(at);
-                cold.apply_tier(at);
             }
             TraceEvent::Retry { at, abandoned, .. } => {
                 if abandoned {
-                    hot.in_flight.set(hot.in_flight.get().saturating_sub(1));
+                    self.in_flight = self.in_flight.saturating_sub(1);
                 }
-                if at >= hot.window_end.get() || hot.has_breaker {
-                    self.control_step(at);
-                }
+                self.control_step(at);
             }
             _ => {}
+        }
+    }
+
+    /// Step the control loops if time `at` closed a brownout control
+    /// window or a breaker is configured: the per-event check stays
+    /// inline, the step itself out of line.
+    #[inline]
+    fn control_step(&mut self, at: u64) {
+        let window_closed = self.brownout.as_ref().is_some_and(|b| at >= b.window_end);
+        if window_closed || self.breaker.is_some() {
+            self.step_controls(at);
         }
     }
 
     /// Evaluate every brownout control window closed by time `at`, move
     /// an expired breaker to half-open, and publish the effective tier
     /// ([`apply_tier`](Governor::apply_tier) is a no-op unless it
-    /// changed). Cold path: the caller already established that a
-    /// boundary passed or a breaker exists.
+    /// changed).
     #[cold]
     #[inline(never)]
-    fn control_step(&self, at: u64) {
-        let hot = &self.hot;
-        let mut cold = self.cold.borrow_mut();
-        let cold = &mut *cold;
-        let mut stepped = false;
-        if let Some(brownout) = &mut cold.brownout {
-            while at >= hot.window_end.get() {
-                let completions = hot.window_completions.take();
-                let late = hot.window_late.take();
-                brownout.evaluate(hot.in_flight.get(), completions, late);
-                hot.window_end
-                    .set(hot.window_end.get() + brownout.config.control_window_cycles);
-                stepped = true;
+    fn step_controls(&mut self, at: u64) {
+        let in_flight = self.in_flight;
+        if let Some(brownout) = &mut self.brownout {
+            while at >= brownout.window_end {
+                brownout.evaluate(in_flight);
             }
         }
-        if let Some(breaker) = &mut cold.breaker {
+        if let Some(breaker) = &mut self.breaker {
             breaker.tick(at);
-            stepped = true;
         }
-        if stepped {
-            cold.apply_tier(at);
-        }
+        self.apply_tier(at);
     }
 
-    fn report(&self) -> OverloadReport {
-        let cold = self.cold.borrow();
-        OverloadReport {
-            offered: self.hot.offered.get(),
-            admitted: self.hot.admitted.get(),
-            shed_by_reason: cold.shed_by_reason,
-            max_in_flight: self.hot.max_in_flight.get(),
-            final_tier: cold.effective_tier,
-            tier_dwell_cycles: cold.tier_dwell_cycles,
-            tier_transitions: cold.tier_transitions,
-            recovered_at: cold.recovered_at,
-            breaker_trips: cold.breaker.as_ref().map_or(0, |b| b.trips),
-            breaker_state: cold
-                .breaker
-                .as_ref()
-                .map_or(BreakerState::Closed, |b| b.state),
-            alert_floor: cold.alert_floor,
-            alert_floor_engagements: cold.alert_floor_engagements,
-        }
-    }
-}
-
-impl Governor {
     /// Recompute the effective tier and account the dwell transition.
-    /// A no-op unless the requested tier or breaker floor moved since
-    /// the last call.
+    /// A no-op unless the requested tier or a floor moved since the
+    /// last call.
     fn apply_tier(&mut self, at: u64) {
         let requested = self.brownout.as_ref().map_or(ServingTier::Full, |b| b.tier);
         let floor = self
             .breaker
             .as_ref()
-            .map_or(ServingTier::Full, |b| b.floor());
+            .map_or(ServingTier::Full, Breaker::floor);
         let effective = requested.max(floor).max(self.alert_floor);
         if effective != self.effective_tier {
             self.tier_dwell_cycles[self.effective_tier as usize] +=
                 at.saturating_sub(self.tier_since);
             self.tier_since = at;
             self.tier_transitions += 1;
-            self.recovered_at = if effective == ServingTier::Full {
-                Some(at)
-            } else {
-                None
-            };
+            self.recovered_at = (effective == ServingTier::Full).then_some(at);
             self.effective_tier = effective;
             if let Some(cell) = &self.cell {
                 cell.set(effective);
@@ -688,13 +643,31 @@ impl Governor {
     /// Close the books at the run's horizon.
     fn finish(&mut self, horizon: u64) {
         if let Some(breaker) = &mut self.breaker {
-            if breaker.pending_success.take().is_some() {
-                breaker.on_success();
-            }
+            breaker.confirm_success();
         }
         self.tier_dwell_cycles[self.effective_tier as usize] +=
             horizon.saturating_sub(self.tier_since);
         self.tier_since = horizon;
+    }
+
+    fn report(&self) -> OverloadReport {
+        OverloadReport {
+            offered: self.offered,
+            admitted: self.admitted,
+            shed_by_reason: self.shed_by_reason,
+            max_in_flight: self.max_in_flight,
+            final_tier: self.effective_tier,
+            tier_dwell_cycles: self.tier_dwell_cycles,
+            tier_transitions: self.tier_transitions,
+            recovered_at: self.recovered_at,
+            breaker_trips: self.breaker.as_ref().map_or(0, |b| b.trips),
+            breaker_state: self
+                .breaker
+                .as_ref()
+                .map_or(BreakerState::Closed, |b| b.state),
+            alert_floor: self.alert_floor,
+            alert_floor_engagements: self.alert_floor_engagements,
+        }
     }
 }
 
@@ -702,15 +675,24 @@ impl Governor {
 /// [`AdmissionGate`] and [`OverloadSink`] from the same handle, then
 /// take the [`OverloadReport`] once the sink is finished.
 #[derive(Debug, Clone)]
-pub struct GovernorHandle(Rc<GovernorShared>);
+pub struct GovernorHandle(Rc<RefCell<Governor>>);
 
 impl GovernorHandle {
     /// A governor for `num_cores` cores under `config`. `tier` is the
     /// serving-tier cell the scheduling system reads (share a clone of
     /// the same cell with the system); pass `None` when nothing serves
     /// tiered predictions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`OverloadConfig::validate`].
     pub fn new(config: &OverloadConfig, num_cores: usize, tier: Option<TierCell>) -> Self {
-        GovernorHandle(Rc::new(GovernorShared::new(config, num_cores, tier)))
+        if let Err(problem) = config.validate() {
+            panic!("overload config: {problem}");
+        }
+        GovernorHandle(Rc::new(RefCell::new(Governor::new(
+            config, num_cores, tier,
+        ))))
     }
 
     /// Wrap an arrival stream in this governor's admission gate.
@@ -720,7 +702,7 @@ impl GovernorHandle {
     {
         AdmissionGate {
             inner: arrivals,
-            governor: self.0.clone(),
+            governor: self.clone(),
         }
     }
 
@@ -729,7 +711,7 @@ impl GovernorHandle {
     pub fn sink<'a, T: TraceSink + ?Sized>(&self, inner: &'a mut T) -> OverloadSink<'a, T> {
         OverloadSink {
             inner,
-            governor: self.0.clone(),
+            governor: self.clone(),
             last_forwarded: 0,
         }
     }
@@ -738,7 +720,7 @@ impl GovernorHandle {
     /// [`OverloadSink::finish`] so tail sheds and dwell accounting are
     /// closed.
     pub fn report(&self) -> OverloadReport {
-        self.0.report()
+        self.0.borrow().report()
     }
 
     /// Impose (or lift, with [`ServingTier::Full`]) an external tier
@@ -748,13 +730,13 @@ impl GovernorHandle {
     /// accounting treats the change like any other transition. A no-op
     /// when the floor is unchanged.
     pub fn set_alert_floor(&self, at: u64, floor: ServingTier) {
-        let mut cold = self.0.cold.borrow_mut();
-        if cold.alert_floor != floor {
+        let mut governor = self.0.borrow_mut();
+        if governor.alert_floor != floor {
             if floor > ServingTier::Full {
-                cold.alert_floor_engagements += 1;
+                governor.alert_floor_engagements += 1;
             }
-            cold.alert_floor = floor;
-            cold.apply_tier(at);
+            governor.alert_floor = floor;
+            governor.apply_tier(at);
         }
     }
 }
@@ -772,7 +754,7 @@ impl GovernorHandle {
 #[derive(Debug)]
 pub struct AdmissionGate<I> {
     inner: I,
-    governor: Rc<GovernorShared>,
+    governor: GovernorHandle,
 }
 
 impl<I: Iterator<Item = Arrival>> Iterator for AdmissionGate<I> {
@@ -782,7 +764,8 @@ impl<I: Iterator<Item = Arrival>> Iterator for AdmissionGate<I> {
     fn next(&mut self) -> Option<Arrival> {
         loop {
             let arrival = self.inner.next()?;
-            if self.governor.offer(&arrival).is_none() {
+            let shed = self.governor.0.borrow_mut().offer(&arrival);
+            if shed.is_none() {
                 return Some(arrival);
             }
         }
@@ -796,31 +779,33 @@ impl<I: Iterator<Item = Arrival>> Iterator for AdmissionGate<I> {
 #[derive(Debug)]
 pub struct OverloadSink<'a, T: TraceSink + ?Sized> {
     inner: &'a mut T,
-    governor: Rc<GovernorShared>,
+    governor: GovernorHandle,
     /// Maximum timestamp forwarded to the inner sink so far.
     last_forwarded: u64,
 }
 
 impl<T: TraceSink + ?Sized> OverloadSink<'_, T> {
-    /// Forward every queued shed whose timestamp the forwarded stream
-    /// has already passed.
+    /// Forward every queued shed the stream has passed, then let the
+    /// governor observe `event`. Out of line: most events find no shed
+    /// due.
     #[cold]
     #[inline(never)]
-    fn flush_safe_sheds(&mut self) {
+    fn flush_due_sheds(&mut self, event: &TraceEvent) {
         loop {
-            let shed = {
-                let mut cold = self.governor.cold.borrow_mut();
-                let shed = match cold.pending_sheds.front() {
-                    Some(event) if event.at() <= self.last_forwarded => {
-                        cold.pending_sheds.pop_front()
+            let due = {
+                let mut governor = self.governor.0.borrow_mut();
+                match governor.pending_sheds.front() {
+                    Some(shed) if shed.at() <= self.last_forwarded => {
+                        governor.pending_sheds.pop_front()
                     }
-                    _ => None,
-                };
-                self.governor.hot.pending.set(cold.pending_sheds.len());
-                shed
+                    _ => {
+                        governor.observe(event);
+                        None
+                    }
+                }
             };
-            match shed {
-                Some(event) => self.inner.record(event),
+            match due {
+                Some(shed) => self.inner.record(shed),
                 None => break,
             }
         }
@@ -829,38 +814,41 @@ impl<T: TraceSink + ?Sized> OverloadSink<'_, T> {
     /// Flush every remaining shed (the stream is over, so all cycles are
     /// final) and close the governor's books at the observed horizon.
     /// Must be called before the inner sink's own finish step.
-    pub fn finish(mut self) {
-        self.flush_safe_sheds();
-        let remaining: Vec<TraceEvent> = {
-            let mut cold = self.governor.cold.borrow_mut();
-            let remaining = cold.pending_sheds.drain(..).collect();
-            self.governor.hot.pending.set(0);
-            remaining
-        };
+    pub fn finish(self) {
         let mut horizon = self.last_forwarded;
-        for event in remaining {
-            horizon = horizon.max(event.at());
-            self.inner.record(event);
+        loop {
+            let shed = self.governor.0.borrow_mut().pending_sheds.pop_front();
+            let Some(shed) = shed else { break };
+            horizon = horizon.max(shed.at());
+            self.inner.record(shed);
         }
-        self.governor.cold.borrow_mut().finish(horizon);
+        self.governor.0.borrow_mut().finish(horizon);
     }
 }
 
 impl<T: TraceSink + ?Sized> TraceSink for OverloadSink<'_, T> {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
-        // Fast path: zero borrows when no sheds are queued — the common
-        // case on every run, and the *only* case on a quiescent one,
-        // whose per-event cost the `engine_overload` perf gate bounds.
-        if self.governor.hot.pending.get() > 0 {
-            self.flush_safe_sheds();
+        // The governor observes the event unless a queued shed is due
+        // first. No borrow is held while the inner sink records: it may
+        // call back into the handle.
+        let shed_due = {
+            let mut governor = self.governor.0.borrow_mut();
+            let due = governor
+                .pending_sheds
+                .front()
+                .is_some_and(|shed| shed.at() <= self.last_forwarded);
+            if !due {
+                governor.observe(&event);
+            }
+            due
+        };
+        if shed_due {
+            self.flush_due_sheds(&event);
         }
-        self.governor.observe(&event);
         let at = event.at();
         self.inner.record(event);
-        if at > self.last_forwarded {
-            self.last_forwarded = at;
-        }
+        self.last_forwarded = self.last_forwarded.max(at);
     }
 }
 
@@ -1272,6 +1260,80 @@ mod tests {
         let report = governor.report();
         assert_eq!(report.breaker_trips, 2);
         assert_eq!(report.breaker_state, BreakerState::Open { until: 1_100 });
+    }
+
+    /// An inner sink that calls back into the governor on every event it
+    /// is forwarded, as the observability plane (alert floor) and a
+    /// `/health` scrape (report) do.
+    struct ReentrantSink {
+        governor: GovernorHandle,
+        recording: RecordingSink,
+        reports: u64,
+    }
+
+    impl TraceSink for ReentrantSink {
+        fn record(&mut self, event: TraceEvent) {
+            let report = self.governor.report();
+            assert!(report.offered >= report.admitted);
+            self.reports += 1;
+            let floor = if self.reports.is_multiple_of(2) {
+                ServingTier::Distilled
+            } else {
+                ServingTier::Full
+            };
+            self.governor.set_alert_floor(event.at(), floor);
+            self.recording.record(event);
+        }
+    }
+
+    #[test]
+    fn the_inner_sink_may_call_back_into_the_governor() {
+        let source = OpenLoop::poisson(20_000.0, 20, 17).take(1_500);
+        let overload = OverloadConfig {
+            queue_capacity: Some(8),
+            ..OverloadConfig::disabled()
+        };
+        let simulator = Simulator::new(2);
+        let governor = GovernorHandle::new(&overload, 2, Some(tier_cell()));
+        let mut inner = ReentrantSink {
+            governor: governor.clone(),
+            recording: RecordingSink::new(),
+            reports: 0,
+        };
+        let metrics = {
+            let mut sink = governor.sink(&mut inner);
+            let metrics = simulator.run_stream(governor.gate(source), &mut FirstIdle, &mut sink);
+            sink.finish();
+            metrics
+        };
+        let report = governor.report();
+        let events = inner.recording.events();
+        assert_eq!(inner.reports, events.len() as u64);
+        assert!(report.shed() > 0, "the storm must shed");
+        assert_eq!(report.offered, 1_500);
+        assert_eq!(report.admitted + report.shed(), report.offered);
+        assert!(report.alert_floor_engagements > 0);
+        let expected = Audit {
+            admitted: report.offered - report.shed(),
+            sheds: report.shed(),
+            ..metrics.into()
+        };
+        LedgerAuditor::new(2)
+            .check(events, &expected)
+            .unwrap_or_else(|violations| panic!("re-entrant audit failed: {violations:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "overload config: token bucket capacity")]
+    fn a_governor_refuses_a_malformed_config() {
+        let overload = OverloadConfig {
+            rate_limit: Some(TokenBucketConfig {
+                capacity: f64::NAN,
+                refill_per_mcycle: 1.0,
+            }),
+            ..OverloadConfig::disabled()
+        };
+        GovernorHandle::new(&overload, 2, None);
     }
 
     #[test]

@@ -60,17 +60,16 @@ pub enum EngineError {
     /// [`ObserveConfig::alert_tier_floor`] is set but the plane was
     /// given no governor to floor.
     FloorWithoutGovernor,
-    /// [`EngineConfig::window_cycles`] is zero.
-    ZeroWindowCycles,
-    /// [`EngineConfig::snapshot_windows`] is zero.
-    ZeroSnapshotWindows,
-    /// A brownout's
-    /// [`control_window_cycles`](crate::BrownoutConfig::control_window_cycles)
-    /// is zero.
-    ZeroControlWindow,
-    /// A breaker's [`trip_after`](crate::BreakerConfig::trip_after) is
-    /// zero.
-    ZeroTripAfter,
+    /// The [`EngineConfig`] fails [`EngineConfig::validate`].
+    InvalidEngineConfig {
+        /// The constraint it violates.
+        problem: &'static str,
+    },
+    /// The [`OverloadConfig`] fails [`OverloadConfig::validate`].
+    InvalidOverload {
+        /// The constraint it violates.
+        problem: &'static str,
+    },
     /// A burn-rate rule in [`ObserveConfig::rules`] fails
     /// [`BurnRateRule::validate`].
     InvalidBurnRule {
@@ -88,14 +87,8 @@ impl fmt::Display for EngineError {
             EngineError::FloorWithoutGovernor => {
                 f.write_str("alert tier floor needs the run's governor handle")
             }
-            EngineError::ZeroWindowCycles => f.write_str("engine window_cycles must be positive"),
-            EngineError::ZeroSnapshotWindows => {
-                f.write_str("engine snapshot_windows must be positive")
-            }
-            EngineError::ZeroControlWindow => {
-                f.write_str("brownout control_window_cycles must be positive")
-            }
-            EngineError::ZeroTripAfter => f.write_str("breaker trip_after must be positive"),
+            EngineError::InvalidEngineConfig { problem } => write!(f, "engine config: {problem}"),
+            EngineError::InvalidOverload { problem } => write!(f, "overload config: {problem}"),
             EngineError::InvalidBurnRule { rule, problem } => {
                 write!(f, "burn-rate rule {rule:?}: {problem}")
             }
@@ -103,26 +96,17 @@ impl fmt::Display for EngineError {
     }
 }
 
-/// The zero-valued fields and malformed burn-rate rules that would
-/// otherwise panic deep inside the sinks and the governor, checked
+/// The malformed engine, overload and burn-rate configurations that
+/// would otherwise panic deep inside the sinks and the governor, checked
 /// before anything is built.
 fn check_spec(spec: &RunSpec) -> Result<(), EngineError> {
-    if spec.engine.window_cycles == 0 {
-        return Err(EngineError::ZeroWindowCycles);
-    }
-    if spec.engine.snapshot_windows == 0 {
-        return Err(EngineError::ZeroSnapshotWindows);
-    }
+    spec.engine
+        .validate()
+        .map_err(|problem| EngineError::InvalidEngineConfig { problem })?;
     if let Some(overload) = &spec.overload {
-        if overload
-            .brownout
-            .is_some_and(|b| b.control_window_cycles == 0)
-        {
-            return Err(EngineError::ZeroControlWindow);
-        }
-        if overload.breaker.is_some_and(|b| b.trip_after == 0) {
-            return Err(EngineError::ZeroTripAfter);
-        }
+        overload
+            .validate()
+            .map_err(|problem| EngineError::InvalidOverload { problem })?;
     }
     match &spec.observe {
         Some(observe) => check_rules(&observe.rules),
@@ -153,11 +137,10 @@ impl std::error::Error for EngineError {}
 ///
 /// # Errors
 ///
-/// A zero-valued configuration field ([`EngineError::ZeroWindowCycles`],
-/// [`ZeroSnapshotWindows`](EngineError::ZeroSnapshotWindows),
-/// [`ZeroControlWindow`](EngineError::ZeroControlWindow),
-/// [`ZeroTripAfter`](EngineError::ZeroTripAfter)) or a malformed
-/// burn-rate rule ([`InvalidBurnRule`](EngineError::InvalidBurnRule))
+/// A malformed configuration
+/// ([`EngineError::InvalidEngineConfig`],
+/// [`InvalidOverload`](EngineError::InvalidOverload),
+/// [`InvalidBurnRule`](EngineError::InvalidBurnRule))
 /// before anything runs;
 /// [`EngineError::FloorWithoutGovernor`] and [`EngineError::Bind`] from
 /// the observability plane.
