@@ -12,13 +12,13 @@ use hetero_bench::{tiled_architecture, SystemKind, Testbed};
 use hetero_oracles::sim::run_reference;
 use hetero_telemetry::{MetricsSink, SpanAssembler};
 use multicore_sim::{
-    FaultConfig, FaultPlan, IdleCores, NullSink, QueueDiscipline, RecordingSink, Simulator,
+    CoreId, FaultConfig, FaultPlan, IdleCores, NullSink, QueueDiscipline, RecordingSink, Simulator,
     TraceEvent, TraceSink,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use workloads::ArrivalPlan;
+use workloads::{ArrivalPlan, SplitMix64};
 
 const DISCIPLINES: [QueueDiscipline; 3] = [
     QueueDiscipline::Fifo,
@@ -166,21 +166,23 @@ proptest! {
         prop_assert_eq!(&busy, &reference.busy_cycles);
     }
 
-    /// Folding one `IdleAdvance` per clock advance is the old per-core
-    /// fold: the same stream with every advance expanded into one
-    /// `IdleSpan` per idle core (ascending, at its announced power)
-    /// gives a `MetricsSink` report with the same windows — per-core idle
-    /// cycles and idle energy included — and the same totals, and a
-    /// `SpanAssembler` the same core spans. The one exception is the
-    /// idle energy total: the advances carry the ledger's class fold
-    /// (idle cycles per idle power, one product per power, summed in
-    /// ascending power order), which must equal that fold of the
-    /// expanded spans to the bit, while the sink sums the spans one
-    /// product at a time. Every case runs on the paper
-    /// quad and on the quad tiled to 256 cores, where the sink's dense
-    /// per-core charge spans four mask words and a denser plan keeps
-    /// cores busy past the first word; faulted runs cover outages
-    /// (offline cores are vacant but not idle).
+    /// Folding one `IdleAdvance` per clock advance is the per-core fold.
+    /// The same stream with one `IdleSpan` per core per maximal
+    /// constant-power idle stretch (ending at the event that ends the
+    /// stretch, or at the run's last advance) gives a `MetricsSink`
+    /// report with the same windows — per-core idle cycles and idle
+    /// energy included, bit for bit — and the same totals. The stream
+    /// with every advance expanded into one `IdleSpan` per idle core
+    /// (ascending, at its announced power) gives a `SpanAssembler` the
+    /// same core spans. The one exception is the idle energy total: the
+    /// advances carry the ledger's class fold (idle cycles per idle
+    /// power, one product per power, summed in ascending power order),
+    /// which must equal that fold of the expanded spans to the bit, while
+    /// the sink sums the spans one product at a time. Every case runs on
+    /// the paper quad and on the quad tiled to 256 cores, where the idle
+    /// table spans four mask words and a denser plan keeps cores busy
+    /// past the first word; faulted runs cover outages (offline cores
+    /// are vacant but not idle).
     #[test]
     fn idle_advances_fold_like_per_core_idle_spans(
         system_index in 0usize..4,
@@ -202,11 +204,43 @@ proptest! {
             );
         }
     }
+
+    /// Draining the sink's windows while cores sit in open idle
+    /// stretches (or offline) loses and double-counts nothing: on real
+    /// simulator streams, drained points plus the tail report equal the
+    /// undrained report bit for bit, per-core idle energy included, and
+    /// a report interleaved with the drains (the scrape path) shows
+    /// whole windows. Runs on the paper quad and on the quad tiled to
+    /// 256 cores, unfaulted and faulted.
+    #[test]
+    fn drains_across_open_idle_stretches_lose_nothing(
+        system_index in 0usize..4,
+        discipline_index in 0usize..3,
+        jobs in 40usize..120,
+        seed in 0u64..1_000,
+        sparse in 0usize..2,
+        faulted in 0usize..2,
+        salt in 0u64..u64::MAX,
+    ) {
+        for t in [Testbed::shared_small(), shared_tiled_256()] {
+            let (events, horizon) = recorded_run(
+                t,
+                SystemKind::ALL[system_index],
+                DISCIPLINES[discipline_index],
+                jobs,
+                seed,
+                sparse == 1,
+                faulted == 1,
+            );
+            drains_lose_nothing(&events, t.arch.num_cores(), horizon, salt);
+        }
+    }
 }
 
-/// The body of `idle_advances_fold_like_per_core_idle_spans` for one
-/// testbed.
-fn advances_fold_like_spans(
+/// The traced event stream of one run on testbed `t`, with the run's
+/// arrival horizon. On the tiled machine four times the jobs arrive 256x
+/// closer together, so busy cores reach past the first mask words.
+fn recorded_run(
     t: &Testbed,
     kind: SystemKind,
     discipline: QueueDiscipline,
@@ -214,11 +248,9 @@ fn advances_fold_like_spans(
     seed: u64,
     sparse: bool,
     faulted: bool,
-) {
+) -> (Vec<TraceEvent>, u64) {
     let num_cores = t.arch.num_cores();
     let horizon = if sparse { 80_000_000 } else { 4_000_000 };
-    // On the tiled machine four times the jobs arrive 256x closer
-    // together, so busy cores reach past the first mask words.
     let (jobs, horizon) = if num_cores > 4 {
         (jobs * 4, horizon / 256)
     } else {
@@ -234,25 +266,25 @@ fn advances_fold_like_spans(
     let _ = Simulator::new(num_cores)
         .with_discipline(discipline)
         .run_with_faults(&plan, &mut t.system(kind), &fault_plan, &mut recording);
-    let events = recording.into_events();
+    (recording.into_events(), horizon)
+}
 
-    let mut idle = IdleCores::new(num_cores);
-    let mut expanded = Vec::with_capacity(events.len());
-    for event in &events {
-        match *event {
-            TraceEvent::IdleAdvance { from, to, .. } => {
-                expanded.extend(idle.iter().map(|(core, power)| TraceEvent::IdleSpan {
-                    core,
-                    from,
-                    to,
-                    idle_power_nj_per_cycle: power,
-                }));
-            }
-            TraceEvent::IdlePower { .. } => {}
-            other => expanded.push(other),
-        }
-        idle.observe(event);
-    }
+/// The body of `idle_advances_fold_like_per_core_idle_spans` for one
+/// testbed.
+fn advances_fold_like_spans(
+    t: &Testbed,
+    kind: SystemKind,
+    discipline: QueueDiscipline,
+    jobs: usize,
+    seed: u64,
+    sparse: bool,
+    faulted: bool,
+) {
+    let num_cores = t.arch.num_cores();
+    let (events, _) = recorded_run(t, kind, discipline, jobs, seed, sparse, faulted);
+
+    let expanded = per_advance_spans(&events, num_cores);
+    let stretched = per_stretch_spans(&events, num_cores);
     let fold = |stream: &[TraceEvent]| {
         let mut sink = MetricsSink::new(num_cores, INTERVAL);
         let mut spans = SpanAssembler::new();
@@ -283,16 +315,170 @@ fn advances_fold_like_spans(
         .fold(0.0, |total, &(power, cycles)| total + power * cycles as f64);
     let (advanced, advanced_spans) = fold(&events);
     let (per_core, per_core_spans) = fold(&expanded);
+    let (per_stretch, _) = fold(&stretched);
     prop_assert_eq!(
         format!("{:?}", advanced.points),
-        format!("{:?}", per_core.points)
+        format!("{:?}", per_stretch.points)
     );
     prop_assert_eq!(
         advanced.totals.idle_energy_nj.to_bits(),
         class_fold.to_bits()
     );
+    let mut per_stretch_totals = per_stretch.totals;
+    per_stretch_totals.idle_energy_nj = class_fold;
+    prop_assert_eq!(advanced.totals, per_stretch_totals);
     let mut per_core_totals = per_core.totals;
     per_core_totals.idle_energy_nj = class_fold;
     prop_assert_eq!(advanced.totals, per_core_totals);
     prop_assert_eq!(advanced_spans.core_spans(), per_core_spans.core_spans());
+}
+
+/// The body of `drains_across_open_idle_stretches_lose_nothing` for one
+/// recorded run, drawing drain and scrape points from `salt`. Windows
+/// are drained and scraped only between an event and one that is not an
+/// `IdlePower`'s successor in its announcement batch: after an
+/// announcement the stream's last stamp is the end of the advance still
+/// to come, whose cycles are not final yet.
+fn drains_lose_nothing(events: &[TraceEvent], num_cores: usize, horizon: u64, salt: u64) {
+    // About fifty windows over the arrivals.
+    let interval = (horizon / 50).max(1);
+    let mut whole = MetricsSink::new(num_cores, interval);
+    for &event in events {
+        whole.record(event);
+    }
+    let expected = whole.report();
+    let final_point = |index: usize| format!("{:?}", expected.points[index]);
+
+    let mut sink = MetricsSink::new(num_cores, interval);
+    let mut drained = Vec::new();
+    let mut rng = SplitMix64::new(salt);
+    let mut scrapes = 0;
+    for (index, &event) in events.iter().enumerate() {
+        let between = index > 0 && !matches!(events[index - 1], TraceEvent::IdlePower { .. });
+        if between {
+            let draw = rng.next_u64();
+            let last = sink.last_event_at();
+            let first = sink.drained_below() as u64 * interval;
+            if draw.is_multiple_of(4) && first <= last {
+                let boundary = first + rng.next_below(last - first + 1);
+                drained.extend(sink.drain_points(boundary));
+            } else if draw % 32 == 1 {
+                // A scrape between events shows whole windows: every
+                // core's cycles cover its window, and a window the stream
+                // has passed is already final.
+                scrapes += 1;
+                for point in sink.report().points {
+                    let span = point.end - point.start;
+                    for (core, cp) in point.cores.iter().enumerate() {
+                        prop_assert_eq!(
+                            cp.busy_cycles + cp.idle_cycles + cp.offline_cycles,
+                            span,
+                            "scraped window {} core {}",
+                            point.index,
+                            core
+                        );
+                    }
+                    if span == interval {
+                        prop_assert_eq!(format!("{point:?}"), final_point(point.index));
+                    }
+                }
+            }
+        }
+        sink.record(event);
+    }
+    let tail = sink.report();
+    prop_assert!(!drained.is_empty() || scrapes > 0 || events.len() < 8);
+    drained.extend(tail.points);
+    prop_assert_eq!(format!("{drained:?}"), format!("{:?}", expected.points));
+    prop_assert_eq!(tail.totals, expected.totals);
+}
+
+/// `events` with every `IdleAdvance` expanded into one `IdleSpan` per
+/// idle core (ascending, at its announced power) and every `IdlePower`
+/// dropped.
+fn per_advance_spans(events: &[TraceEvent], num_cores: usize) -> Vec<TraceEvent> {
+    let mut idle = IdleCores::new(num_cores);
+    let mut expanded = Vec::with_capacity(events.len());
+    for event in events {
+        match *event {
+            TraceEvent::IdleAdvance { from, to, .. } => {
+                expanded.extend(idle.iter().map(|(core, power)| TraceEvent::IdleSpan {
+                    core,
+                    from,
+                    to,
+                    idle_power_nj_per_cycle: power,
+                }));
+            }
+            TraceEvent::IdlePower { .. } => {}
+            other => expanded.push(other),
+        }
+        idle.observe(event);
+    }
+    expanded
+}
+
+/// `events` with every `IdleAdvance` and `IdlePower` replaced by one
+/// `IdleSpan` per core per maximal constant-power idle stretch, placed
+/// where the stretch ends. Which cores idle at which power is read from
+/// the whole idle set after each event; a stretch ends at the event
+/// that ends it or changes its power, and a power change applies from
+/// the `from` of the advance the announcement precedes. Stretches still
+/// open at the end of the stream end at the run's last advance.
+fn per_stretch_spans(events: &[TraceEvent], num_cores: usize) -> Vec<TraceEvent> {
+    let mut idle = IdleCores::new(num_cores);
+    let mut open: Vec<Option<(u64, f64)>> = vec![None; num_cores];
+    let mut stretched = Vec::with_capacity(events.len());
+    let span = |core: usize, from: u64, to: u64, power: f64| {
+        (from < to).then_some(TraceEvent::IdleSpan {
+            core: CoreId(core),
+            from,
+            to,
+            idle_power_nj_per_cycle: power,
+        })
+    };
+    for (index, event) in events.iter().enumerate() {
+        idle.observe(event);
+        let at = match *event {
+            TraceEvent::IdlePower { .. } => events[index..]
+                .iter()
+                .find_map(|later| match *later {
+                    TraceEvent::IdleAdvance { from, .. } => Some(from),
+                    _ => None,
+                })
+                .expect("every announcement precedes an advance"),
+            other => other.at(),
+        };
+        let mut now = vec![None; num_cores];
+        for (core, power) in idle.iter() {
+            now[core.0] = Some(power);
+        }
+        for core in 0..num_cores {
+            if open[core].map(|(_, p)| p.to_bits()) != now[core].map(f64::to_bits) {
+                if let Some((since, power)) = open[core] {
+                    stretched.extend(span(core, since, at, power));
+                }
+                open[core] = now[core].map(|power| (at, power));
+            }
+        }
+        if !matches!(
+            event,
+            TraceEvent::IdleAdvance { .. } | TraceEvent::IdlePower { .. }
+        ) {
+            stretched.push(*event);
+        }
+    }
+    let last_advance = events
+        .iter()
+        .rev()
+        .find_map(|event| match *event {
+            TraceEvent::IdleAdvance { to, .. } => Some(to),
+            _ => None,
+        })
+        .unwrap_or(0);
+    for (core, stretch) in open.iter().enumerate() {
+        if let Some((since, power)) = *stretch {
+            stretched.extend(span(core, since, last_advance, power));
+        }
+    }
+    stretched
 }

@@ -619,7 +619,9 @@ impl Governor {
 
     /// Recompute the effective tier and account the dwell transition.
     /// A no-op unless the requested tier or a floor moved since the
-    /// last call.
+    /// last call. A change stamped before the open tier began (an alert
+    /// floor set at a burn transition that trails the last tier step)
+    /// takes effect when that tier began, so no cycle is counted twice.
     fn apply_tier(&mut self, at: u64) {
         let requested = self.brownout.as_ref().map_or(ServingTier::Full, |b| b.tier);
         let floor = self
@@ -628,8 +630,8 @@ impl Governor {
             .map_or(ServingTier::Full, Breaker::floor);
         let effective = requested.max(floor).max(self.alert_floor);
         if effective != self.effective_tier {
-            self.tier_dwell_cycles[self.effective_tier as usize] +=
-                at.saturating_sub(self.tier_since);
+            let at = at.max(self.tier_since);
+            self.tier_dwell_cycles[self.effective_tier as usize] += at - self.tier_since;
             self.tier_since = at;
             self.tier_transitions += 1;
             self.recovered_at = (effective == ServingTier::Full).then_some(at);
@@ -1168,6 +1170,49 @@ mod tests {
         // Dwell accounting tiles the horizon the governor observed.
         let dwell: u64 = report.tier_dwell_cycles.iter().sum();
         assert_eq!(dwell, outcome.report.horizon);
+    }
+
+    #[test]
+    fn an_alert_floor_stamped_before_the_last_tier_step_counts_no_cycle_twice() {
+        // One late completion per 1,000-cycle control window steps the
+        // brownout down at once; nothing steps it back.
+        let overload = OverloadConfig {
+            brownout: Some(BrownoutConfig {
+                control_window_cycles: 1_000,
+                depth_high: 1_000,
+                depth_low: 0,
+                latency_budget_cycles: 100,
+                breach_fraction: 0.0,
+                step_up_after: 1,
+                step_down_after: 1_000,
+            }),
+            ..OverloadConfig::disabled()
+        };
+        let governor = GovernorHandle::new(&overload, 4, None);
+        let mut null = NullSink;
+        let mut sink = governor.sink(&mut null);
+        let completion = |seq: u64, at: u64, arrival: u64| TraceEvent::Completion {
+            seq,
+            benchmark: BenchmarkId(0),
+            core: CoreId(0),
+            at,
+            arrival,
+            priority: 0,
+        };
+        sink.record(completion(0, 500, 0));
+        // Closing the first window steps the brownout at 1,000.
+        sink.record(completion(1, 1_000, 990));
+        assert_eq!(governor.report().tier_transitions, 1);
+        // The plane floors the tier at a burn transition 300 cycles
+        // earlier than that step.
+        governor.set_alert_floor(700, ServingTier::Knn);
+        sink.record(completion(2, 2_000, 1_990));
+        sink.finish();
+        let report = governor.report();
+        assert_eq!(report.tier_transitions, 2);
+        assert_eq!(report.final_tier, ServingTier::Knn);
+        assert_eq!(report.tier_dwell_cycles, [1_000, 0, 1_000, 0]);
+        assert_eq!(report.tier_dwell_cycles.iter().sum::<u64>(), 2_000);
     }
 
     #[test]

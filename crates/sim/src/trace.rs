@@ -119,11 +119,15 @@ pub enum TraceEvent {
         /// for bit.
         idle_total_nj: f64,
     },
-    /// From here on, idle `core` burns `idle_power_nj_per_cycle`. The
+    /// Idle `core` burns `idle_power_nj_per_cycle` from the `from` of
+    /// the [`IdleAdvance`](TraceEvent::IdleAdvance) it precedes. The
     /// simulator announces a core before the first advance that charges
     /// it and again whenever its cached value's bits change, always
-    /// immediately before that [`IdleAdvance`](TraceEvent::IdleAdvance)
-    /// and stamped with its `to`; so every announcement is charged.
+    /// immediately before that advance and stamped with its `to`, so
+    /// every announcement is charged. Several announcements can share
+    /// one stamp; the cycle they apply from is the advance's `from`, the
+    /// simulator's clock when it announced them, which is not their
+    /// stamp.
     IdlePower {
         /// The idle core.
         core: CoreId,
@@ -422,13 +426,14 @@ impl TraceSink for RecordingSink {
 /// power. [`observe`](Self::observe) applies the events that change
 /// that: `Placement` occupies a core; `Completion`, `Eviction` and
 /// `Fault` vacate it; a core's `Degraded` transition takes it offline or
-/// back; `IdlePower` sets its power. The table grows on demand for cores
-/// it has not seen. [`iter`](Self::iter) walks the idle cores in
-/// ascending order with their powers, which is what a consumer needs to
-/// add an advance's idle cycles to each core's power class, as the
-/// [`LedgerAuditor`] does. [`charge`](Self::charge) adds an advance's
-/// idle cycles and energy to per-core accumulators in one dense pass
-/// over every core.
+/// back; `IdlePower` sets its power. For each such event it returns the
+/// core with its idle power after the event, so a consumer that keeps
+/// per-core idle stretches learns of every start, end and power change
+/// from the one state update. The table grows on demand for cores it
+/// has not seen. [`iter`](Self::iter) walks the idle cores in ascending
+/// order with their powers, which is what a consumer needs to add an
+/// advance's idle cycles to each core's power class, as the
+/// [`LedgerAuditor`] does.
 #[derive(Debug, Clone, Default)]
 pub struct IdleCores {
     cores: Vec<IdleState>,
@@ -437,10 +442,6 @@ pub struct IdleCores {
     /// Bit `i` set ⇔ core `i` is vacant and online but has no announced
     /// idle power.
     unannounced: Vec<u64>,
-    /// Per core: `u64::MAX` when idle, 0 otherwise.
-    idle_mask: Vec<u64>,
-    /// Per core: the announced idle power when idle, `0.0` otherwise.
-    idle_power: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -480,13 +481,14 @@ impl IdleCores {
             set_bit(&mut self.unannounced, self.cores.len(), true);
             self.cores.push(IdleState::default());
         }
-        self.idle_mask.resize(self.cores.len(), 0);
-        self.idle_power.resize(self.cores.len(), 0.0);
     }
 
     /// Apply `event` to the occupancy, availability and announced power.
+    /// For an event that carries a core it can change, returns that core
+    /// and its idle power after the event (`None` while it is not idle),
+    /// whether or not the event changed it; `None` for any other event.
     #[inline]
-    pub fn observe(&mut self, event: &TraceEvent) {
+    pub fn observe(&mut self, event: &TraceEvent) -> Option<(CoreId, Option<f64>)> {
         match *event {
             TraceEvent::Placement { core, .. } => self.update(core, |c| c.busy = true),
             TraceEvent::Completion { core, .. }
@@ -505,23 +507,25 @@ impl IdleCores {
                 c.power = idle_power_nj_per_cycle;
                 c.announced = true;
             }),
-            _ => {}
+            _ => None,
         }
     }
 
-    fn update(&mut self, core: CoreId, change: impl FnOnce(&mut IdleState)) {
+    fn update(
+        &mut self,
+        core: CoreId,
+        change: impl FnOnce(&mut IdleState),
+    ) -> Option<(CoreId, Option<f64>)> {
         if core.0 >= self.cores.len() {
             self.grow(core.0 + 1);
         }
         let state = &mut self.cores[core.0];
         change(state);
         let available = !state.busy && !state.offline;
-        let announced = state.announced;
-        let idle = available && announced;
+        let idle = available && state.announced;
         set_bit(&mut self.idle, core.0, idle);
-        set_bit(&mut self.unannounced, core.0, available && !announced);
-        self.idle_mask[core.0] = if idle { u64::MAX } else { 0 };
-        self.idle_power[core.0] = if idle { state.power } else { 0.0 };
+        set_bit(&mut self.unannounced, core.0, available && !state.announced);
+        Some((core, idle.then_some(state.power)))
     }
 
     /// The idle cores with their announced idle power, in ascending
@@ -529,27 +533,6 @@ impl IdleCores {
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (CoreId, f64)> + '_ {
         BitIter::new(&self.idle).map(|i| (CoreId(i), self.cores[i].power))
-    }
-
-    /// Charge `chunk` idle cycles to every idle core: `cycles[i] +=
-    /// chunk` and `energy[i] += power * chunk as f64`, at core `i`'s
-    /// announced power, for each core `i` the slices cover.
-    ///
-    /// One branch-free pass over all cores, idle or not: a core that is
-    /// not idle adds 0 cycles and `0.0 * chunk = +0.0` nJ, which leaves
-    /// any accumulator that is not `-0.0` unchanged. An accumulator that
-    /// starts at `+0.0` and only ever gains products never becomes
-    /// `-0.0`, so each idle core's energy has the bits of the same sum
-    /// taken over the idle cores alone.
-    #[inline]
-    pub fn charge(&self, chunk: u64, cycles: &mut [u64], energy: &mut [f64]) {
-        let span = chunk as f64;
-        let slots = cycles.iter_mut().zip(energy.iter_mut());
-        let cores = self.idle_mask.iter().zip(&self.idle_power);
-        for ((cycles, energy), (mask, power)) in slots.zip(cores) {
-            *cycles += chunk & mask;
-            *energy += power * span;
-        }
     }
 
     /// The lowest-numbered vacant, online core that has no idle power
@@ -2078,15 +2061,22 @@ mod tests {
         let mut idle = IdleCores::default();
         assert_eq!(idle.iter().count(), 0);
         // Announcing core 70 grows the table; cores below it are vacant
-        // and online but unannounced.
-        idle.observe(&announced(70, 5, 2.0));
-        idle.observe(&announced(3, 5, 1.0));
+        // and online but unannounced. Each core event reports its core's
+        // idle power after it.
+        assert_eq!(
+            idle.observe(&announced(70, 5, 2.0)),
+            Some((CoreId(70), Some(2.0)))
+        );
+        assert_eq!(
+            idle.observe(&announced(3, 5, 1.0)),
+            Some((CoreId(3), Some(1.0)))
+        );
         assert_eq!(
             idle.iter().collect::<Vec<_>>(),
             vec![(CoreId(3), 1.0), (CoreId(70), 2.0)]
         );
         assert_eq!(idle.first_unannounced(), Some(CoreId(0)));
-        idle.observe(&TraceEvent::Placement {
+        let placed = idle.observe(&TraceEvent::Placement {
             seq: 0,
             benchmark: BenchmarkId(0),
             core: CoreId(3),
@@ -2096,36 +2086,34 @@ mod tests {
             static_nj: 0.0,
             kind: PlacementKind::Pass,
         });
-        idle.observe(&TraceEvent::Degraded {
+        assert_eq!(placed, Some((CoreId(3), None)));
+        let down = idle.observe(&TraceEvent::Degraded {
             at: 6,
             component: DegradedComponent::Core(CoreId(70)),
             online: false,
         });
+        assert_eq!(down, Some((CoreId(70), None)));
         assert_eq!(idle.iter().count(), 0);
-        idle.observe(&TraceEvent::Completion {
+        let completion = |core: usize| TraceEvent::Completion {
             seq: 0,
             benchmark: BenchmarkId(0),
-            core: CoreId(3),
+            core: CoreId(core),
             at: 15,
             arrival: 5,
             priority: 0,
-        });
+        };
+        assert_eq!(idle.observe(&completion(3)), Some((CoreId(3), Some(1.0))));
         assert_eq!(idle.iter().collect::<Vec<_>>(), vec![(CoreId(3), 1.0)]);
-
-        // The dense charge touches exactly the idle cores, and leaves
-        // every other accumulator at `+0.0`.
-        let (mut cycles, mut energy) = (vec![0u64; 71], vec![0.0f64; 71]);
-        idle.charge(10, &mut cycles, &mut energy);
-        idle.charge(5, &mut cycles, &mut energy);
-        for core in 0..71 {
-            let (want_cycles, want_energy) = if core == 3 { (15, 15.0) } else { (0, 0.0) };
-            assert_eq!(cycles[core], want_cycles, "core {core}");
-            assert_eq!(
-                energy[core].to_bits(),
-                f64::to_bits(want_energy),
-                "core {core}"
-            );
-        }
+        // A vacated core with no announced power is not idle; an event
+        // that carries no core reports nothing.
+        assert_eq!(idle.observe(&completion(0)), Some((CoreId(0), None)));
+        let arrival = TraceEvent::Arrival {
+            seq: 1,
+            benchmark: BenchmarkId(0),
+            at: 15,
+            priority: 0,
+        };
+        assert_eq!(idle.observe(&arrival), None);
     }
 
     #[test]

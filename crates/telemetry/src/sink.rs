@@ -30,20 +30,27 @@
 //! placement short, so one arm refunds the unexecuted share with the
 //! simulator's own expression (`remaining / total`; a zero-cycle
 //! placement refunds nothing), which keeps the net energies on the
-//! ledger's bits. Idle advances, idle spans and offline spans are
-//! back-dated (stamped at their end), and one clip step splits each into
-//! the windows it overlaps; windows are addressed by index
+//! ledger's bits. Idle stretches, idle spans and offline spans are
+//! back-dated (charged when they end), and one clip step splits each
+//! into the windows it overlaps; windows are addressed by index
 //! (`at / interval`), which makes that back-fill exact.
 //!
 //! An [`TraceEvent::IdleAdvance`] carries the simulator's own idle-energy
 //! ledger sum as the run total, so the sink's idle energy matches the
-//! ledger to the bit without re-deriving it. For the per-core window
-//! slots the sink tracks the idle cores and their announced idle power
-//! itself ([`IdleCores`], fed by placements, completions, evictions,
-//! faults, core transitions and [`TraceEvent::IdlePower`]) and charges
-//! each window in one dense pass over every core ([`IdleCores::charge`]).
-//! The per-core [`TraceEvent::IdleSpan`] charges its one core and adds
-//! its own product to the total.
+//! ledger to the bit without re-deriving it, and the advance costs the
+//! sink one store. For the per-core window slots the sink tracks the
+//! idle cores and their announced idle power itself ([`IdleCores`], fed
+//! by placements, completions, evictions, faults, core transitions and
+//! [`TraceEvent::IdlePower`]) and keeps one open idle stretch per idle
+//! core, `(since, power)`. A stretch is charged to the windows it covers
+//! when an event ends it or changes its power, so a core costs work only
+//! when its own idle state moves, however many advances the stretch
+//! spans. A power change splits the stretch at the simulator's clock as
+//! the stream shows it (the latest advance's end or core event's
+//! stamp): an announcement is stamped with the end of the advance it
+//! precedes but applies from its start. The per-core
+//! [`TraceEvent::IdleSpan`] charges its one core and adds its own product
+//! to the total.
 
 use crate::histogram::Histogram;
 use multicore_sim::{DegradedComponent, FaultKind, IdleCores, TraceEvent, TraceSink};
@@ -80,8 +87,7 @@ impl Default for JobSlot {
 }
 
 /// Accumulator for one time window: the window's share of the run
-/// counters, plus per-core slots as parallel arrays indexed by core, so
-/// an idle advance charges a window in one dense pass.
+/// counters, plus per-core slots as parallel arrays indexed by core.
 #[derive(Debug, Clone, Default)]
 struct WindowAcc {
     /// The window's counters and net busy energies (its per-core idle
@@ -339,6 +345,13 @@ pub struct MetricsSink {
     core_offline_since: Vec<Option<u64>>,
     /// The idle cores and their announced idle power.
     idle: IdleCores,
+    /// Per idle core: the open idle stretch, `(since, power)`, not yet
+    /// charged to the windows.
+    idle_since: Vec<Option<(u64, f64)>>,
+    /// The simulator's clock as the stream shows it: the end of the
+    /// latest advance or the stamp of the latest core event. An
+    /// [`IdlePower`](TraceEvent::IdlePower) applies from here.
+    clock: u64,
     latency: Histogram,
     job_energy_hist: Histogram,
     stall_hist: Histogram,
@@ -372,6 +385,8 @@ impl MetricsSink {
             job_base: 0,
             core_offline_since: vec![None; num_cores],
             idle: IdleCores::new(num_cores),
+            idle_since: vec![None; num_cores],
+            clock: 0,
             latency: Histogram::new(),
             job_energy_hist: Histogram::new(),
             stall_hist: Histogram::new(),
@@ -395,6 +410,8 @@ impl MetricsSink {
         self.job_base = 0;
         self.core_offline_since.iter_mut().for_each(|c| *c = None);
         self.idle = IdleCores::new(self.num_cores);
+        self.idle_since.iter_mut().for_each(|c| *c = None);
+        self.clock = 0;
         self.latency.reset();
         self.job_energy_hist.reset();
         self.stall_hist.reset();
@@ -499,13 +516,17 @@ impl MetricsSink {
     /// reused for later windows.
     ///
     /// The caller must guarantee that every event timestamped before the
-    /// drained boundary has already been recorded — in a simulator run
-    /// that holds for any `before <= last_event_at()`, because events are
-    /// emitted in clock order and back-dated spans (idle back-fill,
-    /// offline recovery) never start before the event that precedes them.
-    /// Cores still offline at the drain point have their outage overlaid
-    /// onto the drained windows, and the outage start is advanced so the
-    /// eventual recovery event back-fills only retained windows.
+    /// drained boundary has already been recorded. In a simulator run
+    /// that holds for any `before <= last_event_at()` except right after
+    /// an [`IdlePower`](TraceEvent::IdlePower): events are emitted in
+    /// clock order and back-dated spans (idle back-fill, offline
+    /// recovery) never start before the event that precedes them, but an
+    /// announcement is stamped with the end of the advance it precedes,
+    /// whose cycles are not final until that advance is recorded.
+    /// Cores still offline or idle at the drain point have their outage
+    /// or idle stretch overlaid onto the drained windows, and its start
+    /// is advanced so the event that ends it back-fills only retained
+    /// windows.
     ///
     /// # Panics
     ///
@@ -525,11 +546,14 @@ impl MetricsSink {
             self.window_base += 1;
             let end = (index as u64 + 1) * self.interval;
             points.push(self.point(index, &acc, end));
-            // The point overlaid each still-offline core's outage up to
-            // `end`: advance the outage start past it, so the recovery
-            // back-fill stays in retained windows and nothing is
-            // double-counted.
+            // The point overlaid each still-offline core's outage and
+            // each open idle stretch up to `end`: advance their starts
+            // past it, so the back-fill when they end stays in retained
+            // windows and nothing is double-counted.
             for since in self.core_offline_since.iter_mut().flatten() {
+                *since = (*since).max(end);
+            }
+            for (since, _) in self.idle_since.iter_mut().flatten() {
                 *since = (*since).max(end);
             }
             self.spare.push(acc);
@@ -539,16 +563,22 @@ impl MetricsSink {
 
     /// The series point of window `index`, closed at `end` (the window's
     /// end, or the last event's cycle in a window still filling). A core
-    /// still offline has no recovery event yet to back-fill its outage, so
-    /// the outage is overlaid up to `end`.
+    /// still offline has no recovery event yet to back-fill its outage,
+    /// and a core still idle no event yet to charge its stretch, so each
+    /// is overlaid up to `end`.
     fn point(&self, index: usize, acc: &WindowAcc, end: u64) -> SeriesPoint {
         let start = index as u64 * self.interval;
         let span = end - start;
         let cores = (0..self.num_cores)
             .map(|core| {
-                let (idle_cycles, mut offline, idle_energy_nj) = acc.core(core);
+                let (mut idle_cycles, mut offline, mut idle_energy_nj) = acc.core(core);
                 if let Some(since) = self.core_offline_since[core] {
                     offline += overlap(since, end, start, end);
+                }
+                if let Some((since, power)) = self.idle_since[core] {
+                    let cycles = overlap(since, end, start, end);
+                    idle_cycles += cycles;
+                    idle_energy_nj += power * cycles as f64;
                 }
                 let busy = span.saturating_sub(idle_cycles + offline);
                 CorePoint {
@@ -676,18 +706,41 @@ impl MetricsSink {
 
     /// Clip the back-dated span `[from, to)` into the windows it
     /// overlaps, handing `charge` each window with the span's cycles in
-    /// it and the idle table. Window lookup goes through the cached
-    /// bounds (a span usually sits inside one window).
+    /// it. Window lookup goes through the cached bounds (a span usually
+    /// sits inside one window).
     #[inline]
-    fn clip(&mut self, from: u64, to: u64, charge: impl Fn(&mut WindowAcc, u64, &IdleCores)) {
+    fn clip(&mut self, from: u64, to: u64, charge: impl Fn(&mut WindowAcc, u64)) {
         let mut cursor = from;
         while cursor < to {
             let idx = self.window_index(cursor);
             let chunk = to.min(self.cur_hi) - cursor;
-            self.window_mut(idx);
-            charge(&mut self.windows[idx - self.window_base], chunk, &self.idle);
+            charge(self.window_mut(idx), chunk);
             cursor += chunk;
         }
+    }
+
+    /// Charge `core` idle over `[from, to)` at `power` to the windows.
+    #[inline]
+    fn charge_idle(&mut self, core: usize, from: u64, to: u64, power: f64) {
+        self.clip(from, to, |w, chunk| {
+            w.idle_cycles[core] += chunk;
+            w.idle_energy_nj[core] += power * chunk as f64;
+        });
+    }
+
+    /// `core`'s idle power is `power` (`None`: not idle) from cycle
+    /// `at`: if that moved it, charge its open stretch up to `at` and
+    /// open the next one there.
+    #[inline]
+    fn set_idle(&mut self, core: usize, power: Option<f64>, at: u64) {
+        let open = self.idle_since[core];
+        if open.map(|(_, was)| was.to_bits()) == power.map(f64::to_bits) {
+            return;
+        }
+        if let Some((since, was)) = open {
+            self.charge_idle(core, since, at, was);
+        }
+        self.idle_since[core] = power.map(|power| (at, power));
     }
 }
 
@@ -702,22 +755,25 @@ impl TraceSink for MetricsSink {
     fn record(&mut self, event: TraceEvent) {
         let at = event.at();
         self.advance(at);
-        self.idle.observe(&event);
-        // Idle advances and spans cover earlier cycles and are clipped
-        // into windows, and an idle-power announcement only updates the
-        // idle table: skip the shared lookup.
+        if let Some((core, power)) = self.idle.observe(&event) {
+            // An announcement applies from the start of the advance it
+            // precedes, which is the clock; every other core event
+            // happens at the clock.
+            if !matches!(event, TraceEvent::IdlePower { .. }) {
+                self.clock = at;
+            }
+            self.set_idle(core.0, power, self.clock);
+        }
+        // An idle advance only carries the run total, an idle span covers
+        // earlier cycles and is clipped into windows, and an idle-power
+        // announcement only updates the idle table: skip the shared
+        // lookup.
         match event {
-            TraceEvent::IdleAdvance {
-                from,
-                to,
-                idle_total_nj,
-            } => {
+            TraceEvent::IdleAdvance { idle_total_nj, .. } => {
                 // The run total is the simulator's, carried by the
-                // advance; each window gets one dense pass over the cores.
-                self.clip(from, to, |w, chunk, idle| {
-                    idle.charge(chunk, &mut w.idle_cycles, &mut w.idle_energy_nj);
-                });
+                // advance; the open stretches are charged when they end.
                 self.totals.idle_energy_nj = idle_total_nj;
+                self.clock = at;
                 return;
             }
             TraceEvent::IdleSpan {
@@ -726,10 +782,7 @@ impl TraceSink for MetricsSink {
                 to,
                 idle_power_nj_per_cycle: power,
             } => {
-                self.clip(from, to, |w, chunk, _| {
-                    w.idle_cycles[core.0] += chunk;
-                    w.idle_energy_nj[core.0] += power * chunk as f64;
-                });
+                self.charge_idle(core.0, from, to, power);
                 self.totals.idle_energy_nj += power * (to - from) as f64;
                 return;
             }
@@ -869,7 +922,7 @@ impl TraceSink for MetricsSink {
                 if let DegradedComponent::Core(core) = component {
                     if online {
                         if let Some(since) = self.core_offline_since[core.0].take() {
-                            self.clip(since, at, |w, chunk, _| {
+                            self.clip(since, at, |w, chunk| {
                                 w.offline_cycles[core.0] += chunk;
                             });
                         }
@@ -1175,6 +1228,94 @@ mod tests {
         // Total outage: cycles 25..270 = 245, split 75 + 100 + 70.
         let outage: u64 = recombined.iter().map(|p| p.cores[1].offline_cycles).sum();
         assert_eq!(outage, 245);
+    }
+
+    fn idle_power(core: usize, at: u64, power: f64) -> TraceEvent {
+        TraceEvent::IdlePower {
+            core: CoreId(core),
+            at,
+            idle_power_nj_per_cycle: power,
+        }
+    }
+
+    fn idle_advance(from: u64, to: u64, idle_total_nj: f64) -> TraceEvent {
+        TraceEvent::IdleAdvance {
+            from,
+            to,
+            idle_total_nj,
+        }
+    }
+
+    /// Per core of window `index`: `(idle cycles, idle energy bits)`.
+    fn idle_slots(report: &TelemetryReport, index: usize) -> Vec<(u64, u64)> {
+        report.points[index]
+            .cores
+            .iter()
+            .map(|c| (c.idle_cycles, c.idle_energy_nj.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn announcements_sharing_a_stamp_apply_from_the_advance_start() {
+        // Core 2 takes a job at 100; cores 0 and 1 are announced with
+        // the stamp 300 of the advance [100, 300) they precede. Both are
+        // idle from 100, not from their stamp.
+        let mut sink = MetricsSink::new(3, 150);
+        sink.record(arrival(0, 100));
+        sink.record(placement(0, 2, 100, 400, 1.0));
+        sink.record(idle_power(0, 300, 1.0));
+        sink.record(idle_power(1, 300, 2.0));
+        sink.record(idle_advance(100, 300, 600.0));
+        let report = sink.report();
+        assert_eq!(report.totals.idle_energy_nj, 600.0);
+        let bits = f64::to_bits;
+        assert_eq!(
+            idle_slots(&report, 0),
+            vec![(50, bits(50.0)), (50, bits(100.0)), (0, bits(0.0))]
+        );
+        assert_eq!(
+            idle_slots(&report, 1),
+            vec![(150, bits(150.0)), (150, bits(300.0)), (0, bits(0.0))]
+        );
+    }
+
+    #[test]
+    fn a_power_change_splits_an_idle_stretch_at_the_clock() {
+        // Core 0 idles at 1 nJ/cycle over [0, 100), then at 3 nJ/cycle
+        // over the advance [100, 250) whose announcement is stamped 250.
+        let feed = |sink: &mut MetricsSink| {
+            sink.record(idle_power(0, 100, 1.0));
+            sink.record(idle_power(1, 100, 1.0));
+            sink.record(idle_advance(0, 100, 200.0));
+            sink.record(arrival(0, 100));
+            sink.record(placement(0, 1, 100, 150, 1.0));
+            sink.record(idle_power(0, 250, 3.0));
+            sink.record(idle_advance(100, 250, 650.0));
+            sink.record(completion(0, 1, 250, 100));
+        };
+        let bits = f64::to_bits;
+        let mut sink = MetricsSink::new(2, 200);
+        feed(&mut sink);
+        let report = sink.report();
+        assert_eq!(
+            idle_slots(&report, 0),
+            vec![(200, bits(100.0 + 300.0)), (100, bits(100.0))]
+        );
+        // Window [200, 250): core 0 stays on its new power, and core 1,
+        // idle again from 250, has no idle cycles yet.
+        assert_eq!(
+            idle_slots(&report, 1),
+            vec![(50, bits(150.0)), (0, bits(0.0))]
+        );
+        // A report in the middle overlays the open stretch at its power.
+        let mut early = MetricsSink::new(2, 200);
+        early.record(idle_power(0, 100, 1.0));
+        early.record(idle_power(1, 100, 1.0));
+        early.record(idle_advance(0, 100, 200.0));
+        assert_eq!(
+            idle_slots(&early.report(), 0),
+            vec![(100, bits(100.0)), (100, bits(100.0))]
+        );
     }
 
     #[test]
